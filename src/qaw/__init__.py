@@ -18,6 +18,7 @@ from .qcore import (
     q_bracket,
     q_factorial,
     q_pochhammer,
+    q_pochhammer_seq,
     q_pochhammer_inf,
     multi_pochhammer,
     s_n,

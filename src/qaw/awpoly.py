@@ -34,8 +34,10 @@ from .qcore import (
     PoleError,
     QParam,
     TruncationPolicy,
+    _check_order,
     q_binomial,
     q_pochhammer,
+    q_pochhammer_seq,
     qval,
 )
 from .polyfam import (
@@ -157,16 +159,6 @@ def _guard_factor(value, what):
     return value
 
 
-def _poch_list(t, q, n):
-    """[(t; q)_0, ..., (t; q)_n] built incrementally."""
-    out = [1 + 0 * t]
-    factor = t
-    for _ in range(n):
-        out.append(out[-1] * (1 - factor))
-        factor = factor * q
-    return out
-
-
 def _shifted_poch(t, q, n):
     """(t q**(n-1); q)_n, evaluated without forming q**(n-1) when n = 0."""
     if n == 0:
@@ -212,8 +204,8 @@ def aw_D(n, x, params: AWComplexParams, q):
     b_vals = b_small_seq(n, x, q)
     Q1 = asc_Q_seq(n, x, a, b, q)
     Q2 = asc_Q_seq(n, x, c, d, q)
-    poch_ab = _poch_list(ab, q, n)
-    poch_cd = _poch_list(cd, q, n)
+    poch_ab = q_pochhammer_seq(ab, q, n)
+    poch_cd = q_pochhammer_seq(cd, q, n)
     for i in range(1, n + 1):
         _guard_factor(poch_ab[i], "(ab; q)_i")
         _guard_factor(poch_cd[i], "(cd; q)_i")
@@ -246,8 +238,8 @@ def aw_A_sym_seq(nmax, x, p: CondDensityParams):
     B = b_big_seq(nmax, x, q)
     P1 = asc_P_seq(nmax, x, p.y, p.rho1, q)
     P2 = asc_P_seq(nmax, x, p.z, p.rho2, q)
-    poch1 = _poch_list(r1sq, q, nmax)
-    poch2 = _poch_list(r2sq, q, nmax)
+    poch1 = q_pochhammer_seq(r1sq, q, nmax)
+    poch2 = q_pochhammer_seq(r2sq, q, nmax)
     # inner[j] = sum_i [j,i]_q P1[i] P2[j-i] / ((r1^2)_i (r2^2)_{j-i})
     inner = []
     for j in range(nmax + 1):
@@ -294,8 +286,8 @@ def aw_A_mixed(n, x, p: CondDensityParams):
     r2sq = p.rho2 * p.rho2
     P_xz = asc_P_seq(n, x, p.z, p.rho2, q)
     P_yx = asc_P_seq(n, p.y, x, p.rho1, q)
-    poch1 = _poch_list(r1sq, q, n)
-    poch2 = _poch_list(r2sq, q, n)
+    poch1 = q_pochhammer_seq(r1sq, q, n)
+    poch2 = q_pochhammer_seq(r2sq, q, n)
     pref = poch1[n] * poch2[n] / _shifted_poch(r1sq * r2sq, q, n)
     total = 0
     for m in range(n + 1):
@@ -473,8 +465,7 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q, dps=None):
 
     Requires a != 0 and -1 < q < 1.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
+    _check_order(n)
     q = qval(q)
     if not -1 < q < 1:
         raise DomainError("the terminating series form requires -1 < q < 1")

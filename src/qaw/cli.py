@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -51,6 +52,25 @@ __all__ = ["main", "entry"]
 _EVAL_SELECTORS = ("h", "H", "Q", "P", "B", "b", "U", "D", "A", "f_N", "f_CN", "phi", "C")
 
 
+def _finite(text):
+    """argparse type: a float that is neither infinite nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _base(text):
+    """argparse type: a finite base q with -1 < q <= 1."""
+    value = _finite(text)
+    if not -1 < value <= 1:
+        raise argparse.ArgumentTypeError(f"base must satisfy -1 < q <= 1, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qaw",
@@ -63,16 +83,16 @@ def _build_parser():
     ev.add_argument("selector", choices=_EVAL_SELECTORS, metavar="SELECTOR",
                     help="one of " + ", ".join(_EVAL_SELECTORS))
     ev.add_argument("--n", type=int, default=0, help="degree / moment order")
-    ev.add_argument("--q", type=float, required=True, help="base parameter in (-1, 1]")
-    ev.add_argument("--rho1", type=float, default=0.0)
-    ev.add_argument("--rho2", type=float, default=0.0)
-    ev.add_argument("--y", type=float, default=0.0, help="first conditioning point")
-    ev.add_argument("--z", type=float, default=0.0, help="second conditioning point")
-    ev.add_argument("--x", type=float, default=None, help="single evaluation point")
-    ev.add_argument("--grid", default=None, metavar="LO:HI:COUNT",
+    ev.add_argument("--q", type=_base, required=True, help="base parameter in (-1, 1]")
+    ev.add_argument("--rho1", type=_finite, default=0.0)
+    ev.add_argument("--rho2", type=_finite, default=0.0)
+    ev.add_argument("--y", type=_finite, default=0.0, help="first conditioning point")
+    ev.add_argument("--z", type=_finite, default=0.0, help="second conditioning point")
+    ev.add_argument("--x", type=_finite, default=None, help="single evaluation point")
+    ev.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:COUNT",
                     help="inclusive evaluation grid")
     ev.add_argument("--format", choices=("csv", "json"), default="csv")
-    ev.add_argument("--tol", type=float, default=None,
+    ev.add_argument("--tol", type=_finite, default=None,
                     help="relative truncation tolerance for density products")
     ev.add_argument("--max-terms", type=int, default=None,
                     help="truncation term cap for density products")
@@ -81,11 +101,11 @@ def _build_parser():
     group = vf.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="run every check")
     group.add_argument("--check", default=None, metavar="NAME", help="run one check")
-    vf.add_argument("--q", type=float, default=None,
+    vf.add_argument("--q", type=_base, default=None,
                     help="restrict the q grid to this single value")
     vf.add_argument("--nmax", type=int, default=None,
                     help="cap the polynomial orders used by the checks")
-    vf.add_argument("--tol", type=float, default=None,
+    vf.add_argument("--tol", type=_finite, default=None,
                     help="override the tolerance of the selected checks")
     vf.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -94,27 +114,29 @@ def _build_parser():
                     help="phi: moment expansion of the two-sided density; "
                     "fcn: Poisson-Mehler kernel for the one-sided density")
     ex.add_argument("--n", type=int, default=40, help="number of series terms")
-    ex.add_argument("--q", type=float, required=True)
-    ex.add_argument("--rho1", type=float, default=0.0)
-    ex.add_argument("--rho2", type=float, default=0.0)
-    ex.add_argument("--y", type=float, default=0.0)
-    ex.add_argument("--z", type=float, default=0.0)
-    ex.add_argument("--x", type=float, default=None)
-    ex.add_argument("--grid", default=None, metavar="LO:HI:COUNT")
+    ex.add_argument("--q", type=_base, required=True)
+    ex.add_argument("--rho1", type=_finite, default=0.0)
+    ex.add_argument("--rho2", type=_finite, default=0.0)
+    ex.add_argument("--y", type=_finite, default=0.0)
+    ex.add_argument("--z", type=_finite, default=0.0)
+    ex.add_argument("--x", type=_finite, default=None)
+    ex.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:COUNT")
     ex.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def _parse_grid(spec):
+    """argparse type: LO:HI:COUNT with finite bounds, as the inclusive point list."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise DomainError(f"grid must be LO:HI:COUNT, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"grid must be LO:HI:COUNT, got {spec!r}")
+    lo, hi = _finite(parts[0]), _finite(parts[1])
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        count = int(parts[2])
     except ValueError:
-        raise DomainError(f"grid must be LO:HI:COUNT with numeric fields, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"grid COUNT must be an integer, got {spec!r}") from None
     if count < 1:
-        raise DomainError(f"grid count must be >= 1, got {count}")
+        raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {count}")
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
@@ -122,7 +144,7 @@ def _points(args):
     if args.grid is not None and args.x is not None:
         raise DomainError("give either --x or --grid, not both")
     if args.grid is not None:
-        return _parse_grid(args.grid)
+        return args.grid
     if args.x is not None:
         return [args.x]
     raise DomainError("an evaluation point is required: pass --x or --grid")

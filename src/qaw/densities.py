@@ -257,10 +257,9 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
 def f_CN(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Conditional density at a single point given neighbor value y."""
     q = _check_base(q)
-    if q == 1 or rho == 0:
-        value = float(f_CN_values(np.asarray(float(x)), y, rho, q, policy))
-        return DensityEval(value, 0 if q == 1 else f_N(x, q, policy).terms)
     value = float(f_CN_values(np.asarray(float(x)), y, rho, q, policy))
+    if q == 1 or rho == 0:
+        return DensityEval(value, 0 if q == 1 else f_N(x, q, policy).terms)
     inside = SupportInterval.for_q(q).strictly_contains(x)
     return DensityEval(value, _fcn_length(q, policy) if inside else 0)
 

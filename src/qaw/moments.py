@@ -25,21 +25,25 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .qcore import (
     DEFAULT_POLICY,
     DomainError,
     PoleError,
     TruncationError,
     TruncationPolicy,
+    _check_order,
     q_binomial,
     q_bracket,
     q_factorial,
     q_pochhammer,
+    q_pochhammer_seq,
     s_n,
 )
 from .polyfam import asc_P_seq, hermite_H, hermite_H_seq
 from .awpoly import CondDensityParams
-from .densities import f_N
+from .densities import f_N, f_N_values
 
 __all__ = [
     "c_n_main",
@@ -52,11 +56,6 @@ __all__ = [
     "phi_expansion_partial",
     "expansion_terms_needed",
 ]
-
-
-def _check_order(n):
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"moment order must be a nonnegative integer, got {n!r}")
 
 
 def _reject_gaussian(q):
@@ -207,11 +206,8 @@ def gamma_ratio_closed(m, k, x, y, rho, q):
     _check_order(k)
     Hy = hermite_H_seq(k, y, q)
     Px = asc_P_seq(m + k, x, y, rho, q)
-    poch = [1]
-    factor = rho * rho
-    for _ in range(m + k):
-        poch.append(_guard_poch(poch[-1] * (1 - factor)))
-        factor = factor * q
+    poch = q_pochhammer_seq(rho * rho, q, m + k)
+    _guard_poch(poch[-1])  # a vanishing factor zeroes every later entry
     total = 0
     for s in range(k + 1):
         total = total + (
@@ -236,11 +232,8 @@ def alsalam_identity_residual(m, x, y, rho, q):
     Identically zero; returned as a residual so tests can assert exactness.
     """
     _check_order(m)
-    poch = [1]
-    factor = rho * rho
-    for _ in range(m):
-        poch.append(_guard_poch(poch[-1] * (1 - factor)))
-        factor = factor * q
+    poch = q_pochhammer_seq(rho * rho, q, m)
+    _guard_poch(poch[-1])  # a vanishing factor zeroes every later entry
     lhs = asc_P_seq(m, y, x, rho, q)[m] / poch[m]
     Hy = hermite_H_seq(m, y, q)
     Px = asc_P_seq(m, x, y, rho, q)
@@ -270,9 +263,9 @@ def alpha_coeff(n, j, m, rho1, rho2, q):
 
     so that sum_{j,m} alpha_coeff(n, j, m) H_j(y) H_m(z) = c_n(y, z).
     """
-    for name, idx in (("n", n), ("j", j), ("m", m)):
-        if not isinstance(idx, int) or idx < 0:
-            raise DomainError(f"index {name} must be a nonnegative integer, got {idx!r}")
+    _check_order(n)
+    _check_order(j)
+    _check_order(m)
     if j + m > n or (n - j - m) % 2 == 1:
         return 0
     k = (n - j - m) // 2
@@ -298,6 +291,8 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
 
         phi(x | y, z) = f_N(x) sum_{i >= 0} H_i(x) c_i(y, z) / [i]_q!
 
+    x may be a scalar (float result, through the single-point f_N) or a
+    numpy array of points (array result, through f_N_values).
     Converges to phi_cond(x, p) as N grows; the rate is geometric in
     max(|rho1|, |rho2|).
     """
@@ -312,7 +307,8 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
         if i > 0:
             fact = fact * q_bracket(i, q)
         total = total + Hx[i] * c_n_main(i, p) / fact
-    return f_N(x, q, policy).value * total
+    density = f_N(x, q, policy).value if np.ndim(x) == 0 else f_N_values(x, q, policy)
+    return density * total
 
 
 def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .qcore import DomainError, q_binomial, q_bracket, q_factorial, qval
+from .qcore import DomainError, _check_order, q_binomial, q_bracket, q_factorial, qval
 
 __all__ = [
     "DEGREE_CAP",
@@ -46,8 +46,7 @@ DEGREE_CAP = 64
 
 
 def _check_degree(n):
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
+    _check_order(n)
     if n > DEGREE_CAP:
         raise DomainError(
             f"degree {n} exceeds the cap {DEGREE_CAP}; floating recurrences "

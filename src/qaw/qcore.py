@@ -29,6 +29,7 @@ __all__ = [
     "q_factorial",
     "q_binomial",
     "q_pochhammer",
+    "q_pochhammer_seq",
     "q_pochhammer_inf",
     "multi_pochhammer",
     "s_n",
@@ -155,6 +156,18 @@ def q_pochhammer(a, q, n):
         total = total * (1 - factor)
         factor = factor * q
     return total
+
+
+def q_pochhammer_seq(a, q, n):
+    """The prefix list [(a; q)_0, (a; q)_1, ..., (a; q)_n] of q_pochhammer."""
+    _check_order(n)
+    q = qval(q)
+    out = [1 + 0 * a]
+    factor = a
+    for _ in range(n):
+        out.append(out[-1] * (1 - factor))
+        factor = factor * q
+    return out
 
 
 def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):

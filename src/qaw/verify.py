@@ -28,11 +28,11 @@ from .qcore import (
     DomainError,
     QParam,
     TruncationError,
-    q_bracket,
     q_binomial,
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
+    q_pochhammer_seq,
     qval,
     s_n,
 )
@@ -48,7 +48,7 @@ from .densities import (
     fcn_ratio_bounds,
     phi_cond_values,
 )
-from .moments import c_n_main
+from .moments import c_n_main, gamma_mk_partial, phi_expansion_partial
 
 __all__ = [
     "QuadratureEstimate",
@@ -169,9 +169,8 @@ def _bundle_dict(p: CondDensityParams):
 # --- individual checks --------------------------------------------------------
 
 
-def check_normalization(p: CondDensityParams, tol, quad_tol=None):
+def check_normalization(p: CondDensityParams, tol):
     """All three densities integrate to 1 over the support."""
-    quad_tol = tol / 20 if quad_tol is None else quad_tol
     q = p.q
 
     def integrand(x):
@@ -183,7 +182,7 @@ def check_normalization(p: CondDensityParams, tol, quad_tol=None):
             ]
         )
 
-    est = integrate_on_S(integrand, q, quad_tol)
+    est = integrate_on_S(integrand, q, tol / 20)
     out = [
         _report("normalization", {"density": "f_N", "q": q}, abs(est.value[0] - 1), tol),
         _report(
@@ -206,9 +205,8 @@ def _pair_indices(nmax):
     return [(n, m) for n in range(nmax + 1) for m in range(n, nmax + 1)]
 
 
-def check_orthogonality_H(nmax, q, tol, quad_tol=None):
+def check_orthogonality_H(nmax, q, tol):
     """Pairwise q-Hermite integrals against f_N: diagonal [n]_q!, zero off it."""
-    quad_tol = tol / 20 if quad_tol is None else quad_tol
     pairs = _pair_indices(nmax)
 
     def integrand(x):
@@ -216,7 +214,7 @@ def check_orthogonality_H(nmax, q, tol, quad_tol=None):
         fn = f_N_values(x, q)
         return np.stack([H[n] * H[m] * fn for n, m in pairs])
 
-    est = integrate_on_S(integrand, q, quad_tol)
+    est = integrate_on_S(integrand, q, tol / 20)
     out = []
     for idx, (n, m) in enumerate(pairs):
         target = q_factorial(n, q) if n == m else 0.0
@@ -231,16 +229,15 @@ def check_orthogonality_H(nmax, q, tol, quad_tol=None):
     return out
 
 
-def check_cond_expectation(nmax, y, rho, q, tol, quad_tol=None):
+def check_cond_expectation(nmax, y, rho, q, tol):
     """Integrals of H_n against f_CN equal rho**n H_n at the conditioning point."""
-    quad_tol = tol / 20 if quad_tol is None else quad_tol
 
     def integrand(x):
         H = hermite_H_seq(nmax, x, q)
         fcn = f_CN_values(x, y, rho, q)
         return np.stack([H[n] * fcn for n in range(nmax + 1)])
 
-    est = integrate_on_S(integrand, q, quad_tol)
+    est = integrate_on_S(integrand, q, tol / 20)
     Hy = hermite_H_seq(nmax, y, q)
     out = []
     for n in range(nmax + 1):
@@ -255,9 +252,8 @@ def check_cond_expectation(nmax, y, rho, q, tol, quad_tol=None):
     return out
 
 
-def check_orthogonality_P(nmax, y, rho, q, tol, quad_tol=None):
+def check_orthogonality_P(nmax, y, rho, q, tol):
     """Al-Salam-Chihara orthogonality against f_CN: diagonal (rho^2; q)_n [n]_q!."""
-    quad_tol = tol / 20 if quad_tol is None else quad_tol
     pairs = _pair_indices(nmax)
 
     def integrand(x):
@@ -265,7 +261,7 @@ def check_orthogonality_P(nmax, y, rho, q, tol, quad_tol=None):
         fcn = f_CN_values(x, y, rho, q)
         return np.stack([P[n] * P[m] * fcn for n, m in pairs])
 
-    est = integrate_on_S(integrand, q, quad_tol)
+    est = integrate_on_S(integrand, q, tol / 20)
     out = []
     for idx, (n, m) in enumerate(pairs):
         target = q_pochhammer(rho * rho, q, n) * q_factorial(n, q) if n == m else 0.0
@@ -280,16 +276,15 @@ def check_orthogonality_P(nmax, y, rho, q, tol, quad_tol=None):
     return out
 
 
-def check_chapman_kolmogorov(x, z, rho1, rho2, q, tol, quad_tol=None):
+def check_chapman_kolmogorov(x, z, rho1, rho2, q, tol):
     """One-step transition densities compose: correlations multiply."""
-    quad_tol = tol / 20 if quad_tol is None else quad_tol
     fnx = f_N(x, q).value
 
     def integrand(ys):
         # f_CN(x | y) = f_N(x) * ratio(y, x) by symmetry of the product ratio
         return fnx * cond_ratio_values(ys, x, rho1, q) * f_CN_values(ys, z, rho2, q)
 
-    est = integrate_on_S(integrand, q, quad_tol)
+    est = integrate_on_S(integrand, q, tol / 20)
     target = f_CN(x, z, rho1 * rho2, q).value
     return _report(
         "chapman_kolmogorov",
@@ -332,9 +327,8 @@ def check_sn_series(t, q, tol, max_terms=500):
     return _report("sn_series", {"t": t, "q": q}, residual, tol)
 
 
-def check_aw_orthogonality(nmax, p: CondDensityParams, tol, quad_tol=None):
+def check_aw_orthogonality(nmax, p: CondDensityParams, tol):
     """Askey-Wilson orthogonality against the two-sided conditional density."""
-    quad_tol = tol / 20 if quad_tol is None else quad_tol
     pairs = [(n, m) for n in range(nmax + 1) for m in range(n + 1, nmax + 1)]
 
     def integrand(x):
@@ -342,7 +336,7 @@ def check_aw_orthogonality(nmax, p: CondDensityParams, tol, quad_tol=None):
         phi = phi_cond_values(x, p)
         return np.stack([A[n] * A[m] * phi for n, m in pairs])
 
-    est = integrate_on_S(integrand, p.q, quad_tol)
+    est = integrate_on_S(integrand, p.q, tol / 20)
     out = []
     for idx, (n, m) in enumerate(pairs):
         out.append(
@@ -356,16 +350,15 @@ def check_aw_orthogonality(nmax, p: CondDensityParams, tol, quad_tol=None):
     return out
 
 
-def check_moments(nmax, p: CondDensityParams, tol, quad_tol=None):
+def check_moments(nmax, p: CondDensityParams, tol):
     """Quadrature moments of phi_cond against the closed-form c_n."""
-    quad_tol = tol / 20 if quad_tol is None else quad_tol
 
     def integrand(x):
         H = hermite_H_seq(nmax, x, p.q)
         phi = phi_cond_values(x, p)
         return np.stack([H[n] * phi for n in range(nmax + 1)])
 
-    est = integrate_on_S(integrand, p.q, quad_tol)
+    est = integrate_on_S(integrand, p.q, tol / 20)
     out = []
     for n in range(nmax + 1):
         target = c_n_main(n, p)
@@ -380,7 +373,7 @@ def check_moments(nmax, p: CondDensityParams, tol, quad_tol=None):
     return out
 
 
-def check_vnm(n, m, x, z, rho1, rho2, q, tol, quad_tol=None):
+def check_vnm(n, m, x, z, rho1, rho2, q, tol):
     """Projection of the Askey-Wilson polynomial on an Al-Salam-Chihara level.
 
     Integrating A_n(x | y, rho1, z, rho2, q) P_m(y | x, rho1, q) against
@@ -391,15 +384,14 @@ def check_vnm(n, m, x, z, rho1, rho2, q, tol, quad_tol=None):
 
     for m <= n and 0 for m > n.
     """
-    quad_tol = tol / 20 if quad_tol is None else quad_tol
     q = qval(q)
     top = max(n, m)
     r1sq = rho1 * rho1
     r2sq = rho2 * rho2
     pref = aw_prefactor(n, rho1, rho2, q)
     Pxz = asc_P_seq(n, x, z, rho2, q)
-    poch1 = [q_pochhammer(r1sq, q, j) for j in range(n + 1)]
-    poch2 = [q_pochhammer(r2sq, q, j) for j in range(n + 1)]
+    poch1 = q_pochhammer_seq(r1sq, q, n)
+    poch2 = q_pochhammer_seq(r2sq, q, n)
     coeff = [
         (-1) ** j
         * q ** math.comb(j, 2)
@@ -415,7 +407,7 @@ def check_vnm(n, m, x, z, rho1, rho2, q, tol, quad_tol=None):
         A = pref * sum(c * Pyx[j] for j, c in enumerate(coeff))
         return A * Pyx[m] * f_CN_values(ys, x, rho1, q)
 
-    est = integrate_on_S(integrand, q, quad_tol)
+    est = integrate_on_S(integrand, q, tol / 20)
     if m > n:
         target = 0.0
     else:
@@ -460,15 +452,7 @@ def check_poisson_mehler(y, rho, q, tol, terms=60, npoints=21):
     """Partial sums of the Poisson-Mehler kernel converge to f_CN / f_N."""
     half = SupportInterval.for_q(q).half_width
     xs = np.linspace(-0.9 * half, 0.9 * half, npoints)
-    H = hermite_H_seq(terms - 1, xs, q)
-    Hy = hermite_H_seq(terms - 1, y, q)
-    kernel = np.zeros_like(xs)
-    weight = 1.0
-    for i in range(terms):
-        if i > 0:
-            weight = weight * rho / q_bracket(i, q)
-        kernel = kernel + weight * H[i] * Hy[i]
-    partial = f_N_values(xs, q) * kernel
+    partial = f_N_values(xs, q) * gamma_mk_partial(0, 0, xs, y, rho, q, terms)
     target = f_CN_values(xs, y, rho, q)
     residual = float(np.max(np.abs(partial - target)))
     return _report(
@@ -481,17 +465,9 @@ def check_poisson_mehler(y, rho, q, tol, terms=60, npoints=21):
 
 def check_density_expansion(p: CondDensityParams, tol, terms=40, npoints=21):
     """Partial sums of the q-Hermite moment expansion converge to phi_cond."""
-    q = p.q
-    half = SupportInterval.for_q(q).half_width
+    half = SupportInterval.for_q(p.q).half_width
     xs = np.linspace(-0.9 * half, 0.9 * half, npoints)
-    H = hermite_H_seq(terms - 1, xs, q)
-    series = np.zeros_like(xs)
-    fact = 1.0
-    for i in range(terms):
-        if i > 0:
-            fact = fact * q_bracket(i, q)
-        series = series + H[i] * c_n_main(i, p) / fact
-    partial = f_N_values(xs, q) * series
+    partial = phi_expansion_partial(xs, p, terms)
     target = phi_cond_values(xs, p)
     residual = float(np.max(np.abs(partial - target)))
     return _report(
@@ -504,35 +480,66 @@ def check_density_expansion(p: CondDensityParams, tol, terms=40, npoints=21):
 
 # --- suite --------------------------------------------------------------------
 
-CHECK_NAMES = (
-    "normalization",
-    "orthogonality_H",
-    "cond_expectation",
-    "orthogonality_P",
-    "chapman_kolmogorov",
-    "sn_series",
-    "aw_orthogonality",
-    "moments",
-    "vnm",
-    "ratio_bounds",
-    "poisson_mehler",
-    "density_expansion",
-)
 
-DEFAULT_TOLERANCES = {
-    "normalization": 1e-8,
-    "orthogonality_H": 1e-8,
-    "cond_expectation": 1e-8,
-    "orthogonality_P": 1e-8,
-    "chapman_kolmogorov": 1e-7,
-    "sn_series": 1e-10,
-    "aw_orthogonality": 1e-7,
-    "moments": 1e-7,
-    "vnm": 1e-6,
-    "ratio_bounds": 1e-12,
-    "poisson_mehler": 1e-8,
-    "density_expansion": 1e-6,
+def _bundles(config, max_abs_q=math.inf):
+    """Every bundle of the grid whose base satisfies |q| <= max_abs_q."""
+    for q in config.q_grid:
+        if not abs(q) > max_abs_q:  # a nan base still reaches the check and raises
+            yield from config.bundles(q)
+
+
+def _conditioned(config, max_abs_q=math.inf, skip_rho0=True):
+    """(y, rho, q) rows over the conditioning grid."""
+    for q in config.q_grid:
+        if not abs(q) > max_abs_q:
+            for rho in config.rho_grid:
+                if rho != 0 or not skip_rho0:
+                    for y in config.cond_points(q):
+                        yield y, rho, q
+
+
+def _chapman_kolmogorov_grid(config):
+    for q in config.q_grid:
+        yield 0.3, -0.5, 0.5, 0.6, q
+        yield 0.3, -0.5, 0.3, 0.0, q
+    for q in (0.0, 0.3):
+        yield 0.8, 0.4, 0.6, 0.3, q
+
+
+_VNM_ORDERS = ((1, 0), (1, 1), (2, 1), (3, 2), (1, 2))
+
+# check name -> (default tolerance, grid); grid(config) yields the positional
+# arguments of check_<name> that precede the tolerance.  run_suite looks the
+# check up by name on every run, so a rebound module attribute is honoured.
+_SUITE = {
+    "normalization": (
+        1e-8,
+        lambda c: ((CondDensityParams(0.5, 0.3, -0.5, 0.6, q),) for q in c.q_grid),
+    ),
+    "orthogonality_H": (1e-8, lambda c: ((c.nmax_orthogonality, q) for q in c.q_grid)),
+    "cond_expectation": (
+        1e-8,
+        lambda c: ((c.nmax_orthogonality, *r) for r in _conditioned(c, skip_rho0=False)),
+    ),
+    # rho = 0 collapses to orthogonality_H, checked separately
+    "orthogonality_P": (1e-8, lambda c: ((c.nmax_orthogonality, *r) for r in _conditioned(c))),
+    "chapman_kolmogorov": (1e-7, _chapman_kolmogorov_grid),
+    "sn_series": (1e-10, lambda c: ((t, q) for q in c.q_grid for t in (0.3, -0.4))),
+    "aw_orthogonality": (1e-7, lambda c: ((c.nmax_aw, p) for p in _bundles(c))),
+    "moments": (1e-7, lambda c: ((c.nmax_moments, p) for p in _bundles(c))),
+    "vnm": (
+        1e-6,
+        lambda c: ((n, m, 0.3, -0.5, 0.5, 0.6, q) for q in c.q_grid for n, m in _VNM_ORDERS),
+    ),
+    # rho = 0 makes the bounds trivially 1 <= 1 <= 1
+    "ratio_bounds": (1e-12, _conditioned),
+    "poisson_mehler": (1e-8, lambda c: _conditioned(c, max_abs_q=0.5)),
+    "density_expansion": (1e-6, lambda c: ((p,) for p in _bundles(c, max_abs_q=0.5))),
 }
+
+CHECK_NAMES = tuple(_SUITE)
+
+DEFAULT_TOLERANCES = {name: tol for name, (tol, _) in _SUITE.items()}
 
 
 @dataclass
@@ -552,8 +559,6 @@ class SuiteConfig:
     nmax_orthogonality: int = 8
     nmax_aw: int = 6
     nmax_moments: int = 8
-    pm_terms: int = 60
-    expansion_terms: int = 40
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def yz_pairs(self, q):
@@ -573,146 +578,20 @@ class SuiteConfig:
         return out
 
 
-def _suite_normalization(config, tol):
-    out = []
-    for q in config.q_grid:
-        out.extend(check_normalization(CondDensityParams(0.5, 0.3, -0.5, 0.6, q), tol))
-    return out
-
-
-def _suite_orthogonality_H(config, tol):
-    out = []
-    for q in config.q_grid:
-        out.extend(check_orthogonality_H(config.nmax_orthogonality, q, tol))
-    return out
-
-
-def _suite_cond_expectation(config, tol):
-    out = []
-    for q in config.q_grid:
-        for rho in config.rho_grid:
-            for y in config.cond_points(q):
-                out.extend(
-                    check_cond_expectation(config.nmax_orthogonality, y, rho, q, tol)
-                )
-    return out
-
-
-def _suite_orthogonality_P(config, tol):
-    out = []
-    for q in config.q_grid:
-        for rho in config.rho_grid:
-            if rho == 0:
-                continue  # collapses to orthogonality_H, checked separately
-            for y in config.cond_points(q):
-                out.extend(
-                    check_orthogonality_P(config.nmax_orthogonality, y, rho, q, tol)
-                )
-    return out
-
-
-def _suite_chapman_kolmogorov(config, tol):
-    out = []
-    for q in config.q_grid:
-        out.append(check_chapman_kolmogorov(0.3, -0.5, 0.5, 0.6, q, tol))
-        out.append(check_chapman_kolmogorov(0.3, -0.5, 0.3, 0.0, q, tol))
-    for q in (0.0, 0.3):
-        out.append(check_chapman_kolmogorov(0.8, 0.4, 0.6, 0.3, q, tol))
-    return out
-
-
-def _suite_sn_series(config, tol):
-    out = []
-    for q in config.q_grid:
-        for t in (0.3, -0.4):
-            out.append(check_sn_series(t, q, tol))
-    return out
-
-
-def _suite_aw_orthogonality(config, tol):
-    out = []
-    for q in config.q_grid:
-        for p in config.bundles(q):
-            out.extend(check_aw_orthogonality(config.nmax_aw, p, tol))
-    return out
-
-
-def _suite_moments(config, tol):
-    out = []
-    for q in config.q_grid:
-        for p in config.bundles(q):
-            out.extend(check_moments(config.nmax_moments, p, tol))
-    return out
-
-
-def _suite_vnm(config, tol):
-    out = []
-    for q in config.q_grid:
-        for n, m in ((1, 0), (1, 1), (2, 1), (3, 2), (1, 2)):
-            out.append(check_vnm(n, m, 0.3, -0.5, 0.5, 0.6, q, tol))
-    return out
-
-
-def _suite_ratio_bounds(config, tol):
-    out = []
-    for q in config.q_grid:
-        for rho in config.rho_grid:
-            if rho == 0:
-                continue  # bounds are trivially 1 <= 1 <= 1
-            for y in config.cond_points(q):
-                out.append(check_ratio_bounds(y, rho, q, tol))
-    return out
-
-
-def _suite_poisson_mehler(config, tol):
-    out = []
-    for q in config.q_grid:
-        if abs(q) > 0.5:
-            continue
-        for rho in config.rho_grid:
-            if rho == 0:
-                continue
-            for y in config.cond_points(q):
-                out.append(check_poisson_mehler(y, rho, q, tol, terms=config.pm_terms))
-    return out
-
-
-def _suite_density_expansion(config, tol):
-    out = []
-    for q in config.q_grid:
-        if abs(q) > 0.5:
-            continue
-        for p in config.bundles(q):
-            out.append(check_density_expansion(p, tol, terms=config.expansion_terms))
-    return out
-
-
-_SUITE_RUNNERS = {
-    "normalization": _suite_normalization,
-    "orthogonality_H": _suite_orthogonality_H,
-    "cond_expectation": _suite_cond_expectation,
-    "orthogonality_P": _suite_orthogonality_P,
-    "chapman_kolmogorov": _suite_chapman_kolmogorov,
-    "sn_series": _suite_sn_series,
-    "aw_orthogonality": _suite_aw_orthogonality,
-    "moments": _suite_moments,
-    "vnm": _suite_vnm,
-    "ratio_bounds": _suite_ratio_bounds,
-    "poisson_mehler": _suite_poisson_mehler,
-    "density_expansion": _suite_density_expansion,
-}
-
-
 def run_suite(config: SuiteConfig = None):
     """Run the configured checks over their deterministic grids, in order."""
     if config is None:
         config = SuiteConfig()
     reports = []
     for name in config.checks:
-        if name not in _SUITE_RUNNERS:
+        if name not in _SUITE:
             raise DomainError(f"unknown check name {name!r}; known: {', '.join(CHECK_NAMES)}")
-        tol = config.tolerances.get(name, DEFAULT_TOLERANCES[name])
-        reports.extend(_SUITE_RUNNERS[name](config, tol))
+        default_tol, grid = _SUITE[name]
+        tol = config.tolerances.get(name, default_tol)
+        check = globals()[f"check_{name}"]
+        for args in grid(config):
+            rows = check(*args, tol)
+            reports.extend([rows] if isinstance(rows, CheckReport) else rows)
     return reports
 
 

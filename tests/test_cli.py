@@ -92,6 +92,16 @@ class TestEvalCommand:
             ("eval", "H", "--n", "2", "--q", "0.5", "--grid", "0:1:0"),
             ("eval", "H", "--n", "-1", "--q", "0.5", "--x", "1"),
             ("eval", "C", "--n", "2", "--q", "0.5", "--x", "1"),
+            # non-finite numbers and a base outside -1 < q <= 1
+            ("eval", "H", "--q", "nan", "--x", "1"),
+            ("eval", "H", "--q", "0.5", "--x", "inf", "--n", "3"),
+            ("eval", "f_N", "--q", "0.5", "--x", "nan"),
+            ("eval", "H", "--q", "2", "--x", "1", "--n", "2"),
+            ("eval", "H", "--q", "-1", "--x", "1"),
+            ("eval", "H", "--q", "0.5", "--grid", "0:inf:3"),
+            ("eval", "H", "--q", "0.5", "--grid", "nan:1:3"),
+            ("eval", "f_CN", "--q", "0.5", "--y", "nan", "--rho1", "0.3", "--x", "0.1"),
+            ("eval", "f_N", "--q", "0.5", "--x", "0.1", "--tol", "nan"),
         )
         for argv in bad:
             code, _ = run(*argv)
@@ -135,6 +145,12 @@ class TestVerifyCommand:
         code, _ = run("verify", "--all", "--check", "sn_series")
         assert code == 2
 
+    def test_rejects_non_finite_or_out_of_range_numbers(self):
+        for extra in (("--q", "nan"), ("--q", "1.5"), ("--tol", "inf")):
+            code, text = run("verify", "--check", "sn_series", *extra)
+            assert code == 2, extra
+            assert text == ""
+
     def test_repeat_runs_are_byte_identical(self):
         argv = ("verify", "--check", "ratio_bounds", "--q", "0.3")
         assert run(*argv) == run(*argv)
@@ -166,6 +182,18 @@ class TestExpandCommand:
         for row in rows:
             assert {"closed_form", "partial_sum", "abs_error"} <= set(row)
             assert row["abs_error"] == abs(row["closed_form"] - row["partial_sum"])
+
+    def test_rejects_non_finite_or_out_of_range_numbers(self):
+        base = ("expand", "fcn", "--n", "5", "--y", "0.2", "--rho1", "0.4")
+        for extra in (
+            ("--q", "0.3", "--x", "nan"),
+            ("--q", "0.3", "--grid", "-inf:1:3"),
+            ("--q", "-1", "--x", "0.1"),
+            ("--q", "0.3", "--rho2", "inf", "--x", "0.1"),
+        ):
+            code, text = run(*base, *extra)
+            assert code == 2, extra
+            assert text == ""
 
     def test_rejects_empty_expansion(self):
         code, _ = run("expand", "phi", "--n", "0", "--q", "0.5", "--x", "0.1")

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qaw import (
@@ -201,8 +202,12 @@ class TestDensityExpansion:
 
     def test_forty_terms_hit_density(self):
         p = CondDensityParams(0.5, -0.3, 0.8, 0.4, 0.5)
-        for x in (-1.5, 0.0, 0.6, 2.1):
+        xs = np.array([-1.5, 0.0, 0.6, 2.1])
+        on_grid = phi_expansion_partial(xs, p, 40)
+        assert on_grid.shape == xs.shape
+        for x, from_grid in zip(xs.tolist(), on_grid.tolist()):
             got = phi_expansion_partial(x, p, 40)
+            assert got == from_grid
             assert got == pytest.approx(phi_cond(x, p).value, abs=1e-6)
 
     def test_error_shrinks_with_more_terms(self):

@@ -18,6 +18,7 @@ from qaw import (
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
+    q_pochhammer_seq,
     s_n,
 )
 from helpers import RATIONAL_QS
@@ -113,6 +114,12 @@ class TestQPochhammer:
         for q in RATIONAL_QS:
             for n in range(21):
                 assert q_pochhammer(q, q, n) == (1 - q) ** n * q_factorial(n, q)
+
+    def test_prefix_sequence_matches_single_symbols(self):
+        for a, q in ((0.6, -0.7), (0.25 + 0.5j, 0.3), (Fraction(3, 5), Fraction(-1, 2))):
+            assert q_pochhammer_seq(a, q, 7) == [q_pochhammer(a, q, n) for n in range(8)]
+        with pytest.raises(DomainError):
+            q_pochhammer_seq(0.5, 0.5, -1)
 
 
 class TestQPochhammerInf:

@@ -199,6 +199,26 @@ class TestSuite:
     def test_default_tolerances_cover_all_checks(self):
         assert set(DEFAULT_TOLERANCES) == set(CHECK_NAMES)
 
+    def test_default_grid_row_counts(self):
+        counts = {}
+        for r in run_suite():
+            counts[r.name] = counts.get(r.name, 0) + 1
+        assert list(counts.items()) == [
+            ("normalization", 12),
+            ("orthogonality_H", 180),
+            ("cond_expectation", 216),
+            ("orthogonality_P", 720),
+            ("chapman_kolmogorov", 10),
+            ("sn_series", 8),
+            ("aw_orthogonality", 504),
+            ("moments", 216),
+            ("vnm", 20),
+            ("ratio_bounds", 16),
+            ("poisson_mehler", 12),
+            ("density_expansion", 18),
+        ]
+        assert sum(counts.values()) == 1932
+
 
 class TestReportSerialization:
     def test_json_round_trip(self):
