@@ -13,7 +13,7 @@ from qaw import SuiteConfig, report_to_text, run_suite
 config = SuiteConfig(
     checks=("normalization", "orthogonality_H", "sn_series"),
     q_grid=(0.0, 0.5),
-    nmax_orthogonality=4,
+    nmax=4,
 )
 reports = run_suite(config)
 print("a trimmed configuration, full text report:")

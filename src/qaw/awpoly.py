@@ -449,7 +449,7 @@ def _phi43_limit_q0(n, x, a, b, c, d):
     return total
 
 
-def aw_phi43_oracle(n, x, params: AWComplexParams, q, dps=None):
+def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     """Terminating basic hypergeometric evaluation of aw_D, as a test oracle.
 
     Evaluates the classical 4-phi-3 series for the Askey-Wilson polynomial
@@ -460,8 +460,8 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q, dps=None):
 
     with pref = (ab, ac, ad; q)_n / (a**n (abcd q**(n-1); q)_n).  The series
     suffers cancellation of order q**(-C(n,2)), so it runs in mpmath with a
-    precision chosen from n and |q| (override with dps).  At q = 0 the
-    series form degenerates and the analytic limit is taken instead.
+    precision chosen from n and |q|.  At q = 0 the series form degenerates
+    and the analytic limit is taken instead.
 
     Requires a != 0 and -1 < q < 1.
     """
@@ -482,9 +482,8 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q, dps=None):
 
     import mpmath as mp
 
-    if dps is None:
-        lost = math.comb(n, 2) * max(0.0, -math.log10(abs(q)))
-        dps = min(400, 30 + int(math.ceil(lost)))
+    lost = math.comb(n, 2) * max(0.0, -math.log10(abs(q)))
+    dps = min(400, 30 + int(math.ceil(lost)))
     with mp.workdps(dps):
         qm = mp.mpf(q)
         am, bm, cm, dm = (mp.mpc(t) for t in (a, b, c, d))

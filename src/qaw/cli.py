@@ -45,7 +45,7 @@ from .polyfam import (
 from .awpoly import CondDensityParams, aw_A_sym, aw_D, map_params
 from .densities import f_CN, f_N, phi_cond
 from .moments import c_n_main, gamma_mk_partial, phi_expansion_partial
-from .verify import DEFAULT_TOLERANCES, SuiteConfig, report_to_json, report_to_text, run_suite
+from .verify import SuiteConfig, report_to_json, report_to_text, run_suite
 
 __all__ = ["main", "entry"]
 
@@ -254,9 +254,7 @@ def _cmd_verify(args, out):
     if args.nmax is not None:
         if args.nmax < 0:
             raise DomainError(f"--nmax must be nonnegative, got {args.nmax}")
-        config.nmax_orthogonality = args.nmax
-        config.nmax_moments = args.nmax
-        config.nmax_aw = min(args.nmax, 6)
+        config.nmax = args.nmax
     if not args.all:
         config.checks = (args.check,)
     if args.tol is not None:

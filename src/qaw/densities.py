@@ -23,7 +23,8 @@ conservative per-density constant C.  Evaluations report the K they used.
 Scalar entry points return a ``DensityEval``; the ``*_values`` companions
 evaluate on numpy arrays and return bare arrays (used heavily by the
 quadrature suite).  Points on or outside the support boundary get density
-exactly 0.  Conditioning points must be strictly interior.
+exactly 0; a nan or infinite point raises ``DomainError``.  Conditioning
+points must be strictly interior.
 """
 
 from __future__ import annotations
@@ -175,6 +176,15 @@ def _check_interior(name, value, q):
         )
 
 
+def _finite_points(x):
+    """x as a float array; DomainError if any point is nan or infinite."""
+    xa = np.asarray(x, dtype=float)
+    # math.isfinite keeps the single-point calls cheap
+    if not (math.isfinite(xa) if xa.ndim == 0 else np.isfinite(xa).all()):
+        raise DomainError("evaluation points must be finite")
+    return xa
+
+
 def _check_rho(name, value):
     if not -1 < value < 1:
         raise DomainError(f"{name} must satisfy |rho| < 1, got {value!r}")
@@ -199,7 +209,7 @@ def _f_N_masked(xa, q, policy):
 def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """Stationary density on a numpy array of points."""
     q = _check_base(q)
-    xa = np.asarray(x, dtype=float)
+    xa = _finite_points(x)
     if q == 1:
         return np.exp(-0.5 * xa * xa) / math.sqrt(_TWO_PI)
     vals, _, _ = _f_N_masked(xa, q, policy)
@@ -209,9 +219,9 @@ def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
 def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Stationary density at a single point."""
     q = _check_base(q)
+    xa = _finite_points(float(x))
     if q == 1:
         return DensityEval(math.exp(-0.5 * x * x) / math.sqrt(_TWO_PI), 0)
-    xa = np.asarray(float(x))
     vals, inside, K = _f_N_masked(xa, q, policy)
     return DensityEval(float(vals), K if bool(inside) else 0)
 
@@ -221,7 +231,7 @@ def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     q = _check_base(q)
     _check_rho("rho", rho)
     _check_interior("y", y, q)
-    xa = np.asarray(x, dtype=float)
+    xa = _finite_points(x)
     if q == 1:
         var = 1 - rho * rho
         return np.exp(-0.5 * (xa - rho * y) ** 2 / var) / math.sqrt(_TWO_PI * var)
@@ -229,8 +239,15 @@ def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     if rho == 0 or not np.any(inside):
         return base
     out = np.zeros_like(xa)
-    out[inside] = base[inside] * cond_ratio_values(xa[inside], y, rho, q, policy)
+    out[inside] = base[inside] * _ratio_product(xa[inside], y, rho, q, policy)
     return out
+
+
+def _ratio_product(xa, y, rho, q, policy):
+    K = _fcn_length(q, policy)
+    kcol = _kcol(K, xa.ndim)
+    qk = np.power(float(q), kcol)
+    return np.prod((1 - rho * rho * qk) / _w_block(xa, y, rho, q, kcol), axis=0)
 
 
 def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -245,23 +262,19 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
         raise DomainError("the product-form ratio is defined for q < 1 only")
     _check_rho("rho", rho)
     _check_interior("y", y, q)
-    xa = np.asarray(x, dtype=float)
+    xa = _finite_points(x)
     if rho == 0:
         return np.ones_like(xa)
-    K = _fcn_length(q, policy)
-    kcol = _kcol(K, xa.ndim)
-    qk = np.power(float(q), kcol)
-    return np.prod((1 - rho * rho * qk) / _w_block(xa, y, rho, q, kcol), axis=0)
+    return _ratio_product(xa, y, rho, q, policy)
 
 
 def f_CN(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Conditional density at a single point given neighbor value y."""
     q = _check_base(q)
     value = float(f_CN_values(np.asarray(float(x)), y, rho, q, policy))
-    if q == 1 or rho == 0:
-        return DensityEval(value, 0 if q == 1 else f_N(x, q, policy).terms)
-    inside = SupportInterval.for_q(q).strictly_contains(x)
-    return DensityEval(value, _fcn_length(q, policy) if inside else 0)
+    if q == 1 or not SupportInterval.for_q(q).strictly_contains(x):
+        return DensityEval(value, 0)
+    return DensityEval(value, _fn_setup(q, policy)[1] if rho == 0 else _fcn_length(q, policy))
 
 
 def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -274,7 +287,7 @@ def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_
     q = p.q
     _check_interior("y", p.y, q)
     _check_interior("z", p.z, q)
-    xa = np.asarray(x, dtype=float)
+    xa = _finite_points(x)
     if q == 1:
         mu, var = _phi_gaussian_moments(p)
         return np.exp(-0.5 * (xa - mu) ** 2 / var) / math.sqrt(_TWO_PI * var)
@@ -329,12 +342,14 @@ def phi_cond_via_ratio(x, p: CondDensityParams, policy: TruncationPolicy = DEFAU
     q = p.q
     _check_interior("y", p.y, q)
     _check_interior("z", p.z, q)
+    _finite_points(x)
     if q != 1 and not SupportInterval.for_q(q).strictly_contains(x):
         return 0.0
     num1 = f_CN(x, p.y, p.rho1, q, policy).value
     num2 = f_CN(p.z, x, p.rho2, q, policy).value
     den = f_CN(p.z, p.y, p.rho1 * p.rho2, q, policy).value
-    return num1 * num2 / den
+    # num1 * num2 can underflow where the quotient is still a normal float
+    return num1 * (num2 / den)
 
 
 def f_N_q0(x):

@@ -99,6 +99,19 @@ def _report(name, params, residual, tolerance):
     return CheckReport(name, params, residual, float(tolerance), residual <= tolerance)
 
 
+def _quadrature(name, q, tol, integrand, rows):
+    """Integrate a stacked integrand once; one report per (params, target) row.
+
+    Component i of the integrand is held to the target of rows[i]; the
+    integral runs at a twentieth of the check tolerance.
+    """
+    value = integrate_on_S(integrand, q, tol / 20).value
+    return [
+        _report(name, params, abs(v - target), tol)
+        for v, (params, target) in zip(np.atleast_1d(value), rows)
+    ]
+
+
 def integrate_on_S(f, q, target_tol=1e-10, max_panels=16384):
     """Adaptive Gauss-Legendre integral of f over the support interval.
 
@@ -182,23 +195,12 @@ def check_normalization(p: CondDensityParams, tol):
             ]
         )
 
-    est = integrate_on_S(integrand, q, tol / 20)
-    out = [
-        _report("normalization", {"density": "f_N", "q": q}, abs(est.value[0] - 1), tol),
-        _report(
-            "normalization",
-            {"density": "f_CN", "y": p.y, "rho": p.rho1, "q": q},
-            abs(est.value[1] - 1),
-            tol,
-        ),
-        _report(
-            "normalization",
-            {"density": "phi", **_bundle_dict(p)},
-            abs(est.value[2] - 1),
-            tol,
-        ),
+    rows = [
+        ({"density": "f_N", "q": q}, 1),
+        ({"density": "f_CN", "y": p.y, "rho": p.rho1, "q": q}, 1),
+        ({"density": "phi", **_bundle_dict(p)}, 1),
     ]
-    return out
+    return _quadrature("normalization", q, tol, integrand, rows)
 
 
 def _pair_indices(nmax):
@@ -214,19 +216,8 @@ def check_orthogonality_H(nmax, q, tol):
         fn = f_N_values(x, q)
         return np.stack([H[n] * H[m] * fn for n, m in pairs])
 
-    est = integrate_on_S(integrand, q, tol / 20)
-    out = []
-    for idx, (n, m) in enumerate(pairs):
-        target = q_factorial(n, q) if n == m else 0.0
-        out.append(
-            _report(
-                "orthogonality_H",
-                {"n": n, "m": m, "q": q},
-                abs(est.value[idx] - target),
-                tol,
-            )
-        )
-    return out
+    rows = [({"n": n, "m": m, "q": q}, q_factorial(n, q) if n == m else 0.0) for n, m in pairs]
+    return _quadrature("orthogonality_H", q, tol, integrand, rows)
 
 
 def check_cond_expectation(nmax, y, rho, q, tol):
@@ -237,19 +228,9 @@ def check_cond_expectation(nmax, y, rho, q, tol):
         fcn = f_CN_values(x, y, rho, q)
         return np.stack([H[n] * fcn for n in range(nmax + 1)])
 
-    est = integrate_on_S(integrand, q, tol / 20)
     Hy = hermite_H_seq(nmax, y, q)
-    out = []
-    for n in range(nmax + 1):
-        out.append(
-            _report(
-                "cond_expectation",
-                {"n": n, "y": y, "rho": rho, "q": q},
-                abs(est.value[n] - rho**n * Hy[n]),
-                tol,
-            )
-        )
-    return out
+    rows = [({"n": n, "y": y, "rho": rho, "q": q}, rho**n * Hy[n]) for n in range(nmax + 1)]
+    return _quadrature("cond_expectation", q, tol, integrand, rows)
 
 
 def check_orthogonality_P(nmax, y, rho, q, tol):
@@ -261,19 +242,14 @@ def check_orthogonality_P(nmax, y, rho, q, tol):
         fcn = f_CN_values(x, y, rho, q)
         return np.stack([P[n] * P[m] * fcn for n, m in pairs])
 
-    est = integrate_on_S(integrand, q, tol / 20)
-    out = []
-    for idx, (n, m) in enumerate(pairs):
-        target = q_pochhammer(rho * rho, q, n) * q_factorial(n, q) if n == m else 0.0
-        out.append(
-            _report(
-                "orthogonality_P",
-                {"n": n, "m": m, "y": y, "rho": rho, "q": q},
-                abs(est.value[idx] - target),
-                tol,
-            )
+    rows = [
+        (
+            {"n": n, "m": m, "y": y, "rho": rho, "q": q},
+            q_pochhammer(rho * rho, q, n) * q_factorial(n, q) if n == m else 0.0,
         )
-    return out
+        for n, m in pairs
+    ]
+    return _quadrature("orthogonality_P", q, tol, integrand, rows)
 
 
 def check_chapman_kolmogorov(x, z, rho1, rho2, q, tol):
@@ -284,17 +260,12 @@ def check_chapman_kolmogorov(x, z, rho1, rho2, q, tol):
         # f_CN(x | y) = f_N(x) * ratio(y, x) by symmetry of the product ratio
         return fnx * cond_ratio_values(ys, x, rho1, q) * f_CN_values(ys, z, rho2, q)
 
-    est = integrate_on_S(integrand, q, tol / 20)
     target = f_CN(x, z, rho1 * rho2, q).value
-    return _report(
-        "chapman_kolmogorov",
-        {"x": x, "z": z, "rho1": rho1, "rho2": rho2, "q": q},
-        abs(est.value - target),
-        tol,
-    )
+    params = {"x": x, "z": z, "rho1": rho1, "rho2": rho2, "q": q}
+    return _quadrature("chapman_kolmogorov", q, tol, integrand, [(params, target)])[0]
 
 
-def check_sn_series(t, q, tol, max_terms=500):
+def check_sn_series(t, q, tol):
     """Generating-function identities for the binomial sums s_n.
 
         sum_i s_i(q) t**i / (q; q)_i   = 1 / (t; q)_inf**2
@@ -309,7 +280,7 @@ def check_sn_series(t, q, tol, max_terms=500):
     S2 = 0.0
     poch = 1.0
     ti = 1.0
-    for i in range(max_terms):
+    for i in range(500):
         if i > 0:
             poch *= 1 - q**i
             ti *= t
@@ -336,18 +307,8 @@ def check_aw_orthogonality(nmax, p: CondDensityParams, tol):
         phi = phi_cond_values(x, p)
         return np.stack([A[n] * A[m] * phi for n, m in pairs])
 
-    est = integrate_on_S(integrand, p.q, tol / 20)
-    out = []
-    for idx, (n, m) in enumerate(pairs):
-        out.append(
-            _report(
-                "aw_orthogonality",
-                {"n": n, "m": m, **_bundle_dict(p)},
-                abs(est.value[idx]),
-                tol,
-            )
-        )
-    return out
+    rows = [({"n": n, "m": m, **_bundle_dict(p)}, 0) for n, m in pairs]
+    return _quadrature("aw_orthogonality", p.q, tol, integrand, rows)
 
 
 def check_moments(nmax, p: CondDensityParams, tol):
@@ -358,19 +319,8 @@ def check_moments(nmax, p: CondDensityParams, tol):
         phi = phi_cond_values(x, p)
         return np.stack([H[n] * phi for n in range(nmax + 1)])
 
-    est = integrate_on_S(integrand, p.q, tol / 20)
-    out = []
-    for n in range(nmax + 1):
-        target = c_n_main(n, p)
-        out.append(
-            _report(
-                "moments",
-                {"n": n, **_bundle_dict(p)},
-                abs(est.value[n] - target),
-                tol,
-            )
-        )
-    return out
+    rows = [({"n": n, **_bundle_dict(p)}, c_n_main(n, p)) for n in range(nmax + 1)]
+    return _quadrature("moments", p.q, tol, integrand, rows)
 
 
 def check_vnm(n, m, x, z, rho1, rho2, q, tol):
@@ -407,7 +357,6 @@ def check_vnm(n, m, x, z, rho1, rho2, q, tol):
         A = pref * sum(c * Pyx[j] for j, c in enumerate(coeff))
         return A * Pyx[m] * f_CN_values(ys, x, rho1, q)
 
-    est = integrate_on_S(integrand, q, tol / 20)
     if m > n:
         target = 0.0
     else:
@@ -421,12 +370,8 @@ def check_vnm(n, m, x, z, rho1, rho2, q, tol):
             * Pxz[n - m]
             / poch2[n - m]
         )
-    return _report(
-        "vnm",
-        {"n": n, "m": m, "x": x, "z": z, "rho1": rho1, "rho2": rho2, "q": q},
-        abs(est.value - target),
-        tol,
-    )
+    params = {"n": n, "m": m, "x": x, "z": z, "rho1": rho1, "rho2": rho2, "q": q}
+    return _quadrature("vnm", q, tol, integrand, [(params, target)])[0]
 
 
 def check_ratio_bounds(y, rho, q, tol, npoints=101):
@@ -448,10 +393,10 @@ def check_ratio_bounds(y, rho, q, tol, npoints=101):
     )
 
 
-def check_poisson_mehler(y, rho, q, tol, terms=60, npoints=21):
+def check_poisson_mehler(y, rho, q, tol, terms=60):
     """Partial sums of the Poisson-Mehler kernel converge to f_CN / f_N."""
     half = SupportInterval.for_q(q).half_width
-    xs = np.linspace(-0.9 * half, 0.9 * half, npoints)
+    xs = np.linspace(-0.9 * half, 0.9 * half, 21)
     partial = f_N_values(xs, q) * gamma_mk_partial(0, 0, xs, y, rho, q, terms)
     target = f_CN_values(xs, y, rho, q)
     residual = float(np.max(np.abs(partial - target)))
@@ -463,10 +408,10 @@ def check_poisson_mehler(y, rho, q, tol, terms=60, npoints=21):
     )
 
 
-def check_density_expansion(p: CondDensityParams, tol, terms=40, npoints=21):
+def check_density_expansion(p: CondDensityParams, tol, terms=40):
     """Partial sums of the q-Hermite moment expansion converge to phi_cond."""
     half = SupportInterval.for_q(p.q).half_width
-    xs = np.linspace(-0.9 * half, 0.9 * half, npoints)
+    xs = np.linspace(-0.9 * half, 0.9 * half, 21)
     partial = phi_expansion_partial(xs, p, terms)
     target = phi_cond_values(xs, p)
     residual = float(np.max(np.abs(partial - target)))
@@ -516,17 +461,17 @@ _SUITE = {
         1e-8,
         lambda c: ((CondDensityParams(0.5, 0.3, -0.5, 0.6, q),) for q in c.q_grid),
     ),
-    "orthogonality_H": (1e-8, lambda c: ((c.nmax_orthogonality, q) for q in c.q_grid)),
+    "orthogonality_H": (1e-8, lambda c: ((c.nmax, q) for q in c.q_grid)),
     "cond_expectation": (
         1e-8,
-        lambda c: ((c.nmax_orthogonality, *r) for r in _conditioned(c, skip_rho0=False)),
+        lambda c: ((c.nmax, *r) for r in _conditioned(c, skip_rho0=False)),
     ),
     # rho = 0 collapses to orthogonality_H, checked separately
-    "orthogonality_P": (1e-8, lambda c: ((c.nmax_orthogonality, *r) for r in _conditioned(c))),
+    "orthogonality_P": (1e-8, lambda c: ((c.nmax, *r) for r in _conditioned(c))),
     "chapman_kolmogorov": (1e-7, _chapman_kolmogorov_grid),
     "sn_series": (1e-10, lambda c: ((t, q) for q in c.q_grid for t in (0.3, -0.4))),
-    "aw_orthogonality": (1e-7, lambda c: ((c.nmax_aw, p) for p in _bundles(c))),
-    "moments": (1e-7, lambda c: ((c.nmax_moments, p) for p in _bundles(c))),
+    "aw_orthogonality": (1e-7, lambda c: ((min(c.nmax, 6), p) for p in _bundles(c))),
+    "moments": (1e-7, lambda c: ((c.nmax, p) for p in _bundles(c))),
     "vnm": (
         1e-6,
         lambda c: ((n, m, 0.3, -0.5, 0.5, 0.6, q) for q in c.q_grid for n, m in _VNM_ORDERS),
@@ -550,15 +495,15 @@ class SuiteConfig:
     truncation lengths stay short and the whole suite runs in desk time.
     The series-convergence checks restrict q further to |q| <= 0.5, where
     their a priori term bounds guarantee the documented accuracy within the
-    default term budgets.
+    default term budgets.  ``nmax`` is the highest polynomial order of the
+    orthogonality and moment checks; the Askey-Wilson pairs stop at
+    min(nmax, 6).
     """
 
     checks: tuple = CHECK_NAMES
     q_grid: tuple = (-0.5, 0.0, 0.3, 0.7)
     rho_grid: tuple = (0.0, 0.3, 0.6)
-    nmax_orthogonality: int = 8
-    nmax_aw: int = 6
-    nmax_moments: int = 8
+    nmax: int = 8
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def yz_pairs(self, q):

@@ -151,6 +151,16 @@ class TestVerifyCommand:
             assert code == 2, extra
             assert text == ""
 
+    def test_nmax_caps_polynomial_orders(self):
+        code, blob = run("verify", "--check", "aw_orthogonality", "--nmax", "9", "--q", "0.3",
+                         "--format", "json")
+        assert code == 0
+        assert max(row["params"]["m"] for row in json.loads(blob)) == 6
+        code, blob = run("verify", "--check", "moments", "--nmax", "3", "--q", "0.3",
+                         "--format", "json")
+        assert code == 0
+        assert max(row["params"]["n"] for row in json.loads(blob)) == 3
+
     def test_repeat_runs_are_byte_identical(self):
         argv = ("verify", "--check", "ratio_bounds", "--q", "0.3")
         assert run(*argv) == run(*argv)

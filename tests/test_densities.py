@@ -107,8 +107,10 @@ class TestFN:
 
 class TestFCN:
     def test_rho_zero_reduces_to_f_N(self):
-        for x in (0.3, -1.0):
-            assert f_CN(x, 0.5, 0.0, 0.4).value == pytest.approx(f_N(x, 0.4).value, rel=1e-14)
+        for x in (0.3, -1.0, 5.0):
+            got, want = f_CN(x, 0.5, 0.0, 0.4), f_N(x, 0.4)
+            assert got.value == pytest.approx(want.value, rel=1e-14)
+            assert got.terms == want.terms
 
     def test_free_case_pinned(self):
         assert f_CN(0.0, 0.0, 0.5, 0.0).value == pytest.approx(2 / (2 * math.pi * 0.75), rel=1e-12)
@@ -173,12 +175,18 @@ class TestPhiCond:
             assert phi_cond(x, p).value == pytest.approx(phi_cond(x, p.swapped()).value, rel=1e-13)
 
     def test_ratio_route_agrees(self):
-        for q in (-0.5, 0.0, 0.3, 0.7):
-            p = CondDensityParams(0.4, 0.5, -0.6, 0.7, q)
-            for x in (0.3, -1.0 / math.sqrt(1 - q)):
-                u = phi_cond(x, p).value
-                v = phi_cond_via_ratio(x, p)
-                assert v == pytest.approx(u, rel=1e-10)
+        cases = [
+            (CondDensityParams(0.4, 0.5, -0.6, 0.7, q), x)
+            for q in (-0.5, 0.0, 0.3, 0.7)
+            for x in (0.3, -1.0 / math.sqrt(1 - q))
+        ]
+        # far corner at q = 0.99: the two numerator factors multiply below
+        # the smallest float, while phi itself is about 2.7e-303
+        cases.append((CondDensityParams(16.0, 0.6, 17.0, 0.6, 0.99), -17.0))
+        for p, x in cases:
+            u = phi_cond(x, p).value
+            v = phi_cond_via_ratio(x, p)
+            assert v == pytest.approx(u, rel=1e-10, abs=0)
 
     def test_outside_support_is_zero(self):
         p = CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.5)
@@ -190,6 +198,29 @@ class TestPhiCond:
         half = 2 / math.sqrt(1 - 0.5)
         values = phi_cond_values(np.linspace(-half, half, 101), p)
         assert np.all(values >= 0)
+
+
+class TestNonFinitePoints:
+    def test_every_density_entry_point_rejects(self):
+        for q in (0.5, 1):
+            p = CondDensityParams(0.4, 0.5, -0.6, 0.7, q)
+            calls = [
+                lambda x: f_N(x, q),
+                lambda x: f_N_values(np.array([0.0, x]), q),
+                lambda x: f_CN(x, 0.2, 0.3, q),
+                lambda x: f_CN_values(np.array([0.0, x]), 0.2, 0.3, q),
+                lambda x: f_CN_values(np.array([0.0, x]), 0.2, 0.0, q),
+                lambda x: phi_cond(x, p),
+                lambda x: phi_cond_values(np.array([0.0, x]), p),
+                lambda x: phi_cond_via_ratio(x, p),
+            ]
+            if q != 1:
+                calls.append(lambda x: cond_ratio_values(np.array([0.0, x]), 0.2, 0.3, q))
+                calls.append(lambda x: cond_ratio_values([x], 0.2, 0.0, q))
+            for bad in (math.nan, math.inf, -math.inf):
+                for call in calls:
+                    with pytest.raises(DomainError):
+                        call(bad)
 
 
 class TestRatioBounds:
