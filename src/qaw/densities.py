@@ -179,8 +179,7 @@ def _check_interior(name, value, q):
 def _finite_points(x):
     """x as a float array; DomainError if any point is nan or infinite."""
     xa = np.asarray(x, dtype=float)
-    # math.isfinite keeps the single-point calls cheap
-    if not (math.isfinite(xa) if xa.ndim == 0 else np.isfinite(xa).all()):
+    if not np.isfinite(xa).all():
         raise DomainError("evaluation points must be finite")
     return xa
 

@@ -108,7 +108,7 @@ def _quadrature(name, q, tol, integrand, rows):
     value = integrate_on_S(integrand, q, tol / 20).value
     return [
         _report(name, params, abs(v - target), tol)
-        for v, (params, target) in zip(np.atleast_1d(value), rows)
+        for v, (params, target) in zip(np.atleast_1d(value), rows, strict=True)
     ]
 
 
