@@ -16,6 +16,7 @@ from .qcore import (
     TruncationPolicy,
     q_binomial,
     q_bracket,
+    q_bracket_seq,
     q_factorial,
     q_pochhammer,
     q_pochhammer_seq,

@@ -29,16 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    DEFAULT_POLICY,
     DomainError,
     PoleError,
     QParam,
-    TruncationPolicy,
     _check_order,
     q_binomial,
     q_pochhammer,
     q_pochhammer_seq,
-    qval,
 )
 from .polyfam import (
     asc_P_seq,
@@ -108,7 +105,6 @@ class CondDensityParams:
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", qval(self.q))
         QParam(self.q)
         for name in ("rho1", "rho2"):
             r = getattr(self, name)
@@ -117,7 +113,7 @@ class CondDensityParams:
         one_minus_q = 1 - self.q
         for name in ("y", "z"):
             t = getattr(self, name)
-            if one_minus_q * t * t > 4:
+            if not (one_minus_q * t * t <= 4):
                 raise DomainError(
                     f"{name}={t!r} lies outside the orthogonality interval for q={self.q!r}"
                 )
@@ -195,7 +191,6 @@ def aw_D(n, x, params: AWComplexParams, q):
     with pref = (ab)_n (cd)_n / (abcd q**(n-1))_n.  For conjugate-pair
     parameters and real x the value is real and is returned as a float.
     """
-    q = qval(q)
     if n == 0:
         return 1.0
     a, b, c, d = params.a, params.b, params.c, params.d
@@ -466,7 +461,6 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     Requires a != 0 and -1 < q < 1.
     """
     _check_order(n)
-    q = qval(q)
     if not -1 < q < 1:
         raise DomainError("the terminating series form requires -1 < q < 1")
     a, b, c, d = params.a, params.b, params.c, params.d

@@ -42,7 +42,6 @@ from .qcore import (
     TruncationError,
     TruncationPolicy,
     q_pochhammer_inf,
-    qval,
 )
 from .awpoly import CondDensityParams
 
@@ -75,7 +74,6 @@ class SupportInterval:
     @classmethod
     def for_q(cls, q):
         """Orthogonality interval for base q: +-2/sqrt(1-q), all of R at q = 1."""
-        q = qval(q)
         QParam(q)
         if q == 1:
             return cls(-math.inf, math.inf)
@@ -159,12 +157,6 @@ def _w_block(x, y, rho, q, kcol):
     return (1 - rsq) ** 2 - (1 - q) * r * (1 + rsq) * x * y + (1 - q) * rsq * (x * x + y * y)
 
 
-def _check_base(q):
-    q = qval(q)
-    QParam(q)
-    return q
-
-
 def _check_interior(name, value, q):
     if q == 1:
         if not math.isfinite(value):
@@ -207,7 +199,7 @@ def _f_N_masked(xa, q, policy):
 
 def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """Stationary density on a numpy array of points."""
-    q = _check_base(q)
+    QParam(q)
     xa = _finite_points(x)
     if q == 1:
         return np.exp(-0.5 * xa * xa) / math.sqrt(_TWO_PI)
@@ -217,7 +209,7 @@ def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
 
 def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Stationary density at a single point."""
-    q = _check_base(q)
+    QParam(q)
     xa = _finite_points(float(x))
     if q == 1:
         return DensityEval(math.exp(-0.5 * x * x) / math.sqrt(_TWO_PI), 0)
@@ -227,7 +219,7 @@ def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
 
 def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """Conditional density given a neighbor value y, on a numpy array of points."""
-    q = _check_base(q)
+    QParam(q)
     _check_rho("rho", rho)
     _check_interior("y", y, q)
     xa = _finite_points(x)
@@ -256,7 +248,7 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     conditions every product factor is positive for all real x, so the ratio
     is well defined even where the densities themselves vanish.
     """
-    q = _check_base(q)
+    QParam(q)
     if q == 1:
         raise DomainError("the product-form ratio is defined for q < 1 only")
     _check_rho("rho", rho)
@@ -269,7 +261,7 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
 
 def f_CN(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Conditional density at a single point given neighbor value y."""
-    q = _check_base(q)
+    QParam(q)
     value = float(f_CN_values(np.asarray(float(x)), y, rho, q, policy))
     if q == 1 or not SupportInterval.for_q(q).strictly_contains(x):
         return DensityEval(value, 0)
@@ -400,7 +392,7 @@ def fcn_ratio_bounds(y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     Both bounds hold for every x strictly inside the support, up to the
     truncation tolerance of the policy.
     """
-    q = _check_base(q)
+    QParam(q)
     if q == 1:
         raise DomainError("the ratio bounds are defined for q < 1 only")
     _check_rho("rho", rho)

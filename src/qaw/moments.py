@@ -35,7 +35,7 @@ from .qcore import (
     TruncationPolicy,
     _check_order,
     q_binomial,
-    q_bracket,
+    q_bracket_seq,
     q_factorial,
     q_pochhammer,
     q_pochhammer_seq,
@@ -103,12 +103,14 @@ def c_n_main(n, p: CondDensityParams):
             * q_pochhammer(r2sq, q, k)
         )
         qk = q**k
+        poch1 = q_pochhammer_seq(r1sq * qk, q, n - 2 * k)
+        poch2 = q_pochhammer_seq(r2sq * qk, q, n - 2 * k)
         inner = 0
         for j in range(n - 2 * k + 1):
             inner = inner + (
                 q_binomial(n - 2 * k, j, q)
-                * q_pochhammer(r1sq * qk, q, j)
-                * q_pochhammer(r2sq * qk, q, n - 2 * k - j)
+                * poch1[j]
+                * poch2[n - 2 * k - j]
                 * r1 ** (n - 2 * k - j)
                 * r2**j
                 * Hz[j]
@@ -134,19 +136,14 @@ def c_n_via_P(n, p: CondDensityParams):
     R = r1sq * r2 * r2
     Hy = hermite_H_seq(n, p.y, q)
     Pz = asc_P_seq(n, p.z, p.y, r1 * r2, q)
+    poch_r1 = q_pochhammer_seq(r1sq, q, n)
+    poch_R = q_pochhammer_seq(R, q, n)
+    _guard_poch(poch_R[-1])  # a vanishing factor zeroes every later entry
     total = 0
-    poch_r1 = 1
-    poch_R = 1
-    factor_r1 = r1sq
-    factor_R = R
     for s in range(n + 1):
-        if s > 0:
-            poch_r1 = poch_r1 * (1 - factor_r1)
-            poch_R = _guard_poch(poch_R * (1 - factor_R))
-            factor_r1 = factor_r1 * q
-            factor_R = factor_R * q
         total = total + (
-            q_binomial(n, s, q) * r1 ** (n - s) * r2**s * poch_r1 * Hy[n - s] * Pz[s] / poch_R
+            q_binomial(n, s, q) * r1 ** (n - s) * r2**s * poch_r1[s] * Hy[n - s] * Pz[s]
+            / poch_R[s]
         )
     return total
 
@@ -187,11 +184,12 @@ def gamma_mk_partial(m, k, x, y, rho, q, N):
     top = N - 1
     Hx = hermite_H_seq(top + m, x, q)
     Hy = hermite_H_seq(top + k, y, q)
+    brackets = q_bracket_seq(top, q)
     total = 0
     weight = 1
     for i in range(N):
         if i > 0:
-            weight = weight * rho / q_bracket(i, q)
+            weight = weight * rho / brackets[i]
         total = total + weight * Hx[i + m] * Hy[i + k]
     return total
 
@@ -301,11 +299,12 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
     if N < 1:
         raise DomainError("the partial sum needs at least one term")
     Hx = hermite_H_seq(N - 1, x, q)
+    brackets = q_bracket_seq(N - 1, q)
     total = 0
     fact = 1
     for i in range(N):
         if i > 0:
-            fact = fact * q_bracket(i, q)
+            fact = fact * brackets[i]
         total = total + Hx[i] * c_n_main(i, p) / fact
     density = f_N(x, q, policy).value if np.ndim(x) == 0 else f_N_values(x, q, policy)
     return density * total

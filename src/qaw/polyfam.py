@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Rational
 from typing import Callable
 
-from .qcore import DomainError, _check_order, q_binomial, q_bracket, q_factorial, qval
+import numpy as np
+
+from .qcore import DomainError, _check_order, q_binomial, q_bracket_seq, q_factorial
 
 __all__ = [
     "DEGREE_CAP",
@@ -69,8 +72,14 @@ class RecurrenceSpec:
     gamma: Callable
 
     def values(self, n, x):
-        """Return the list [p_0(x), ..., p_n(x)]."""
+        """Return the list [p_0(x), ..., p_n(x)].
+
+        x is a scalar or an array; DomainError if any entry is nan or
+        infinite.  Rationals are exact, hence finite, and are not converted.
+        """
         _check_degree(n)
+        if not isinstance(x, Rational) and not np.isfinite(x).all():
+            raise DomainError("evaluation points must be finite")
         out = [1 + 0 * x]
         prev = 0 * x
         cur = out[0]
@@ -81,9 +90,6 @@ class RecurrenceSpec:
             prev, cur = cur, nxt
             out.append(cur)
         return out
-
-    def evaluate(self, n, x):
-        return self.values(n, x)[-1]
 
 
 def _zero(_k):
@@ -97,7 +103,6 @@ def hermite_h_seq(n, x, q):
     so the recurrence can be run formally (for instance at base 1/q, which
     the b_small inversion identity needs).
     """
-    q = qval(q)
     spec = RecurrenceSpec(lambda k: 2, _zero, lambda k: 1 - q**k)
     return spec.values(n, x)
 
@@ -113,8 +118,9 @@ def hermite_H_seq(n, x, q):
     At q = 1 the bracket is k and these are the monic (probabilistic)
     Hermite polynomials.
     """
-    q = qval(q)
-    spec = RecurrenceSpec(lambda k: 1, _zero, lambda k: q_bracket(k, q))
+    _check_degree(n)
+    brackets = q_bracket_seq(n, q)
+    spec = RecurrenceSpec(lambda k: 1, _zero, lambda k: brackets[k])
     return spec.values(n, x)
 
 
@@ -130,7 +136,6 @@ def asc_Q_seq(n, x, a, b, q):
     Complex parameter pairs are evaluated in complex arithmetic; see asc_Q
     for the conjugate-pair collapse to real values.
     """
-    q = qval(q)
     spec = RecurrenceSpec(
         lambda k: 2,
         lambda k: -(a + b) * q**k,
@@ -159,11 +164,12 @@ def asc_P_seq(n, x, y, rho, q):
     At q = 1 this family is (1-rho^2)^{n/2} H_n((x - rho y)/sqrt(1-rho^2)),
     the conditional-normal Hermite polynomials.
     """
-    q = qval(q)
+    _check_degree(n)
+    brackets = q_bracket_seq(n, q)
     spec = RecurrenceSpec(
         lambda k: 1,
         lambda k: -rho * y * q**k,
-        lambda k: (1 - rho * rho * q ** (k - 1)) * q_bracket(k, q),
+        lambda k: (1 - rho * rho * q ** (k - 1)) * brackets[k],
     )
     return spec.values(n, x)
 
@@ -180,11 +186,12 @@ def b_big_seq(n, y, q):
     explicit sign and power of q, q^{-1}-Hermite polynomials; they appear as
     connection coefficients between the P and H families.
     """
-    q = qval(q)
+    _check_degree(n)
+    brackets = q_bracket_seq(n, q)
     spec = RecurrenceSpec(
         lambda k: -(q**k),
         _zero,
-        lambda k: -(q ** (k - 1)) * q_bracket(k, q),
+        lambda k: -(q ** (k - 1)) * brackets[k],
     )
     return spec.values(n, y)
 
@@ -200,7 +207,6 @@ def b_small_seq(n, y, q):
     b_{k+1} = -2 q**k y b_k + q**(k-1) (1 - q**k) b_{k-1}, so that
     (-1)**n q**(-C(n,2)) b_n(y | q) = h_n(y | 1/q).
     """
-    q = qval(q)
     spec = RecurrenceSpec(
         lambda k: -2 * q**k,
         _zero,
@@ -268,7 +274,6 @@ def bh_expand_B(n, q):
     is nonnegative for every admissible k, so q = 0 is safe.
     """
     _check_degree(n)
-    q = qval(q)
     sign = (-1) ** n
     out = []
     for k in range(n // 2 + 1):
@@ -292,7 +297,6 @@ def product_HB(m, n, q):
     """
     _check_degree(n)
     _check_degree(m)
-    q = qval(q)
     sign = (-1) ** n
     out = []
     for i in range((n + m) // 2 + 1):
@@ -335,7 +339,6 @@ def i_nm_closed(n, m, x, q):
     _check_degree(m)
     if n > m:
         return 0
-    q = qval(q)
     ratio = q_factorial(m, q) / q_factorial(m - n, q)
     return (-1) ** n * q ** math.comb(n, 2) * ratio * hermite_H(m - n, x, q)
 

@@ -24,8 +24,8 @@ __all__ = [
     "QParam",
     "TruncationPolicy",
     "DEFAULT_POLICY",
-    "qval",
     "q_bracket",
+    "q_bracket_seq",
     "q_factorial",
     "q_binomial",
     "q_pochhammer",
@@ -89,11 +89,6 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def qval(q):
-    """Unwrap a QParam, or pass a bare scalar through unchanged."""
-    return q.q if isinstance(q, QParam) else q
-
-
 def _check_order(n):
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"order must be a nonnegative integer, got {n!r}")
@@ -104,22 +99,22 @@ def q_bracket(n, q):
 
     Equals n at q = 1 and, for n >= 1, equals 1 at q = 0.  [0]_q = 0.
     """
+    return q_bracket_seq(n, q)[n]
+
+
+def q_bracket_seq(n, q):
+    """The prefix list [[0]_q, [1]_q, ..., [n]_q], by Horner's rule."""
     _check_order(n)
-    q = qval(q)
-    total = 0 * q
+    out = [0 * q]
     for _ in range(n):
-        total = total * q + 1
-    return total
+        out.append(out[-1] * q + 1)
+    return out
 
 
 def q_factorial(n, q):
     """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    _check_order(n)
-    q = qval(q)
-    bracket = 0 * q
     total = 1 + 0 * q
-    for _ in range(n):
-        bracket = bracket * q + 1
+    for bracket in q_bracket_seq(n, q)[1:]:
         total = total * bracket
     return total
 
@@ -134,34 +129,26 @@ def q_binomial(n, k, q):
         raise DomainError(f"binomial indices must be integers, got {n!r}, {k!r}")
     if not n >= k >= 0:
         return 0
-    q = qval(q)
     # build [n]_q!/[n-k]_q! and [k]_q! together; all brackets are nonzero
     # on -1 < q <= 1
     k = min(k, n - k)
+    brackets = q_bracket_seq(n, q)
     num = 1 + 0 * q
     den = 1 + 0 * q
     for i in range(1, k + 1):
-        num = num * q_bracket(n - k + i, q)
-        den = den * q_bracket(i, q)
+        num = num * brackets[n - k + i]
+        den = den * brackets[i]
     return num / den
 
 
 def q_pochhammer(a, q, n):
     """Finite q-Pochhammer symbol (a; q)_n = prod_{i<n} (1 - a q**i)."""
-    _check_order(n)
-    q = qval(q)
-    total = 1 + 0 * a
-    factor = a
-    for _ in range(n):
-        total = total * (1 - factor)
-        factor = factor * q
-    return total
+    return q_pochhammer_seq(a, q, n)[n]
 
 
 def q_pochhammer_seq(a, q, n):
     """The prefix list [(a; q)_0, (a; q)_1, ..., (a; q)_n] of q_pochhammer."""
     _check_order(n)
-    q = qval(q)
     out = [1 + 0 * a]
     factor = a
     for _ in range(n):
@@ -181,7 +168,6 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     Floating point only.  q = 1 is rejected (the product has no meaning
     there) and so is |q| > 0.99, where the term count explodes.
     """
-    q = qval(q)
     if q == 1:
         raise DomainError("(a; q)_inf is undefined at q = 1")
     if abs(q) > 0.99:

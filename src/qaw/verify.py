@@ -33,7 +33,6 @@ from .qcore import (
     q_pochhammer,
     q_pochhammer_inf,
     q_pochhammer_seq,
-    qval,
     s_n,
 )
 from .polyfam import asc_P_seq, hermite_H_seq
@@ -124,7 +123,6 @@ def integrate_on_S(f, q, target_tol=1e-10, max_panels=16384):
     its length-proportional share of target_tol (with a roundoff floor).
     Raises TruncationError after max_panels bisections.
     """
-    q = qval(q)
     QParam(q)
     if q == 1:
         lo, hi = -_GAUSSIAN_CUTOFF, _GAUSSIAN_CUTOFF
@@ -273,7 +271,6 @@ def check_sn_series(t, q, tol):
     """
     if not -1 < t < 1:
         raise DomainError(f"the series identities need |t| < 1, got {t!r}")
-    q = qval(q)
     if not -1 < q < 1:
         raise DomainError(f"the series identities need |q| < 1, got {q!r}")
     S1 = 0.0
@@ -334,7 +331,6 @@ def check_vnm(n, m, x, z, rho1, rho2, q, tol):
 
     for m <= n and 0 for m > n.
     """
-    q = qval(q)
     top = max(n, m)
     r1sq = rho1 * rho1
     r2sq = rho2 * rho2

@@ -61,6 +61,10 @@ class TestParamValidation:
     def test_bundle_rejects_exterior_point(self):
         with pytest.raises(DomainError):
             CondDensityParams(5.0, 0.5, 0.0, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            CondDensityParams(0.1, 0.3, math.nan, 0.4, 0.9)
+        with pytest.raises(DomainError):
+            CondDensityParams(math.inf, 0.3, 0.2, 0.4, 1.0)
 
     def test_bundle_rejects_large_rho(self):
         with pytest.raises(DomainError):

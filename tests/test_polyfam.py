@@ -17,6 +17,7 @@ from qaw import (
     b_big_seq,
     b_small,
     chebyshev_U,
+    gamma_mk_partial,
     hermite_h,
     hermite_H,
     hermite_H_seq,
@@ -99,6 +100,29 @@ class TestHermiteH:
         got = hermite_H(4, xs, 0.3)
         want = [hermite_H(4, float(x), 0.3) for x in xs]
         assert got == pytest.approx(want)
+
+
+class TestNonFinitePoints:
+    def test_rejects_nan_and_inf_but_not_exact_or_complex_points(self):
+        calls = (
+            lambda x: hermite_h(3, x, 0.5),
+            lambda x: hermite_H(3, x, 0.5),
+            lambda x: asc_Q(2, x, 0.3, 0.4, 0.5),
+            lambda x: asc_P(2, x, 0.3, 0.4, 0.5),
+            lambda x: b_big(2, x, 0.5),
+            lambda x: b_small(2, x, 0.5),
+            lambda x: chebyshev_U(2, x),
+            lambda x: gamma_mk_partial(0, 0, x, 0.3, 0.4, 0.5, 10),
+        )
+        bad = (math.nan, math.inf, -math.inf, complex(0.5, math.nan), np.array([0.5, math.nan]))
+        for call in calls:
+            for x in bad:
+                with pytest.raises(DomainError):
+                    call(x)
+        # exact points are finite and are never converted to float
+        huge = Fraction(10**400)
+        assert hermite_H(2, huge, Fraction(1, 2)) == huge * huge - 1
+        assert hermite_H(2, 1j, 0.5) == pytest.approx(-2.0)
 
 
 class TestAlSalamChihara:

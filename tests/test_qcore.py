@@ -15,6 +15,7 @@ from qaw import (
     multi_pochhammer,
     q_binomial,
     q_bracket,
+    q_bracket_seq,
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
@@ -93,6 +94,42 @@ class TestQBinomial:
                 )
 
 
+def _horner_bracket(n, q):
+    total = 0 * q
+    for _ in range(n):
+        total = total * q + 1
+    return total
+
+
+def _horner_factorial(n, q):
+    total = 1 + 0 * q
+    for i in range(1, n + 1):
+        total = total * _horner_bracket(i, q)
+    return total
+
+
+def _horner_binomial(n, k, q):
+    k = min(k, n - k)
+    num = 1 + 0 * q
+    den = 1 + 0 * q
+    for i in range(1, k + 1):
+        num = num * _horner_bracket(n - k + i, q)
+        den = den * _horner_bracket(i, q)
+    return num / den
+
+
+class TestPrefixBitIdentity:
+    """The prefix-sequence forms reproduce one Horner chain per bracket, bit for bit."""
+
+    def test_matches_separate_horner_chains(self):
+        for q in (-0.7, 0.3, 0.9, Fraction(-1, 2)):
+            for n in range(31):
+                assert q_bracket(n, q) == _horner_bracket(n, q)
+                assert q_factorial(n, q) == _horner_factorial(n, q)
+                for k in range(n + 1):
+                    assert q_binomial(n, k, q) == _horner_binomial(n, k, q)
+
+
 class TestQPochhammer:
     def test_empty(self):
         assert q_pochhammer(0.7, 0.3, 0) == 1
@@ -118,8 +155,11 @@ class TestQPochhammer:
     def test_prefix_sequence_matches_single_symbols(self):
         for a, q in ((0.6, -0.7), (0.25 + 0.5j, 0.3), (Fraction(3, 5), Fraction(-1, 2))):
             assert q_pochhammer_seq(a, q, 7) == [q_pochhammer(a, q, n) for n in range(8)]
+            assert q_bracket_seq(7, q) == [q_bracket(n, q) for n in range(8)]
         with pytest.raises(DomainError):
             q_pochhammer_seq(0.5, 0.5, -1)
+        with pytest.raises(DomainError):
+            q_bracket_seq(-1, 0.5)
 
 
 class TestQPochhammerInf:
