@@ -20,6 +20,13 @@ by less than the policy's relative tolerance: each factor is
 1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= rel_tol with a
 conservative per-density constant C.  Evaluations report the K they used.
 
+Array evaluations form the products over blocks of points, writing each
+block's factors into the same few (points, K) buffers of at most 16384
+elements, so memory is O(points) and does not grow with K times the point
+count.  Each product still multiplies its K factors in order, so a value
+does not depend on the block it fell in: a grid value equals the
+single-point value bit for bit.
+
 Scalar entry points return a ``DensityEval``; the ``*_values`` companions
 evaluate on numpy arrays and return bare arrays (used heavily by the
 quadrature suite).  Points on or outside the support boundary get density
@@ -146,15 +153,55 @@ def _phi_length(q, policy):
     return _product_length(q, policy, 96.0)
 
 
-def _kcol(K, ndim):
-    # power column broadcastable against an ndim-dimensional x array
-    return np.arange(K).reshape((K,) + (1,) * ndim)
+# Elements per (points, K) buffer, 128 KB of float64: the fastest, or tied
+# for fastest, of 2**13 .. 2**16 on the density_grid benchmark mix.
+_BLOCK_ELEMENTS = 16384
 
 
-def _w_block(x, y, rho, q, kcol):
-    r = rho * np.power(float(q), kcol)
+def _point_products(block_factors, xs, K, nbuf):
+    """For every point of xs, the product over k of its K factors.
+
+    block_factors(t, *bufs) writes the (points, K) factors of a (points, 1)
+    column t into the first of nbuf buffers of that shape, using the others
+    as scratch, and returns it.  Points go through in blocks of
+    _BLOCK_ELEMENTS // K (at least one), so memory does not grow with K
+    times the point count.  Every block reuses the same buffers: fresh
+    block-sized temporaries made malloc hand heap pages back and fault them
+    in again, at a rate that varied with the heap layout.  The
+    multiply-reduce runs along k in order, as on one (K, points) array, so
+    every product keeps its bits.  The result has the shape of xs.
+    """
+    col = xs.reshape(-1, 1)
+    n = len(col)
+    step = max(1, _BLOCK_ELEMENTS // K)
+    if n <= step:
+        factors = block_factors(col, *np.empty((nbuf, n, K)))
+        return np.multiply.reduce(factors, axis=1).reshape(xs.shape)
+    bufs = np.empty((nbuf, step, K))
+    out = np.empty(n)
+    for start in range(0, n, step):
+        t = col[start : start + step]
+        factors = block_factors(t, *bufs[:, : len(t)])
+        np.multiply.reduce(factors, axis=1, out=out[start : start + len(t)])
+    return out.reshape(xs.shape)
+
+
+def _w_coeffs(rho, q, qk):
+    # the parts of w_factor(x, y, rho, q, k) free of x and y, one entry per
+    # power qk = q**k; _w_block combines them in w_factor's order of operations
+    r = rho * qk
     rsq = r * r
-    return (1 - rsq) ** 2 - (1 - q) * r * (1 + rsq) * x * y + (1 - q) * rsq * (x * x + y * y)
+    return (1 - rsq) ** 2, (1 - q) * r * (1 + rsq), (1 - q) * rsq
+
+
+def _w_block(x, y, coeffs, out, scratch):
+    # a - b * x * y + c * (x * x + y * y), written into out
+    a, b, c = coeffs
+    np.multiply(b, x, out=out)
+    np.multiply(out, y, out=out)
+    np.subtract(a, out, out=out)
+    out += np.multiply(c, x * x + y * y, out=scratch)
+    return out
 
 
 def _check_interior(name, value, q):
@@ -189,10 +236,14 @@ def _f_N_masked(xa, q, policy):
     out = np.zeros_like(xa)
     if np.any(inside):
         xs = xa[inside]
-        kcol = _kcol(K, xs.ndim)
-        qk = np.power(float(q), kcol)
-        factors = (1 + qk) ** 2 - (1 - q) * xs * xs * qk
-        prod = np.prod(factors, axis=0)
+        qk = np.power(float(q), np.arange(K))
+        head = (1 + qk) ** 2
+
+        def factors(t, f):
+            np.multiply((1 - q) * t * t, qk, out=f)
+            return np.subtract(head, f, out=f)
+
+        prod = _point_products(factors, xs, K, 1)
         out[inside] = coef * prod / np.sqrt(4 - (1 - q) * xs * xs)
     return out, inside, K
 
@@ -236,9 +287,14 @@ def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
 
 def _ratio_product(xa, y, rho, q, policy):
     K = _fcn_length(q, policy)
-    kcol = _kcol(K, xa.ndim)
-    qk = np.power(float(q), kcol)
-    return np.prod((1 - rho * rho * qk) / _w_block(xa, y, rho, q, kcol), axis=0)
+    qk = np.power(float(q), np.arange(K))
+    head = 1 - rho * rho * qk
+    w = _w_coeffs(rho, q, qk)
+
+    def factors(t, f, scratch):
+        return np.divide(head, _w_block(t, y, w, f, scratch), out=f)
+
+    return _point_products(factors, xa, K, 2)
 
 
 def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -286,19 +342,22 @@ def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_
     if (p.rho1 == 0 and p.rho2 == 0) or not np.any(inside):
         return base
     K = _phi_length(q, policy)
-    xs = xa[inside]
-    kcol = _kcol(K, xs.ndim)
-    qk = np.power(float(q), kcol)
+    qk = np.power(float(q), np.arange(K))
     r1sq = p.rho1 * p.rho1
     r2sq = p.rho2 * p.rho2
-    num = (1 - r1sq * qk) * (1 - r2sq * qk) * _w_block(p.y, p.z, p.rho1 * p.rho2, q, kcol)
-    den = (
-        (1 - r1sq * r2sq * qk)
-        * _w_block(xs, p.y, p.rho1, q, kcol)
-        * _w_block(xs, p.z, p.rho2, q, kcol)
-    )
+    w12 = _w_block(p.y, p.z, _w_coeffs(p.rho1 * p.rho2, q, qk), np.empty(K), np.empty(K))
+    num = (1 - r1sq * qk) * (1 - r2sq * qk) * w12
+    head = 1 - r1sq * r2sq * qk
+    w1 = _w_coeffs(p.rho1, q, qk)
+    w2 = _w_coeffs(p.rho2, q, qk)
+
+    def factors(t, f, g, scratch):
+        np.multiply(head, _w_block(t, p.y, w1, f, scratch), out=f)
+        np.multiply(f, _w_block(t, p.z, w2, g, scratch), out=f)
+        return np.divide(num, f, out=f)
+
     out = np.zeros_like(xa)
-    out[inside] = base[inside] * np.prod(num / den, axis=0)
+    out[inside] = base[inside] * _point_products(factors, xa[inside], K, 3)
     return out
 
 

@@ -14,6 +14,7 @@ point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -166,8 +167,11 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     of the inputs.
 
     Floating point only.  q = 1 is rejected (the product has no meaning
-    there) and so is |q| > 0.99, where the term count explodes.
+    there) and so is |q| > 0.99, where the term count explodes; so is a
+    nan or infinite a or q.
     """
+    if not (cmath.isfinite(a) and cmath.isfinite(q)):
+        raise DomainError(f"(a; q)_inf needs finite a and q, got a={a!r}, q={q!r}")
     if q == 1:
         raise DomainError("(a; q)_inf is undefined at q = 1")
     if abs(q) > 0.99:

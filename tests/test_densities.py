@@ -1,6 +1,7 @@
 """Density functions: pinned values, closed-form collapses, symmetry, bounds."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,65 @@ class TestNonFinitePoints:
                 for call in calls:
                     with pytest.raises(DomainError):
                         call(bad)
+
+
+def _grid(q, npts):
+    half = 2 / math.sqrt(1 - q)
+    edge = 0.99 * min(half, 6)
+    return np.linspace(-edge, edge, npts)
+
+
+def _grid_densities(q):
+    """The four product-form *_values functions at q, each a function of x alone."""
+    p = CondDensityParams(0.4, 0.5, -0.6, -0.7, q)
+    return {
+        "f_N": lambda x: f_N_values(x, q),
+        "f_CN": lambda x: f_CN_values(x, 0.4, 0.5, q),
+        "phi_cond": lambda x: phi_cond_values(x, p),
+        "cond_ratio": lambda x: cond_ratio_values(x, 0.4, 0.5, q),
+    }
+
+
+class TestBlockedProducts:
+    """Grids are evaluated in blocks of points; every value keeps its bits."""
+
+    @pytest.mark.parametrize("q, npts", [(0.99, 2000), (0.5, 5000), (0.9, 3000), (-0.7, 3000)])
+    def test_grid_values_equal_single_point_calls(self, q, npts):
+        xs = _grid(q, npts)
+        for name, fn in _grid_densities(q).items():
+            values = fn(xs)
+            assert values.shape == xs.shape
+            mismatches = [i for i in range(0, npts, 97) if fn(xs[i : i + 1])[0] != values[i]]
+            assert mismatches == [], name
+
+    def test_ratio_keeps_the_input_shape(self):
+        y, rho, q = 0.4, 0.5, 0.9
+        xs = _grid(q, 2000)
+        flat = cond_ratio_values(xs, y, rho, q)
+        square = cond_ratio_values(xs.reshape(40, 50), y, rho, q)
+        assert square.shape == (40, 50)
+        assert np.array_equal(square, flat.reshape(40, 50))
+        point = cond_ratio_values(np.asarray(xs[7]), y, rho, q)
+        assert point.shape == ()
+        assert point == flat[7]
+        assert cond_ratio_values(np.empty((0, 3)), y, rho, q).shape == (0, 3)
+
+
+class TestMemoryBound:
+    """Peak memory of a grid evaluation does not grow with K times the point count."""
+
+    @pytest.mark.parametrize("q, npts", [(0.99, 2000), (0.9, 20000)])
+    def test_tracemalloc_peak_below_4_mb(self, q, npts):
+        xs = _grid(q, npts)
+        for name, fn in _grid_densities(q).items():
+            fn(xs[:1])  # product lengths and coefficients are cached before measuring
+            tracemalloc.start()
+            try:
+                fn(xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, (name, peak)
 
 
 class TestRatioBounds:

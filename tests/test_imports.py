@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every private
+module-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,72 @@ def _unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unused_privates(source, used_elsewhere=frozenset()):
+    """Module-level private functions, classes and assignments never referenced.
+
+    A name counts as referenced if it is read anywhere in its module, or if
+    it is in used_elsewhere (imported or read as an attribute by another
+    module).
+    """
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (line, name)
+        for name, line in defined.items()
+        if _private(name) and name not in read and name not in used_elsewhere
+    )
+
+
+def _names_used_from_outside(source):
+    """Names a module imports from, or reads as attributes of, other modules."""
+    tree = ast.parse(source)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_private_scanner_flags_an_unused_name():
+    source = (
+        "_LIMIT = 3\n_SPARE = 4\n"
+        "def _used(x):\n    return x + _LIMIT\n"
+        "def _unused():\n    return _used(1)\n"
+        "class _Shared:\n    pass\n"
+        "def public():\n    return _used(2)\n"
+    )
+    assert _unused_privates(source) == [(2, "_SPARE"), (5, "_unused"), (7, "_Shared")]
+    assert _unused_privates(source, {"_Shared", "_SPARE"}) == [(5, "_unused")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    elsewhere = set()
+    for other in SRC.glob("*.py"):
+        if other != path:
+            elsewhere |= _names_used_from_outside(other.read_text())
+    assert _unused_privates(path.read_text(), elsewhere) == []
 
 
 def test_scanner_flags_an_unused_name():

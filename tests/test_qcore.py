@@ -184,6 +184,22 @@ class TestQPochhammerInf:
         with pytest.raises(DomainError):
             q_pochhammer_inf(0.5, 0.995)
 
+    @pytest.mark.parametrize(
+        "a, q",
+        [(0.5, math.nan), (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
+         (0.5, -math.inf), (complex(0.5, math.nan), 0.5), (0.5, complex(math.inf, 0))],
+    )
+    def test_rejects_non_finite_input(self, a, q):
+        with pytest.raises(DomainError):
+            q_pochhammer_inf(a, q)
+
+    def test_accepts_exact_and_complex_input(self):
+        euler = q_pochhammer_inf(Fraction(1, 2), Fraction(1, 2))
+        assert euler == pytest.approx(0.2887880950866024, rel=1e-12)
+        # (ia; q)_inf (-ia; q)_inf = (-a^2; q^2)_inf
+        pair = q_pochhammer_inf(0.5j, 0.5) * q_pochhammer_inf(-0.5j, 0.5)
+        assert pair == pytest.approx(q_pochhammer_inf(-0.25, 0.25), rel=1e-12)
+
 
 class TestMultiPochhammer:
     def test_empty(self):
@@ -191,6 +207,10 @@ class TestMultiPochhammer:
 
     def test_square(self):
         assert multi_pochhammer([0.5, 0.5], 0.5, 3) == pytest.approx(0.107666015625)
+
+    def test_infinite_order_rejects_non_finite_q(self):
+        with pytest.raises(DomainError):
+            multi_pochhammer([0.2, 0.3], math.nan, math.inf)
 
     def test_infinite_zero_base(self):
         assert multi_pochhammer([0], 0.4, math.inf) == 1
