@@ -15,6 +15,7 @@ from .qcore import (
     TruncationError,
     TruncationPolicy,
     q_binomial,
+    q_binomial_row,
     q_bracket,
     q_bracket_seq,
     q_factorial,
@@ -69,6 +70,7 @@ from .moments import (
     alsalam_identity_residual,
     c_n_gaussian,
     c_n_main,
+    c_n_seq,
     c_n_via_P,
     expansion_terms_needed,
     gamma_mk_partial,

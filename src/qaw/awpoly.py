@@ -33,7 +33,7 @@ from .qcore import (
     PoleError,
     QParam,
     _check_order,
-    q_binomial,
+    q_binomial_row,
     q_pochhammer,
     q_pochhammer_seq,
 )
@@ -205,14 +205,15 @@ def aw_D(n, x, params: AWComplexParams, q):
         _guard_factor(poch_ab[i], "(ab; q)_i")
         _guard_factor(poch_cd[i], "(cd; q)_i")
     pref = poch_ab[n] * poch_cd[n] / _shifted_poch(ab * cd, q, n)
+    rows = [q_binomial_row(j, q) for j in range(n + 1)]
     total = 0
     for j in range(n + 1):
         inner = 0
         for i in range(j + 1):
-            inner = inner + q_binomial(j, i, q) * Q1[i] * Q2[j - i] / (
+            inner = inner + rows[j][i] * Q1[i] * Q2[j - i] / (
                 poch_ab[i] * poch_cd[j - i]
             )
-        total = total + q_binomial(n, j, q) * b_vals[n - j] * inner
+        total = total + rows[n][j] * b_vals[n - j] * inner
     value = pref * total
     if isinstance(value, complex) and not isinstance(x, complex):
         return real_part(value)
@@ -235,12 +236,13 @@ def aw_A_sym_seq(nmax, x, p: CondDensityParams):
     P2 = asc_P_seq(nmax, x, p.z, p.rho2, q)
     poch1 = q_pochhammer_seq(r1sq, q, nmax)
     poch2 = q_pochhammer_seq(r2sq, q, nmax)
+    rows = [q_binomial_row(j, q) for j in range(nmax + 1)]
     # inner[j] = sum_i [j,i]_q P1[i] P2[j-i] / ((r1^2)_i (r2^2)_{j-i})
     inner = []
     for j in range(nmax + 1):
         acc = 0
         for i in range(j + 1):
-            acc = acc + q_binomial(j, i, q) * P1[i] * P2[j - i] / (
+            acc = acc + rows[j][i] * P1[i] * P2[j - i] / (
                 poch1[i] * poch2[j - i]
             )
         inner.append(acc)
@@ -252,7 +254,7 @@ def aw_A_sym_seq(nmax, x, p: CondDensityParams):
         pref = poch1[n] * poch2[n] / _shifted_poch(r1sq * r2sq, q, n)
         total = 0
         for j in range(n + 1):
-            total = total + q_binomial(n, j, q) * B[n - j] * inner[j]
+            total = total + rows[n][j] * B[n - j] * inner[j]
         out.append(pref * total)
     return out
 
@@ -284,13 +286,14 @@ def aw_A_mixed(n, x, p: CondDensityParams):
     poch1 = q_pochhammer_seq(r1sq, q, n)
     poch2 = q_pochhammer_seq(r2sq, q, n)
     pref = poch1[n] * poch2[n] / _shifted_poch(r1sq * r2sq, q, n)
+    row = q_binomial_row(n, q)
     total = 0
     for m in range(n + 1):
         sign = (-1) ** m
         total = total + (
             sign
             * q ** math.comb(m, 2)
-            * q_binomial(n, m, q)
+            * row[m]
             * p.rho1**m
             * P_xz[n - m]
             * P_yx[m]

@@ -31,7 +31,9 @@ Scalar entry points return a ``DensityEval``; the ``*_values`` companions
 evaluate on numpy arrays and return bare arrays (used heavily by the
 quadrature suite).  Points on or outside the support boundary get density
 exactly 0; a nan or infinite point raises ``DomainError``.  Conditioning
-points must be strictly interior.
+points must be strictly interior.  The products run in float arithmetic
+only: an exact fraction (say a ``Fraction`` base or correlation) raises
+``DomainError``; integers and floats are accepted.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Rational
 
 import numpy as np
 
@@ -223,6 +226,18 @@ def _finite_points(x):
     return xa
 
 
+def _check_float(*values):
+    """DomainError if a value is an exact fraction, a Rational but not an integer.
+
+    The densities are float-only infinite products, and numpy cannot mix a
+    Fraction into them.  Plain type tests, so a point call does no numpy
+    work here.
+    """
+    for v in values:
+        if type(v) is not float and isinstance(v, Rational) and not isinstance(v, Integral):
+            raise DomainError(f"the densities take float parameters, got the exact value {v!r}")
+
+
 def _check_rho(name, value):
     if not -1 < value < 1:
         raise DomainError(f"{name} must satisfy |rho| < 1, got {value!r}")
@@ -251,6 +266,7 @@ def _f_N_masked(xa, q, policy):
 def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """Stationary density on a numpy array of points."""
     QParam(q)
+    _check_float(q)
     xa = _finite_points(x)
     if q == 1:
         return np.exp(-0.5 * xa * xa) / math.sqrt(_TWO_PI)
@@ -261,6 +277,7 @@ def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
 def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Stationary density at a single point."""
     QParam(q)
+    _check_float(q)
     xa = _finite_points(float(x))
     if q == 1:
         return DensityEval(math.exp(-0.5 * x * x) / math.sqrt(_TWO_PI), 0)
@@ -271,6 +288,7 @@ def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
 def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """Conditional density given a neighbor value y, on a numpy array of points."""
     QParam(q)
+    _check_float(y, rho, q)
     _check_rho("rho", rho)
     _check_interior("y", y, q)
     xa = _finite_points(x)
@@ -305,6 +323,7 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     is well defined even where the densities themselves vanish.
     """
     QParam(q)
+    _check_float(y, rho, q)
     if q == 1:
         raise DomainError("the product-form ratio is defined for q < 1 only")
     _check_rho("rho", rho)
@@ -332,6 +351,7 @@ def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_
     Askey-Wilson family built by ``map_params`` from the same bundle.
     """
     q = p.q
+    _check_float(p.y, p.rho1, p.z, p.rho2, q)
     _check_interior("y", p.y, q)
     _check_interior("z", p.z, q)
     xa = _finite_points(x)

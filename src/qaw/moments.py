@@ -10,9 +10,20 @@ is a polynomial of total degree n in (y, z).  Three routes to it live here:
 
 * ``c_n_main``      a double sum over q-Hermite products in y and z,
 * ``c_n_via_P``     a single sum mixing q-Hermite and Al-Salam-Chihara
-                    polynomials; shares no sub-expressions with c_n_main,
-                    so agreement of the two is a meaningful check,
+                    polynomials; shares no sub-expressions with c_n_main
+                    beyond the ``qcore`` primitives, so agreement of the two
+                    is a meaningful check,
 * ``c_n_gaussian``  the q = 1 closed form via ordinary Hermite polynomials.
+
+``c_n_seq(N, p)`` returns (c_0, ..., c_N) from one set of tables for the
+double sum (q-Hermite values, Gaussian-binomial rows, q-factorial and
+Pochhammer prefixes), each built once per call; ``c_n_main(n, p)`` reads
+the same tables built for order n alone and evaluates only that order, so
+the two agree bit for bit.  The one moment cache sits on ``c_n_seq``: it
+is keyed by N, the bundle and the types of the bundle's five fields (a
+float bundle and its Fraction twin compare and hash equal), and it keeps
+only the returned tuple.  ``phi_expansion_partial`` and the suite's moment
+check read ``c_n_seq``.
 
 ``alpha_coeff`` gives the coefficient of H_j(y) H_m(z) in c_n, and
 ``phi_expansion_partial`` sums the resulting expansion of the two-sided
@@ -34,7 +45,9 @@ from .qcore import (
     TruncationError,
     TruncationPolicy,
     _check_order,
+    _factorial_seq,
     q_binomial,
+    q_binomial_row,
     q_bracket_seq,
     q_factorial,
     q_pochhammer,
@@ -47,6 +60,7 @@ from .densities import f_N, f_N_values
 
 __all__ = [
     "c_n_main",
+    "c_n_seq",
     "c_n_via_P",
     "c_n_gaussian",
     "gamma_mk_partial",
@@ -71,7 +85,6 @@ def _guard_poch(value):
     return value
 
 
-@lru_cache(maxsize=4096)
 def c_n_main(n, p: CondDensityParams):
     """Conditional moment via the double-sum form.
 
@@ -80,44 +93,84 @@ def c_n_main(n, p: CondDensityParams):
               sum_j [n-2k,j] (rho1^2 q^k; q)_j (rho2^2 q^k; q)_{n-2k-j}
                     rho1**(n-2k-j) rho2**j H_j(z) H_{n-2k-j}(y)
 
-    with r1 = rho1**2, r2 = rho2**2.  Exact over Fraction inputs.
+    with r1 = rho1**2, r2 = rho2**2.  Exact over Fraction inputs.  Only
+    order n is evaluated; c_n_seq gives every order up to N in one pass,
+    with the same bits.
     """
     _check_order(n)
-    q = p.q
-    _reject_gaussian(q)
-    r1, r2 = p.rho1, p.rho2
+    _reject_gaussian(p.q)
+    return _c_n_orders(n, p.y, p.rho1, p.z, p.rho2, p.q)(n)
+
+
+def c_n_seq(N, p: CondDensityParams):
+    """The tuple (c_0, ..., c_N) of c_n_main values, from tables built once.
+
+    Cached on N, the bundle and the types of its five fields, so a float
+    bundle and its equal Fraction twin never share an entry.  Only the
+    returned tuple is kept.
+    """
+    _check_order(N)
+    _reject_gaussian(p.q)
+    return _c_n_seq(N, p.y, p.rho1, p.z, p.rho2, p.q)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _c_n_seq(N, y, rho1, z, rho2, q):
+    c_n = _c_n_orders(N, y, rho1, z, rho2, q)
+    return tuple(c_n(n) for n in range(N + 1))
+
+
+def _c_n_orders(N, y, r1, z, r2, q):
+    """The map n -> c_n for n <= N, over the tables of the double sum.
+
+    Every table is a prefix list (or Gaussian-binomial row) whose entries do
+    not depend on its length, so order n reads the same bits as tables
+    built for n alone, and multiplies them in c_n_main's order.
+    """
     r1sq, r2sq = r1 * r1, r2 * r2
-    Hy = hermite_H_seq(n, p.y, q)
-    Hz = hermite_H_seq(n, p.z, q)
-    den = _guard_poch(q_pochhammer(r1sq * r2sq, q, n))
-    total = 0
-    for k in range(n // 2 + 1):
-        pref = (
-            (-1) ** k
-            * q ** math.comb(k, 2)
-            * q_binomial(n, 2 * k, q)
-            * q_binomial(2 * k, k, q)
-            * q_factorial(k, q)
-            * (r1 * r2) ** (2 * k)
-            * q_pochhammer(r1sq, q, k)
-            * q_pochhammer(r2sq, q, k)
-        )
-        qk = q**k
-        poch1 = q_pochhammer_seq(r1sq * qk, q, n - 2 * k)
-        poch2 = q_pochhammer_seq(r2sq * qk, q, n - 2 * k)
-        inner = 0
-        for j in range(n - 2 * k + 1):
-            inner = inner + (
-                q_binomial(n - 2 * k, j, q)
-                * poch1[j]
-                * poch2[n - 2 * k - j]
-                * r1 ** (n - 2 * k - j)
-                * r2**j
-                * Hz[j]
-                * Hy[n - 2 * k - j]
+    r12 = r1 * r2
+    top = N // 2
+    Hy = hermite_H_seq(N, y, q)
+    Hz = hermite_H_seq(N, z, q)
+    rows = [q_binomial_row(m, q) for m in range(N + 1)]
+    fact = _factorial_seq(top, q)
+    poch_r1 = q_pochhammer_seq(r1sq, q, top)
+    poch_r2 = q_pochhammer_seq(r2sq, q, top)
+    # (rho1^2 q^k; q)_j and (rho2^2 q^k; q)_j for j <= N - 2k, one pair per k
+    shifted = [
+        [q_pochhammer_seq(r * q**k, q, N - 2 * k) for r in (r1sq, r2sq)]
+        for k in range(top + 1)
+    ]
+    poch_R = q_pochhammer_seq(r1sq * r2sq, q, N)
+    pow1 = [r1**i for i in range(N + 1)]
+    pow2 = [r2**i for i in range(N + 1)]
+
+    def c_n(n):
+        den = _guard_poch(poch_R[n])
+        total = 0
+        for k in range(n // 2 + 1):
+            pref = (
+                (-1) ** k
+                * q ** math.comb(k, 2)
+                * rows[n][2 * k]
+                * rows[2 * k][k]
+                * fact[k]
+                * r12 ** (2 * k)
+                * poch_r1[k]
+                * poch_r2[k]
             )
-        total = total + pref * inner
-    return total / den
+            m = n - 2 * k
+            row = rows[m]
+            poch1, poch2 = shifted[k]
+            inner = 0
+            for j in range(m + 1):
+                inner = inner + (
+                    row[j] * poch1[j] * poch2[m - j] * pow1[m - j] * pow2[j] * Hz[j] * Hy[m - j]
+                )
+            total = total + pref * inner
+        return total / den
+
+    return c_n
 
 
 def c_n_via_P(n, p: CondDensityParams):
@@ -139,10 +192,11 @@ def c_n_via_P(n, p: CondDensityParams):
     poch_r1 = q_pochhammer_seq(r1sq, q, n)
     poch_R = q_pochhammer_seq(R, q, n)
     _guard_poch(poch_R[-1])  # a vanishing factor zeroes every later entry
+    row = q_binomial_row(n, q)
     total = 0
     for s in range(n + 1):
         total = total + (
-            q_binomial(n, s, q) * r1 ** (n - s) * r2**s * poch_r1[s] * Hy[n - s] * Pz[s]
+            row[s] * r1 ** (n - s) * r2**s * poch_r1[s] * Hy[n - s] * Pz[s]
             / poch_R[s]
         )
     return total
@@ -206,12 +260,13 @@ def gamma_ratio_closed(m, k, x, y, rho, q):
     Px = asc_P_seq(m + k, x, y, rho, q)
     poch = q_pochhammer_seq(rho * rho, q, m + k)
     _guard_poch(poch[-1])  # a vanishing factor zeroes every later entry
+    row = q_binomial_row(k, q)
     total = 0
     for s in range(k + 1):
         total = total + (
             (-1) ** s
             * q ** math.comb(s, 2)
-            * q_binomial(k, s, q)
+            * row[s]
             * rho**s
             * Hy[k - s]
             * Px[m + s]
@@ -235,11 +290,12 @@ def alsalam_identity_residual(m, x, y, rho, q):
     lhs = asc_P_seq(m, y, x, rho, q)[m] / poch[m]
     Hy = hermite_H_seq(m, y, q)
     Px = asc_P_seq(m, x, y, rho, q)
+    row = q_binomial_row(m, q)
     rhs = 0
     for s in range(m + 1):
         rhs = rhs + (
             (-1) ** s
-            * q_binomial(m, s, q)
+            * row[s]
             * q ** math.comb(s, 2)
             * rho**s
             * Hy[m - s]
@@ -300,12 +356,13 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
         raise DomainError("the partial sum needs at least one term")
     Hx = hermite_H_seq(N - 1, x, q)
     brackets = q_bracket_seq(N - 1, q)
+    c = c_n_seq(N - 1, p)
     total = 0
     fact = 1
     for i in range(N):
         if i > 0:
             fact = fact * brackets[i]
-        total = total + Hx[i] * c_n_main(i, p) / fact
+        total = total + Hx[i] * c[i] / fact
     density = f_N(x, q, policy).value if np.ndim(x) == 0 else f_N_values(x, q, policy)
     return density * total
 

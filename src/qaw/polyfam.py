@@ -23,7 +23,16 @@ from typing import Callable
 
 import numpy as np
 
-from .qcore import DomainError, _check_order, q_binomial, q_bracket_seq, q_factorial
+from .qcore import (
+    DomainError,
+    _check_finite,
+    _check_order,
+    _factorial_seq,
+    q_binomial,
+    q_binomial_row,
+    q_bracket_seq,
+    q_factorial,
+)
 
 __all__ = [
     "DEGREE_CAP",
@@ -75,11 +84,10 @@ class RecurrenceSpec:
         """Return the list [p_0(x), ..., p_n(x)].
 
         x is a scalar or an array; DomainError if any entry is nan or
-        infinite.  Rationals are exact, hence finite, and are not converted.
+        infinite.
         """
         _check_degree(n)
-        if not isinstance(x, Rational) and not np.isfinite(x).all():
-            raise DomainError("evaluation points must be finite")
+        _check_points(x)
         out = [1 + 0 * x]
         prev = 0 * x
         cur = out[0]
@@ -90,6 +98,15 @@ class RecurrenceSpec:
             prev, cur = cur, nxt
             out.append(cur)
         return out
+
+
+def _check_points(x):
+    """DomainError if the scalar or array x holds a nan or infinity.
+
+    Rationals are exact, hence finite, and are not converted.
+    """
+    if not isinstance(x, Rational) and not np.isfinite(x).all():
+        raise DomainError("evaluation points must be finite")
 
 
 def _zero(_k):
@@ -103,6 +120,7 @@ def hermite_h_seq(n, x, q):
     so the recurrence can be run formally (for instance at base 1/q, which
     the b_small inversion identity needs).
     """
+    _check_finite(q)
     spec = RecurrenceSpec(lambda k: 2, _zero, lambda k: 1 - q**k)
     return spec.values(n, x)
 
@@ -136,6 +154,7 @@ def asc_Q_seq(n, x, a, b, q):
     Complex parameter pairs are evaluated in complex arithmetic; see asc_Q
     for the conjugate-pair collapse to real values.
     """
+    _check_finite(a, b, q)
     spec = RecurrenceSpec(
         lambda k: 2,
         lambda k: -(a + b) * q**k,
@@ -166,6 +185,8 @@ def asc_P_seq(n, x, y, rho, q):
     """
     _check_degree(n)
     brackets = q_bracket_seq(n, q)
+    _check_points(y)
+    _check_finite(rho)
     spec = RecurrenceSpec(
         lambda k: 1,
         lambda k: -rho * y * q**k,
@@ -207,6 +228,7 @@ def b_small_seq(n, y, q):
     b_{k+1} = -2 q**k y b_k + q**(k-1) (1 - q**k) b_{k-1}, so that
     (-1)**n q**(-C(n,2)) b_n(y | q) = h_n(y | 1/q).
     """
+    _check_finite(q)
     spec = RecurrenceSpec(
         lambda k: -2 * q**k,
         _zero,
@@ -260,10 +282,10 @@ def linearize_HH(n, m, q):
     """
     _check_degree(n)
     _check_degree(m)
-    return [
-        q_binomial(m, j, q) * q_binomial(n, j, q) * q_factorial(j, q)
-        for j in range(min(n, m) + 1)
-    ]
+    row_m = q_binomial_row(m, q)
+    row_n = q_binomial_row(n, q)
+    fact = _factorial_seq(min(n, m), q)
+    return [row_m[j] * row_n[j] * fact[j] for j in range(min(n, m) + 1)]
 
 
 def bh_expand_B(n, q):
@@ -324,9 +346,10 @@ def I_nm(n, m, x, q):
     _check_degree(m)
     B = b_big_seq(n, x, q)
     H = hermite_H_seq(n + m, x, q)
+    row = q_binomial_row(n, q)
     total = 0
     for i in range(n + 1):
-        total = total + q_binomial(n, i, q) * B[n - i] * H[i + m]
+        total = total + row[i] * B[n - i] * H[i + m]
     return total
 
 
@@ -352,9 +375,10 @@ def connection_P_from_BH(n, x, y, rho, q):
     _check_degree(n)
     B = b_big_seq(n, y, q)
     H = hermite_H_seq(n, x, q)
+    row = q_binomial_row(n, q)
     total = 0
     for j in range(n + 1):
-        total = total + q_binomial(n, j, q) * rho ** (n - j) * B[n - j] * H[j]
+        total = total + row[j] * rho ** (n - j) * B[n - j] * H[j]
     return total
 
 
@@ -366,7 +390,8 @@ def connection_H_from_P(n, x, y, rho, q):
     _check_degree(n)
     H = hermite_H_seq(n, y, q)
     P = asc_P_seq(n, x, y, rho, q)
+    row = q_binomial_row(n, q)
     total = 0
     for j in range(n + 1):
-        total = total + q_binomial(n, j, q) * rho ** (n - j) * H[n - j] * P[j]
+        total = total + row[j] * rho ** (n - j) * H[n - j] * P[j]
     return total

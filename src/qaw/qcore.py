@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Rational
 
 __all__ = [
     "DomainError",
@@ -29,6 +30,7 @@ __all__ = [
     "q_bracket_seq",
     "q_factorial",
     "q_binomial",
+    "q_binomial_row",
     "q_pochhammer",
     "q_pochhammer_seq",
     "q_pochhammer_inf",
@@ -95,6 +97,19 @@ def _check_order(n):
         raise DomainError(f"order must be a nonnegative integer, got {n!r}")
 
 
+def _check_finite(*values):
+    """DomainError unless every scalar in values is finite.
+
+    Finiteness only: the q-arithmetic runs formally outside -1 < q <= 1 on
+    purpose.  Rationals are exact, hence finite, and are skipped, since
+    cmath would overflow on a Fraction beyond float range; a complex value
+    passes when both of its parts are finite.
+    """
+    for v in values:
+        if not isinstance(v, Rational) and not cmath.isfinite(v):
+            raise DomainError(f"parameters must be finite, got {v!r}")
+
+
 def q_bracket(n, q):
     """The q-number [n]_q = 1 + q + ... + q**(n-1).
 
@@ -106,6 +121,7 @@ def q_bracket(n, q):
 def q_bracket_seq(n, q):
     """The prefix list [[0]_q, [1]_q, ..., [n]_q], by Horner's rule."""
     _check_order(n)
+    _check_finite(q)
     out = [0 * q]
     for _ in range(n):
         out.append(out[-1] * q + 1)
@@ -114,10 +130,15 @@ def q_bracket_seq(n, q):
 
 def q_factorial(n, q):
     """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    total = 1 + 0 * q
+    return _factorial_seq(n, q)[n]
+
+
+def _factorial_seq(n, q):
+    # [[0]_q!, [1]_q!, ..., [n]_q!], each the running product of the brackets
+    out = [1 + 0 * q]
     for bracket in q_bracket_seq(n, q)[1:]:
-        total = total * bracket
-    return total
+        out.append(out[-1] * bracket)
+    return out
 
 
 def q_binomial(n, k, q):
@@ -130,10 +151,25 @@ def q_binomial(n, k, q):
         raise DomainError(f"binomial indices must be integers, got {n!r}, {k!r}")
     if not n >= k >= 0:
         return 0
-    # build [n]_q!/[n-k]_q! and [k]_q! together; all brackets are nonzero
-    # on -1 < q <= 1
-    k = min(k, n - k)
+    return _binomial(q_bracket_seq(n, q), n, k, q)
+
+
+def q_binomial_row(n, q):
+    """The row [[n, 0]_q, [n, 1]_q, ..., [n, n]_q] from one bracket prefix.
+
+    Entry k equals q_binomial(n, k, q) bit for bit: the same products in the
+    same order, and [n, k]_q is [n, n-k]_q, so the second half mirrors the
+    first.
+    """
     brackets = q_bracket_seq(n, q)
+    half = [_binomial(brackets, n, k, q) for k in range(n // 2 + 1)]
+    return half + half[: (n + 1) // 2][::-1]
+
+
+def _binomial(brackets, n, k, q):
+    # [n]_q!/[n-k]_q! and [k]_q! built together from the prefix brackets
+    # (any list holding [0]_q..[n]_q); all brackets are nonzero on -1 < q <= 1
+    k = min(k, n - k)
     num = 1 + 0 * q
     den = 1 + 0 * q
     for i in range(1, k + 1):
@@ -150,6 +186,7 @@ def q_pochhammer(a, q, n):
 def q_pochhammer_seq(a, q, n):
     """The prefix list [(a; q)_0, (a; q)_1, ..., (a; q)_n] of q_pochhammer."""
     _check_order(n)
+    _check_finite(a, q)
     out = [1 + 0 * a]
     factor = a
     for _ in range(n):
@@ -170,8 +207,7 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     there) and so is |q| > 0.99, where the term count explodes; so is a
     nan or infinite a or q.
     """
-    if not (cmath.isfinite(a) and cmath.isfinite(q)):
-        raise DomainError(f"(a; q)_inf needs finite a and q, got a={a!r}, q={q!r}")
+    _check_finite(a, q)
     if q == 1:
         raise DomainError("(a; q)_inf is undefined at q = 1")
     if abs(q) > 0.99:
@@ -216,8 +252,7 @@ def s_n(n, q):
     Grows like 2**n at q = 1 and bounds the sup of the n-th q-Hermite
     polynomial on its orthogonality interval after rescaling.
     """
-    _check_order(n)
     total = 0
-    for k in range(n + 1):
-        total = total + q_binomial(n, k, q)
+    for binomial in q_binomial_row(n, q):
+        total = total + binomial
     return total

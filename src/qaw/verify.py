@@ -28,7 +28,7 @@ from .qcore import (
     DomainError,
     QParam,
     TruncationError,
-    q_binomial,
+    q_binomial_row,
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
@@ -47,7 +47,7 @@ from .densities import (
     fcn_ratio_bounds,
     phi_cond_values,
 )
-from .moments import c_n_main, gamma_mk_partial, phi_expansion_partial
+from .moments import c_n_seq, gamma_mk_partial, phi_expansion_partial
 
 __all__ = [
     "QuadratureEstimate",
@@ -316,7 +316,8 @@ def check_moments(nmax, p: CondDensityParams, tol):
         phi = phi_cond_values(x, p)
         return np.stack([H[n] * phi for n in range(nmax + 1)])
 
-    rows = [({"n": n, **_bundle_dict(p)}, c_n_main(n, p)) for n in range(nmax + 1)]
+    c = c_n_seq(nmax, p)
+    rows = [({"n": n, **_bundle_dict(p)}, c[n]) for n in range(nmax + 1)]
     return _quadrature("moments", p.q, tol, integrand, rows)
 
 
@@ -338,10 +339,11 @@ def check_vnm(n, m, x, z, rho1, rho2, q, tol):
     Pxz = asc_P_seq(n, x, z, rho2, q)
     poch1 = q_pochhammer_seq(r1sq, q, n)
     poch2 = q_pochhammer_seq(r2sq, q, n)
+    row = q_binomial_row(n, q)
     coeff = [
         (-1) ** j
         * q ** math.comb(j, 2)
-        * q_binomial(n, j, q)
+        * row[j]
         * rho1**j
         * Pxz[n - j]
         / (poch2[n - j] * poch1[j])

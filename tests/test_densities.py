@@ -224,6 +224,44 @@ class TestNonFinitePoints:
                         call(bad)
 
 
+class TestExactParameters:
+    """The densities are float-only products: an exact fraction raises DomainError."""
+
+    @staticmethod
+    def _calls(y, rho, q, p):
+        xs = np.array([0.0, 0.3])
+        return {
+            "f_N": lambda: f_N(0.3, q),
+            "f_N_values": lambda: f_N_values(xs, q),
+            "f_CN": lambda: f_CN(0.3, y, rho, q),
+            "f_CN_values": lambda: f_CN_values(xs, y, rho, q),
+            "cond_ratio_values": lambda: cond_ratio_values(xs, y, rho, q),
+            "phi_cond": lambda: phi_cond(0.3, p),
+            "phi_cond_values": lambda: phi_cond_values(xs, p),
+        }
+
+    @pytest.mark.parametrize("name", ["f_N", "f_N_values", "f_CN", "f_CN_values",
+                                      "cond_ratio_values", "phi_cond", "phi_cond_values"])
+    def test_fraction_base_or_field_raises(self, name):
+        half = Fraction(1, 2)
+        exact_q = self._calls(0.2, 0.3, half, CondDensityParams(0.4, 0.5, -0.6, 0.7, half))
+        with pytest.raises(DomainError):
+            exact_q[name]()
+        if name in ("f_N", "f_N_values"):
+            return
+        exact_field = self._calls(Fraction(1, 5), Fraction(3, 10), 0.5,
+                                  CondDensityParams(0.4, half, -0.6, 0.7, 0.5))
+        with pytest.raises(DomainError):
+            exact_field[name]()
+
+    def test_integer_and_float_parameters_pass(self):
+        # integers mix into numpy arithmetic, so only exact fractions are refused
+        for q in (0, 0.5):
+            calls = self._calls(0, 0, q, CondDensityParams(0, 0, 1, 0.5, q))
+            for call in calls.values():
+                call()
+
+
 def _grid(q, npts):
     half = 2 / math.sqrt(1 - q)
     edge = 0.99 * min(half, 6)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qaw.moments
 from qaw import (
     CondDensityParams,
     DomainError,
@@ -13,6 +14,7 @@ from qaw import (
     alsalam_identity_residual,
     c_n_gaussian,
     c_n_main,
+    c_n_seq,
     c_n_via_P,
     expansion_terms_needed,
     f_CN,
@@ -23,14 +25,75 @@ from qaw import (
     phi_cond,
     phi_expansion_partial,
     q_binomial,
+    q_bracket_seq,
+    q_factorial,
     q_pochhammer,
+    q_pochhammer_seq,
 )
+from qaw.polyfam import hermite_H_seq
 
 from helpers import seeded_bundles
 
 EXACT_P = CondDensityParams(
     Fraction(2, 5), Fraction(-3, 5), Fraction(1, 2), Fraction(7, 10), Fraction(1, 2)
 )
+
+# equal and equally hashed, so any cache keyed on equality alone mixes them
+TWIN_FLOAT = CondDensityParams(0.5, 0.25, -0.5, 0.5, 0.5)
+TWIN_EXACT = CondDensityParams(
+    Fraction(1, 2), Fraction(1, 4), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)
+)
+
+
+def _reference_c_n(n, p):
+    """The double sum with one q_binomial per (k, j), as c_n_main was first written."""
+    q = p.q
+    r1, r2 = p.rho1, p.rho2
+    r1sq, r2sq = r1 * r1, r2 * r2
+    Hy = hermite_H_seq(n, p.y, q)
+    Hz = hermite_H_seq(n, p.z, q)
+    den = q_pochhammer(r1sq * r2sq, q, n)
+    total = 0
+    for k in range(n // 2 + 1):
+        pref = (
+            (-1) ** k
+            * q ** math.comb(k, 2)
+            * q_binomial(n, 2 * k, q)
+            * q_binomial(2 * k, k, q)
+            * q_factorial(k, q)
+            * (r1 * r2) ** (2 * k)
+            * q_pochhammer(r1sq, q, k)
+            * q_pochhammer(r2sq, q, k)
+        )
+        qk = q**k
+        poch1 = q_pochhammer_seq(r1sq * qk, q, n - 2 * k)
+        poch2 = q_pochhammer_seq(r2sq * qk, q, n - 2 * k)
+        inner = 0
+        for j in range(n - 2 * k + 1):
+            inner = inner + (
+                q_binomial(n - 2 * k, j, q)
+                * poch1[j]
+                * poch2[n - 2 * k - j]
+                * r1 ** (n - 2 * k - j)
+                * r2**j
+                * Hz[j]
+                * Hy[n - 2 * k - j]
+            )
+        total = total + pref * inner
+    return total / den
+
+
+def _reference_expansion(x, p, N):
+    """phi_expansion_partial's sum over _reference_c_n coefficients."""
+    Hx = hermite_H_seq(N - 1, x, p.q)
+    brackets = q_bracket_seq(N - 1, p.q)
+    total = 0
+    fact = 1
+    for i in range(N):
+        if i > 0:
+            fact = fact * brackets[i]
+        total = total + Hx[i] * _reference_c_n(i, p) / fact
+    return f_N(x, p.q).value * total
 
 
 class TestConditionalMoment:
@@ -84,6 +147,70 @@ class TestConditionalMoment:
             c_n_main(-1, p)
         with pytest.raises(DomainError):
             c_n_via_P(2.5, p)
+
+
+class TestMomentSequence:
+    def test_matches_one_binomial_per_term_bit_for_bit(self):
+        bundles = seeded_bundles(6) + [
+            CondDensityParams(0.3, 0.6, -1.1, -0.4, 0.0),
+            CondDensityParams(-0.8, -0.7, 1.2, 0.55, 0),
+        ]
+        assert any(p.q < 0 for p in bundles)
+        for p in bundles:
+            seq = c_n_seq(40, p)
+            assert len(seq) == 41
+            for n, c in enumerate(seq):
+                assert c == _reference_c_n(n, p)
+
+    def test_exact_bundle(self):
+        seq = c_n_seq(12, EXACT_P)
+        for n, c in enumerate(seq):
+            assert type(c) is Fraction
+            assert c == _reference_c_n(n, EXACT_P)
+
+    def test_single_order_equals_sequence_entry(self):
+        for p in seeded_bundles(3, seed=7) + [EXACT_P]:
+            N = 9 if p is EXACT_P else 33
+            seq = c_n_seq(N, p)
+            for n in range(N + 1):
+                assert c_n_main(n, p) == seq[n]
+
+    def test_rejects_gaussian_limit_and_bad_order(self):
+        with pytest.raises(DomainError):
+            c_n_seq(3, CondDensityParams(0.1, 0.5, 0.2, 0.5, 1))
+        with pytest.raises(DomainError):
+            c_n_seq(-1, TWIN_FLOAT)
+
+
+class TestExactFloatTwins:
+    """A Fraction bundle stays exact, a float one stays float, in either call order."""
+
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_call_order_keeps_types_apart(self, float_first):
+        assert TWIN_FLOAT == TWIN_EXACT and hash(TWIN_FLOAT) == hash(TWIN_EXACT)
+        qaw.moments._c_n_seq.cache_clear()  # both orders start from a cold cache
+        x, N = 0.3, 8
+
+        def exact_calls():
+            assert c_n_main(3, TWIN_EXACT) == Fraction(27, 254)
+            assert type(c_n_main(3, TWIN_EXACT)) is Fraction
+            seq = c_n_seq(N - 1, TWIN_EXACT)
+            assert all(type(c) is Fraction for c in seq)
+            assert seq[3] == Fraction(27, 254)
+            # the coefficients are read before the float-only density raises
+            with pytest.raises(DomainError):
+                phi_expansion_partial(x, TWIN_EXACT, N)
+            assert all(type(c) is Fraction for c in c_n_seq(N - 1, TWIN_EXACT))
+
+        def float_calls():
+            assert type(c_n_main(3, TWIN_FLOAT)) is float
+            assert c_n_main(3, TWIN_FLOAT) == 0.1062992125984252
+            seq = c_n_seq(N - 1, TWIN_FLOAT)
+            assert all(type(c) is float for c in seq)
+            assert phi_expansion_partial(x, TWIN_FLOAT, N) == _reference_expansion(x, TWIN_FLOAT, N)
+
+        for calls in ((float_calls, exact_calls) if float_first else (exact_calls, float_calls)):
+            calls()
 
 
 class TestGaussianMoment:

@@ -124,6 +124,32 @@ class TestNonFinitePoints:
         assert hermite_H(2, huge, Fraction(1, 2)) == huge * huge - 1
         assert hermite_H(2, 1j, 0.5) == pytest.approx(-2.0)
 
+    def test_rejects_nan_and_inf_parameters(self):
+        calls = (
+            lambda t: asc_P(2, 0.5, t, 0.3, 0.5),
+            lambda t: asc_P(2, 0.5, 0.3, t, 0.5),
+            lambda t: asc_P(2, 0.5, 0.3, 0.4, t),
+            lambda t: hermite_H(3, 0.5, t),
+            lambda t: hermite_h(3, 0.5, t),
+            lambda t: asc_Q(2, 0.5, t, 0.4, 0.5),
+            lambda t: asc_Q(2, 0.5, 0.3, t, 0.5),
+            lambda t: b_big(2, 0.5, t),
+            lambda t: b_small(2, 0.5, t),
+        )
+        for call in calls:
+            for t in (math.nan, math.inf, -math.inf, complex(0.3, math.nan)):
+                with pytest.raises(DomainError):
+                    call(t)
+
+    def test_accepts_exact_complex_and_array_parameters(self):
+        huge = Fraction(10**400)
+        assert asc_P(1, 0, huge, Fraction(1, 2), Fraction(1, 2)) == -huge / 2
+        assert asc_Q(1, 0.1, 0.3 + 0.2j, 0.3 - 0.2j, 0.5) == pytest.approx(-0.4)
+        # a conditioning point may be an array, as in the reflection identities
+        ys = np.array([0.2, -0.7])
+        vals = asc_P(2, 0.5, ys, 0.3, 0.5)
+        assert vals.tolist() == [asc_P(2, 0.5, y, 0.3, 0.5) for y in ys.tolist()]
+
 
 class TestAlSalamChihara:
     def test_q_zero(self):

@@ -14,6 +14,7 @@ from qaw import (
     TruncationPolicy,
     multi_pochhammer,
     q_binomial,
+    q_binomial_row,
     q_bracket,
     q_bracket_seq,
     q_factorial,
@@ -128,6 +129,48 @@ class TestPrefixBitIdentity:
                 assert q_factorial(n, q) == _horner_factorial(n, q)
                 for k in range(n + 1):
                     assert q_binomial(n, k, q) == _horner_binomial(n, k, q)
+
+
+class TestBinomialRow:
+    def test_entries_equal_single_binomials_bit_for_bit(self):
+        for q in (-0.7, 0, 0.3, 0.9, Fraction(-1, 2)):
+            for n in range(41):
+                row = q_binomial_row(n, q)
+                assert len(row) == n + 1
+                for k, entry in enumerate(row):
+                    assert entry == q_binomial(n, k, q)
+                    assert type(entry) is type(q_binomial(n, k, q))
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(DomainError):
+            q_binomial_row(-1, 0.5)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: q_bracket(3, math.inf),
+            lambda: q_bracket_seq(3, -math.inf),
+            lambda: q_factorial(3, math.nan),
+            lambda: q_binomial(4, 2, math.nan),
+            lambda: q_binomial_row(4, math.nan),
+            lambda: s_n(3, math.nan),
+            lambda: q_pochhammer(math.nan, 0.5, 3),
+            lambda: q_pochhammer_seq(0.5, complex(0.5, math.inf), 3),
+        ],
+    )
+    def test_rejects_nan_and_inf(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_accepts_exact_complex_and_out_of_range_bases(self):
+        # qcore runs formally outside -1 < q <= 1, so only finiteness is checked
+        huge = Fraction(10**400)
+        assert q_bracket(2, huge) == 1 + huge
+        assert q_bracket(3, 0.5j) == pytest.approx(0.75 + 0.5j)
+        assert q_binomial(2, 1, 2.0) == 3.0
+        assert s_n(2, -3) == 1 + (1 - 3) + 1
 
 
 class TestQPochhammer:

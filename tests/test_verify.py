@@ -1,5 +1,6 @@
 """Quadrature engine and check-suite plumbing."""
 
+import hashlib
 import json
 import math
 
@@ -218,6 +219,18 @@ class TestSuite:
             ("density_expansion", 18),
         ]
         assert sum(counts.values()) == 1932
+
+
+class TestGoldenBytes:
+    """Refactors keep the default suite's bytes; a change of digits updates these hashes."""
+
+    def test_default_suite_bytes(self):
+        reports = run_suite()
+        # `qaw verify --all --format json` writes the JSON and one newline
+        as_json = report_to_json(reports) + "\n"
+        assert hashlib.md5(as_json.encode()).hexdigest() == "86ccebac5c826fa71d45cd1f72294e40"
+        as_text = report_to_text(reports)
+        assert hashlib.md5(as_text.encode()).hexdigest() == "a3b15a31bd0af10304416040caa48d2e"
 
 
 class TestReportSerialization:
