@@ -19,13 +19,15 @@ after K factors where K is chosen so the dropped tail perturbs the value
 by less than the policy's relative tolerance: each factor is
 1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= rel_tol with a
 conservative per-density constant C.  Evaluations report the K they used.
+Each product reads its row q**k, k < K, from one cache of 32 read-only
+rows (``_powers``), at most about 1.05 MB at |q| <= 0.99.
 
 Array evaluations form the products over blocks of points, writing each
 block's factors into the same few (points, K) buffers of at most 16384
 elements, so memory is O(points) and does not grow with K times the point
 count.  Each product still multiplies its K factors in order, so a value
-does not depend on the block it fell in: a grid value equals the
-single-point value bit for bit.
+does not depend on the block it fell in: for q < 1 a grid value equals
+the single-point value bit for bit (f_N's q = 1 point call uses math.exp).
 
 Scalar entry points return a ``DensityEval``; the ``*_values`` companions
 evaluate on numpy arrays and return bare arrays (used heavily by the
@@ -140,20 +142,29 @@ def _product_length(q, policy, scale):
     return needed
 
 
-@lru_cache(maxsize=128)
-def _fn_setup(q, policy):
-    coef = math.sqrt(1 - q) * q_pochhammer_inf(q, q, policy) / _TWO_PI
-    return coef, _product_length(q, policy, 8.0)
+# C per product: f_N, fcn_ratio_bounds' lower bound, f_CN / f_N, phi_cond / f_N
+_FN_SCALE, _BOUND_SCALE, _FCN_SCALE, _PHI_SCALE = 8.0, 16.0, 32.0, 96.0
 
 
 @lru_cache(maxsize=128)
-def _fcn_length(q, policy):
-    return _product_length(q, policy, 32.0)
+def _fn_coef(q, policy):
+    return math.sqrt(1 - q) * q_pochhammer_inf(q, q, policy) / _TWO_PI
 
 
-@lru_cache(maxsize=128)
-def _phi_length(q, policy):
-    return _product_length(q, policy, 96.0)
+@lru_cache(maxsize=32)
+def _powers(q, policy, scale):
+    """(K, the read-only row q**k for k < K) of the product with constant scale."""
+    K = _product_length(q, policy, scale)
+    qk = np.power(float(q), np.arange(K))
+    qk.flags.writeable = False
+    return K, qk
+
+
+def _terms(x, q, policy, scale):
+    """DensityEval.terms: 0 at q = 1 or off the open support, else the product's K."""
+    if q == 1 or not SupportInterval.for_q(q).strictly_contains(x):
+        return 0
+    return _powers(q, policy, scale)[0]
 
 
 # Elements per (points, K) buffer, 128 KB of float64: the fastest, or tied
@@ -244,14 +255,14 @@ def _check_rho(name, value):
 
 
 def _f_N_masked(xa, q, policy):
-    """(values, inside_mask, K) for a float array xa, with 0 outside the support."""
-    coef, K = _fn_setup(q, policy)
+    """(values, inside_mask) for a float array xa, with 0 outside the support."""
+    coef = _fn_coef(q, policy)
+    K, qk = _powers(q, policy, _FN_SCALE)
     half = 2 / math.sqrt(1 - q)
     inside = (xa > -half) & (xa < half)
     out = np.zeros_like(xa)
     if np.any(inside):
         xs = xa[inside]
-        qk = np.power(float(q), np.arange(K))
         head = (1 + qk) ** 2
 
         def factors(t, f):
@@ -260,7 +271,7 @@ def _f_N_masked(xa, q, policy):
 
         prod = _point_products(factors, xs, K, 1)
         out[inside] = coef * prod / np.sqrt(4 - (1 - q) * xs * xs)
-    return out, inside, K
+    return out, inside
 
 
 def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -270,8 +281,7 @@ def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
     xa = _finite_points(x)
     if q == 1:
         return np.exp(-0.5 * xa * xa) / math.sqrt(_TWO_PI)
-    vals, _, _ = _f_N_masked(xa, q, policy)
-    return vals
+    return _f_N_masked(xa, q, policy)[0]
 
 
 def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
@@ -281,8 +291,7 @@ def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     xa = _finite_points(float(x))
     if q == 1:
         return DensityEval(math.exp(-0.5 * x * x) / math.sqrt(_TWO_PI), 0)
-    vals, inside, K = _f_N_masked(xa, q, policy)
-    return DensityEval(float(vals), K if bool(inside) else 0)
+    return DensityEval(float(_f_N_masked(xa, q, policy)[0]), _terms(x, q, policy, _FN_SCALE))
 
 
 def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -295,17 +304,15 @@ def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     if q == 1:
         var = 1 - rho * rho
         return np.exp(-0.5 * (xa - rho * y) ** 2 / var) / math.sqrt(_TWO_PI * var)
-    base, inside, _ = _f_N_masked(xa, q, policy)
+    base, inside = _f_N_masked(xa, q, policy)
     if rho == 0 or not np.any(inside):
         return base
-    out = np.zeros_like(xa)
-    out[inside] = base[inside] * _ratio_product(xa[inside], y, rho, q, policy)
-    return out
+    base[inside] *= _ratio_product(xa[inside], y, rho, q, policy)
+    return base
 
 
 def _ratio_product(xa, y, rho, q, policy):
-    K = _fcn_length(q, policy)
-    qk = np.power(float(q), np.arange(K))
+    K, qk = _powers(q, policy, _FCN_SCALE)
     head = 1 - rho * rho * qk
     w = _w_coeffs(rho, q, qk)
 
@@ -336,11 +343,8 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
 
 def f_CN(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Conditional density at a single point given neighbor value y."""
-    QParam(q)
     value = float(f_CN_values(np.asarray(float(x)), y, rho, q, policy))
-    if q == 1 or not SupportInterval.for_q(q).strictly_contains(x):
-        return DensityEval(value, 0)
-    return DensityEval(value, _fn_setup(q, policy)[1] if rho == 0 else _fcn_length(q, policy))
+    return DensityEval(value, _terms(x, q, policy, _FN_SCALE if rho == 0 else _FCN_SCALE))
 
 
 def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -358,11 +362,10 @@ def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_
     if q == 1:
         mu, var = _phi_gaussian_moments(p)
         return np.exp(-0.5 * (xa - mu) ** 2 / var) / math.sqrt(_TWO_PI * var)
-    base, inside, _ = _f_N_masked(xa, q, policy)
+    base, inside = _f_N_masked(xa, q, policy)
     if (p.rho1 == 0 and p.rho2 == 0) or not np.any(inside):
         return base
-    K = _phi_length(q, policy)
-    qk = np.power(float(q), np.arange(K))
+    K, qk = _powers(q, policy, _PHI_SCALE)
     r1sq = p.rho1 * p.rho1
     r2sq = p.rho2 * p.rho2
     w12 = _w_block(p.y, p.z, _w_coeffs(p.rho1 * p.rho2, q, qk), np.empty(K), np.empty(K))
@@ -376,21 +379,15 @@ def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_
         np.multiply(f, _w_block(t, p.z, w2, g, scratch), out=f)
         return np.divide(num, f, out=f)
 
-    out = np.zeros_like(xa)
-    out[inside] = base[inside] * _point_products(factors, xa[inside], K, 3)
-    return out
+    base[inside] *= _point_products(factors, xa[inside], K, 3)
+    return base
 
 
 def phi_cond(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Two-sided conditional density at a single point."""
     value = float(phi_cond_values(np.asarray(float(x)), p, policy))
-    if p.q == 1:
-        return DensityEval(value, 0)
-    if not SupportInterval.for_q(p.q).strictly_contains(x):
-        return DensityEval(value, 0)
-    if p.rho1 == 0 and p.rho2 == 0:
-        return DensityEval(value, _fn_setup(p.q, policy)[1])
-    return DensityEval(value, _phi_length(p.q, policy))
+    scale = _FN_SCALE if p.rho1 == 0 and p.rho2 == 0 else _PHI_SCALE
+    return DensityEval(value, _terms(x, p.q, policy, scale))
 
 
 def _phi_gaussian_moments(p: CondDensityParams):
@@ -424,6 +421,8 @@ def phi_cond_via_ratio(x, p: CondDensityParams, policy: TruncationPolicy = DEFAU
 
 def f_N_q0(x):
     """Semicircle closed form of f_N at q = 0."""
+    if not math.isfinite(x):
+        raise DomainError(f"evaluation point must be finite, got {x!r}")
     if not -2 < x < 2:
         return 0.0
     return math.sqrt(4 - x * x) / _TWO_PI
@@ -433,9 +432,10 @@ def f_CN_q0(x, y, rho):
     """Closed form of f_CN at q = 0: one quadratic factor against the semicircle."""
     _check_rho("rho", rho)
     _check_interior("y", y, 0)
+    base = f_N_q0(x)
     if not -2 < x < 2:
         return 0.0
-    return f_N_q0(x) * (1 - rho * rho) / w_factor(x, y, rho, 0)
+    return base * (1 - rho * rho) / w_factor(x, y, rho, 0)
 
 
 def phi_q0(x, p: CondDensityParams):
@@ -444,13 +444,14 @@ def phi_q0(x, p: CondDensityParams):
         raise DomainError("phi_q0 is the q = 0 closed form; build the bundle with q = 0")
     _check_interior("y", p.y, 0)
     _check_interior("z", p.z, 0)
+    base = f_N_q0(x)
     if not -2 < x < 2:
         return 0.0
     r1sq = p.rho1 * p.rho1
     r2sq = p.rho2 * p.rho2
     pref = (1 - r1sq) * (1 - r2sq) / (1 - r1sq * r2sq)
     return (
-        f_N_q0(x)
+        base
         * pref
         * w_factor(p.y, p.z, p.rho1 * p.rho2, 0)
         / (w_factor(x, p.y, p.rho1, 0) * w_factor(x, p.z, p.rho2, 0))
@@ -480,9 +481,7 @@ def fcn_ratio_bounds(y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
         return 1.0, 1.0
     num = q_pochhammer_inf(rho * rho, q, policy)
     upper = num / q_pochhammer_inf(abs(rho), q, policy) ** 4
-    K = _product_length(q, policy, 16.0)
-    k = np.arange(K)
-    rk = rho * np.power(float(q), k)
+    rk = rho * _powers(q, policy, _BOUND_SCALE)[1]
     den = ((1 + rk * rk) + math.sqrt(1 - q) * np.abs(rk) * abs(y)) ** 2
     lower = num / float(np.prod(den))
     return float(lower), float(upper)

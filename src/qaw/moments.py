@@ -44,6 +44,7 @@ from .qcore import (
     PoleError,
     TruncationError,
     TruncationPolicy,
+    _check_finite,
     _check_order,
     _factorial_seq,
     q_binomial,
@@ -235,6 +236,7 @@ def gamma_mk_partial(m, k, x, y, rho, q, N):
     _check_order(k)
     if N < 1:
         raise DomainError("the partial sum needs at least one term")
+    _check_finite(rho)
     top = N - 1
     Hx = hermite_H_seq(top + m, x, q)
     Hy = hermite_H_seq(top + k, y, q)
@@ -373,8 +375,9 @@ def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8, policy: Truncatio
     Uses the bounds |H_i| <= s_i(q) (1-q)**(-i/2) on the support and
     |c_i| <= s_i(q) (1-q)**(-i/2) max(|rho1|, |rho2|)**i, giving the term
     bound s_i(q)**2 max(|rho1|,|rho2|)**i / (q; q)_i.  Returns the smallest
-    N whose next term bound drops below rel_tol.
+    N whose next term bound drops below rel_tol, which must lie in (0, 1).
     """
+    TruncationPolicy(rel_tol)  # validates it by the policy's own rule
     q = p.q
     _reject_gaussian(q)
     rho = max(abs(p.rho1), abs(p.rho2))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Rational
 from typing import Callable
 
 import numpy as np
@@ -103,9 +102,12 @@ class RecurrenceSpec:
 def _check_points(x):
     """DomainError if the scalar or array x holds a nan or infinity.
 
-    Rationals are exact, hence finite, and are not converted.
+    Arrays take numpy's test; any other point goes through _check_finite,
+    which skips exact Rationals and accepts a complex value with finite parts.
     """
-    if not isinstance(x, Rational) and not np.isfinite(x).all():
+    if not isinstance(x, np.ndarray):
+        _check_finite(x)
+    elif not np.isfinite(x).all():
         raise DomainError("evaluation points must be finite")
 
 

@@ -1,5 +1,6 @@
 """Density functions: pinned values, closed-form collapses, symmetry, bounds."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaw import (
+    DEFAULT_POLICY,
     CondDensityParams,
     DomainError,
     SupportInterval,
@@ -19,10 +21,20 @@ from qaw import (
     fcn_ratio_bounds,
     phi_cond,
     phi_cond_via_ratio,
+    TruncationError,
+    TruncationPolicy,
     q_pochhammer_inf,
     w_factor,
 )
-from qaw.densities import f_CN_q0, f_CN_values, f_N_q0, f_N_values, phi_cond_values, phi_q0
+from qaw.densities import (
+    _powers,
+    f_CN_q0,
+    f_CN_values,
+    f_N_q0,
+    f_N_values,
+    phi_cond_values,
+    phi_q0,
+)
 
 small_qs = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=12)
 small_fractions = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=16)
@@ -223,6 +235,15 @@ class TestNonFinitePoints:
                     with pytest.raises(DomainError):
                         call(bad)
 
+    def test_q0_closed_forms_reject_nan_and_inf_points(self):
+        p = CondDensityParams(0.4, 0.5, -0.6, 0.7, 0)
+        calls = (f_N_q0, lambda x: f_CN_q0(x, 0.1, 0.3), lambda x: phi_q0(x, p))
+        for call in calls:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    call(bad)
+            assert call(2.5) == 0.0
+
 
 class TestExactParameters:
     """The densities are float-only products: an exact fraction raises DomainError."""
@@ -345,3 +366,73 @@ class TestRatioBounds:
         for x in (0.2, -1.3):
             want = f_CN(x, y, rho, q).value / f_N(x, q).value
             assert cond_ratio_values(np.array([x]), y, rho, q)[0] == pytest.approx(want, rel=1e-13)
+
+
+# md5 of _golden_feed over q = 0.5, 0.9, 0.99
+GOLDEN_DENSITY_MD5 = "3ccc1c21208cffb22d1c3729b19540b3"
+
+
+def _golden_feed(digest, q):
+    """Grid values of the four *_values products and (value, terms) of the point calls."""
+    half = 2 / math.sqrt(1 - q)
+    xs = np.linspace(-1.05 * half, 1.05 * half, 61)
+    y, z = 0.3 * half, -0.45 * half
+    p = CondDensityParams(y, 0.5, z, -0.3, q)
+    for values in (
+        f_N_values(xs, q),
+        f_CN_values(xs, y, 0.6, q),
+        cond_ratio_values(xs, y, 0.6, q),
+        phi_cond_values(xs, p),
+    ):
+        digest.update(values.tobytes())
+    for x in (0.1 * half, -0.6 * half, 1.2 * half):
+        for ev in (f_N(x, q), f_CN(x, y, 0.6, q), phi_cond(x, p)):
+            digest.update(repr((ev.value, ev.terms)).encode())
+
+
+class TestProductRows:
+    """Each product keeps its own length K and cap; the q**k row is shared and read-only."""
+
+    def test_each_product_keeps_its_own_cap(self):
+        policy = TruncationPolicy(max_terms=4000)
+        assert f_N(0.1, 0.99, policy).terms == 3873
+        assert f_CN(0.1, 0.2, 0.0, 0.99, policy).terms == 3873
+        with pytest.raises(TruncationError, match="4011 factors"):
+            f_CN(0.1, 0.2, 0.5, 0.99, policy)
+        with pytest.raises(TruncationError, match="4120 factors"):
+            phi_cond(0.1, CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.99), policy)
+
+    def test_ratio_runs_where_f_N_cannot(self):
+        # the ratio never needs (q; q)_inf, which is restricted to |q| <= 0.99
+        ratio = cond_ratio_values(np.linspace(-1, 1, 5), 0.2, 0.5, 0.995)
+        assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
+        with pytest.raises(DomainError):
+            f_N(0.1, 0.995)
+
+    def test_terms_report_the_product_used(self):
+        q, y, z = 0.5, 0.3, -0.4
+        p = CondDensityParams(y, 0.5, z, -0.3, q)
+        plain = CondDensityParams(y, 0.0, z, 0.0, q)
+        # interior point: f_N's, f_CN's and phi_cond's own K at q = 0.5
+        assert (f_N(0.1, q).terms, f_CN(0.1, y, 0.6, q).terms, phi_cond(0.1, p).terms) == (51, 53, 55)
+        # zero correlation: the f_N product alone
+        assert (f_CN(0.1, y, 0.0, q).terms, phi_cond(0.1, plain).terms) == (51, 51)
+        # on or off the support, and the q = 1 closed forms: no product
+        for x in (2 / math.sqrt(1 - q), 5.0):
+            assert (f_N(x, q).terms, f_CN(x, y, 0.6, q).terms, phi_cond(x, p).terms) == (0, 0, 0)
+        p1 = CondDensityParams(y, 0.5, z, -0.3, 1)
+        assert (f_N(0.1, 1).terms, f_CN(0.1, y, 0.6, 1).terms, phi_cond(0.1, p1).terms) == (0, 0, 0)
+
+    def test_cached_row_rejects_writes(self):
+        K, row = _powers(0.5, DEFAULT_POLICY, 8.0)
+        assert len(row) == K == 51
+        with pytest.raises(ValueError):
+            row[0] = 2.0
+
+    def test_golden_values_at_high_q(self):
+        # pins the product digits at q = 0.5, 0.9, 0.99, beyond the suite's
+        # q <= 0.7; a change that moves them on purpose updates this hash
+        digest = hashlib.md5()
+        for q in (0.5, 0.9, 0.99):
+            _golden_feed(digest, q)
+        assert digest.hexdigest() == GOLDEN_DENSITY_MD5

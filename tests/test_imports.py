@@ -100,3 +100,57 @@ def test_scanner_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _name_of(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _caches(source):
+    """(line, maxsize) for every functools cache in source.
+
+    maxsize is the integer literal an lru_cache call passes, and None for
+    anything unbounded or implicit: ``maxsize=None``, a non-literal size, a
+    bare ``@lru_cache`` and any use of ``functools.cache``.
+    """
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, None) for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if _name_of(node.value) == "functools":
+                found.append((node.lineno, None))
+        elif _name_of(node) == "lru_cache":
+            call = calls.get(id(node))
+            sizes = call.args + [kw.value for kw in call.keywords if kw.arg == "maxsize"] if call else []
+            literal = sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+            found.append((node.lineno, sizes[0].value if literal else None))
+    return found
+
+
+def test_cache_scanner_flags_unbounded_caches():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\ndef a(x):\n    return x\n"
+        "@lru_cache\ndef b(x):\n    return x\n"
+        "@functools.lru_cache(None)\ndef c(x):\n    return x\n"
+        "@functools.cache\ndef d(x):\n    return x\n"
+    )
+    assert sorted(_caches(source)) == [(2, None), (3, 8), (6, None), (9, None), (12, None)]
+    densities = (SRC / "densities.py").read_text()
+    assert all(size is not None for _, size in _caches(densities))
+    assert None in {size for _, size in _caches(densities.replace("maxsize=32", "maxsize=None"))}
+
+
+def test_every_cache_is_bounded():
+    found = {path.name: _caches(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unbounded = {name: lines for name, lines in found.items() if any(s is None for _, s in lines)}
+    assert unbounded == {}
+    # a new cache shows up here as a test change
+    assert sum(len(lines) for lines in found.values()) == 3

@@ -10,6 +10,7 @@ import qaw.moments
 from qaw import (
     CondDensityParams,
     DomainError,
+    TruncationPolicy,
     alpha_coeff,
     alsalam_identity_residual,
     c_n_gaussian,
@@ -258,6 +259,11 @@ class TestShiftedKernel:
         with pytest.raises(DomainError):
             gamma_mk_partial(0, 0, 0.1, 0.2, 0.3, 0.5, 0)
 
+    def test_rejects_nan_and_inf_correlation(self):
+        for rho in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                gamma_mk_partial(0, 0, 0.1, 0.2, rho, 0.5, 10)
+
 
 class TestReflectionIdentity:
     def test_trivial_order(self):
@@ -360,6 +366,14 @@ class TestTermBudget:
         loose = expansion_terms_needed(p, rel_tol=1e-4)
         tight = expansion_terms_needed(p, rel_tol=1e-10)
         assert 1 <= loose < tight
+
+    def test_rejects_tolerance_outside_unit_interval(self):
+        # a small cap, so a missing check fails fast instead of running the loop out
+        policy = TruncationPolicy(max_terms=50)
+        p = CondDensityParams(0.4, 0.5, -0.6, 0.5, 0.5)
+        for rel_tol in (0.0, -1e-8, 1.0, 2.0, math.nan):
+            with pytest.raises(DomainError):
+                expansion_terms_needed(p, rel_tol=rel_tol, policy=policy)
 
     def test_budget_is_sufficient(self):
         p = CondDensityParams(0.4, 0.3, -0.6, 0.25, 0.5)

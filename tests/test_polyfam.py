@@ -114,7 +114,16 @@ class TestNonFinitePoints:
             lambda x: chebyshev_U(2, x),
             lambda x: gamma_mk_partial(0, 0, x, 0.3, 0.4, 0.5, 10),
         )
-        bad = (math.nan, math.inf, -math.inf, complex(0.5, math.nan), np.array([0.5, math.nan]))
+        bad = (
+            math.nan,
+            math.inf,
+            -math.inf,
+            complex(0.5, math.nan),
+            complex(math.nan, 0.0),
+            np.float64(math.nan),
+            np.array(math.nan),
+            np.array([0.5, math.nan]),
+        )
         for call in calls:
             for x in bad:
                 with pytest.raises(DomainError):
