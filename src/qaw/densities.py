@@ -14,28 +14,31 @@ S(q) = [-2/sqrt(1-q), 2/sqrt(1-q)] (the whole real line when q = 1):
                 which orthogonalizes the Askey-Wilson family of
                 ``awpoly``.
 
-Every density is an infinite product over powers of q.  Products are cut
-after K factors where K is chosen so the dropped tail perturbs the value
-by less than the policy's relative tolerance: each factor is
+Every density is f_N's theta product times at most one product of
+quadratic rho-factors, and one private evaluator runs them all.  Products
+are cut after K factors where K is chosen so the dropped tail perturbs
+the value by less than the policy's relative tolerance: each factor is
 1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= rel_tol with a
-conservative per-density constant C.  Evaluations report the K they used.
-Each product reads its row q**k, k < K, from one cache of 32 read-only
-rows (``_powers``), at most about 1.05 MB at |q| <= 0.99.
+conservative per-density constant C.  Each product reads its row q**k,
+k < K, from one cache of 32 read-only rows (``_powers``), at most about
+1.05 MB at |q| <= 0.99.
 
-Array evaluations form the products over blocks of points, writing each
-block's factors into the same few (points, K) buffers of at most 16384
-elements, so memory is O(points) and does not grow with K times the point
-count.  Each product still multiplies its K factors in order, so a value
-does not depend on the block it fell in: for q < 1 a grid value equals
-the single-point value bit for bit (f_N's q = 1 point call uses math.exp).
+A point call hands the evaluator a float: a Python comparison tests the
+support, and each product reduces one (1, K) row.  An array is masked
+once, gathered and scattered only if a point is off the support, and its
+products run over blocks of at most 16384 elements: memory is O(points)
+whatever K is.  Factors multiply in order either way, so for q < 1 a grid
+value equals the point call bit for bit (f_N's q = 1 call uses math.exp).
 
-Scalar entry points return a ``DensityEval``; the ``*_values`` companions
-evaluate on numpy arrays and return bare arrays (used heavily by the
-quadrature suite).  Points on or outside the support boundary get density
-exactly 0; a nan or infinite point raises ``DomainError``.  Conditioning
-points must be strictly interior.  The products run in float arithmetic
-only: an exact fraction (say a ``Fraction`` base or correlation) raises
-``DomainError``; integers and floats are accepted.
+Scalar entry points return a ``DensityEval``, whose ``terms`` is the K of
+the last product run (the rho-part's if there is one, else f_N's), 0 off
+the open support and at q = 1; the ``*_values`` companions take numpy
+arrays and return bare arrays.  Points on or outside the support boundary
+get density exactly 0; a nan, infinite or complex point raises
+``DomainError``, as does an array given to a point call.  Conditioning
+points must be strictly interior.  The products are float-only: an exact
+fraction (say a ``Fraction`` base or correlation) raises ``DomainError``;
+integers and floats are accepted.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Rational
+from numbers import Integral, Rational, Real
 
 import numpy as np
 
@@ -160,13 +163,6 @@ def _powers(q, policy, scale):
     return K, qk
 
 
-def _terms(x, q, policy, scale):
-    """DensityEval.terms: 0 at q = 1 or off the open support, else the product's K."""
-    if q == 1 or not SupportInterval.for_q(q).strictly_contains(x):
-        return 0
-    return _powers(q, policy, scale)[0]
-
-
 # Elements per (points, K) buffer, 128 KB of float64: the fastest, or tied
 # for fastest, of 2**13 .. 2**16 on the density_grid benchmark mix.
 _BLOCK_ELEMENTS = 16384
@@ -183,14 +179,15 @@ def _point_products(block_factors, xs, K, nbuf):
     block-sized temporaries made malloc hand heap pages back and fault them
     in again, at a rate that varied with the heap layout.  The
     multiply-reduce runs along k in order, as on one (K, points) array, so
-    every product keeps its bits.  The result has the shape of xs.
+    every product keeps its bits.  The result has the shape of xs (a float
+    xs is its own t and makes one (1, K) row).
     """
-    col = xs.reshape(-1, 1)
-    n = len(col)
+    col = xs if isinstance(xs, float) else xs.reshape(-1, 1)
+    n = np.size(xs)
     step = max(1, _BLOCK_ELEMENTS // K)
     if n <= step:
         factors = block_factors(col, *np.empty((nbuf, n, K)))
-        return np.multiply.reduce(factors, axis=1).reshape(xs.shape)
+        return np.multiply.reduce(factors, axis=1).reshape(np.shape(xs))
     bufs = np.empty((nbuf, step, K))
     out = np.empty(n)
     for start in range(0, n, step):
@@ -218,108 +215,141 @@ def _w_block(x, y, coeffs, out, scratch):
     return out
 
 
-def _check_interior(name, value, q):
-    if q == 1:
-        if not math.isfinite(value):
+def _check_params(q, *rhos, **points):
+    """DomainError unless q, each |rho| < 1 and each named conditioning point suit a density.
+
+    An exact fraction (a Rational but not an integer) is refused: the
+    products are float-only and numpy cannot mix a Fraction into them.
+    Plain type tests, so a point call does no numpy work here.
+    """
+    QParam(q)
+    for v in (q, *rhos, *points.values()):
+        if type(v) is not float and isinstance(v, Rational) and not isinstance(v, Integral):
+            raise DomainError(f"the densities take float parameters, got the exact value {v!r}")
+    for rho in rhos:
+        if not -1 < rho < 1:
+            raise DomainError(f"rho must satisfy |rho| < 1, got {rho!r}")
+    for name, value in points.items():
+        if q == 1 and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
-        return
-    if not SupportInterval.for_q(q).strictly_contains(value):
-        raise DomainError(
-            f"{name}={value!r} must lie strictly inside the support interval for q={q!r}"
-        )
+        if not SupportInterval.for_q(q).strictly_contains(value):
+            raise DomainError(
+                f"{name}={value!r} must lie strictly inside the support interval for q={q!r}"
+            )
+
+
+def _point(x):
+    """x as a Python float; DomainError unless x is one finite real number."""
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x[()]
+    if not isinstance(x, Real) or not math.isfinite(x):
+        raise DomainError(f"an evaluation point must be one finite real number, got {x!r}")
+    return float(x)
 
 
 def _finite_points(x):
-    """x as a float array; DomainError if any point is nan or infinite."""
-    xa = np.asarray(x, dtype=float)
-    if not np.isfinite(xa).all():
+    """x as a float array; DomainError if any point is complex, nan or infinite."""
+    xa = np.asarray(x)
+    if xa.dtype.kind == "c":
+        raise DomainError("evaluation points must be real")
+    xa = np.asarray(xa, dtype=float)
+    # count_nonzero, not .all(): a process's first bool reduction costs ~30 us
+    if np.count_nonzero(np.isfinite(xa)) < xa.size:
         raise DomainError("evaluation points must be finite")
     return xa
 
 
-def _check_float(*values):
-    """DomainError if a value is an exact fraction, a Rational but not an integer.
+def _part_products(xs, part):
+    """The product over k of num / (w(x, y1) den w(x, y2)) at xs, a float or an array.
 
-    The densities are float-only infinite products, and numpy cannot mix a
-    Fraction into them.  Plain type tests, so a point call does no numpy
-    work here.
+    part is (K, num, den or None, one (y, _w_coeffs) pair per neighbor).
     """
-    for v in values:
-        if type(v) is not float and isinstance(v, Rational) and not isinstance(v, Integral):
-            raise DomainError(f"the densities take float parameters, got the exact value {v!r}")
+    K, num, den, ((y1, w1), *rest) = part
+
+    def factors(t, f, scratch, *more):
+        _w_block(t, y1, w1, f, scratch)
+        if den is not None:
+            f *= den
+        for (y, w), g in zip(rest, more):
+            f *= _w_block(t, y, w, g, scratch)
+        return np.divide(num, f, out=f)
+
+    return _point_products(factors, xs, K, 2 + len(rest))
 
 
-def _check_rho(name, value):
-    if not -1 < value < 1:
-        raise DomainError(f"{name} must satisfy |rho| < 1, got {value!r}")
+def _density(x, q, policy, mu, var, part=None):
+    """(value, terms) of a density at x, a Python float or a float array.
 
-
-def _f_N_masked(xa, q, policy):
-    """(values, inside_mask) for a float array xa, with 0 outside the support."""
+    N(mu, var) at q = 1; else f_N times the product of the rho-part that
+    part() builds once a point lies strictly inside the support.  terms is
+    the K of the last product run, 0 if none ran.
+    """
+    if q == 1:
+        return np.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(_TWO_PI * var), 0
     coef = _fn_coef(q, policy)
     K, qk = _powers(q, policy, _FN_SCALE)
     half = 2 / math.sqrt(1 - q)
-    inside = (xa > -half) & (xa < half)
-    out = np.zeros_like(xa)
-    if np.any(inside):
-        xs = xa[inside]
-        head = (1 + qk) ** 2
+    head = (1 + qk) ** 2
 
-        def factors(t, f):
-            np.multiply((1 - q) * t * t, qk, out=f)
-            return np.subtract(head, f, out=f)
+    def theta(t, f):
+        np.multiply((1 - q) * t * t, qk, out=f)
+        return np.subtract(head, f, out=f)
 
-        prod = _point_products(factors, xs, K, 1)
-        out[inside] = coef * prod / np.sqrt(4 - (1 - q) * xs * xs)
-    return out, inside
+    def inside(xs):
+        value = coef * _point_products(theta, xs, K, 1) / np.sqrt(4 - (1 - q) * xs * xs)
+        if part is None:
+            return value, K
+        rho_part = part()
+        return value * _part_products(xs, rho_part), rho_part[0]
+
+    if isinstance(x, float):
+        return inside(x) if abs(x) < half else (0.0, 0)
+    mask = np.abs(x) < half
+    if x.ndim and np.count_nonzero(mask) == x.size:
+        return inside(x)
+    out, terms = np.zeros(x.shape), 0
+    if np.count_nonzero(mask):
+        out[mask], terms = inside(x[mask])
+    return out, terms
 
 
 def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """Stationary density on a numpy array of points."""
-    QParam(q)
-    _check_float(q)
-    xa = _finite_points(x)
-    if q == 1:
-        return np.exp(-0.5 * xa * xa) / math.sqrt(_TWO_PI)
-    return _f_N_masked(xa, q, policy)[0]
+    _check_params(q)
+    return _density(_finite_points(x), q, policy, 0, 1)[0]
 
 
 def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Stationary density at a single point."""
-    QParam(q)
-    _check_float(q)
-    xa = _finite_points(float(x))
+    _check_params(q)
+    x = _point(x)
     if q == 1:
         return DensityEval(math.exp(-0.5 * x * x) / math.sqrt(_TWO_PI), 0)
-    return DensityEval(float(_f_N_masked(xa, q, policy)[0]), _terms(x, q, policy, _FN_SCALE))
+    value, terms = _density(x, q, policy, 0, 1)
+    return DensityEval(float(value), terms)
+
+
+def _fcn_plan(y, rho, q, policy):
+    """f_CN's mean and variance at q = 1 and its rho-part builder, None at rho = 0."""
+
+    def part():
+        K, qk = _powers(q, policy, _FCN_SCALE)
+        return K, 1 - rho * rho * qk, None, ((y, _w_coeffs(rho, q, qk)),)
+
+    return rho * y, 1 - rho * rho, None if rho == 0 else part
 
 
 def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """Conditional density given a neighbor value y, on a numpy array of points."""
-    QParam(q)
-    _check_float(y, rho, q)
-    _check_rho("rho", rho)
-    _check_interior("y", y, q)
-    xa = _finite_points(x)
-    if q == 1:
-        var = 1 - rho * rho
-        return np.exp(-0.5 * (xa - rho * y) ** 2 / var) / math.sqrt(_TWO_PI * var)
-    base, inside = _f_N_masked(xa, q, policy)
-    if rho == 0 or not np.any(inside):
-        return base
-    base[inside] *= _ratio_product(xa[inside], y, rho, q, policy)
-    return base
+    _check_params(q, rho, y=y)
+    return _density(_finite_points(x), q, policy, *_fcn_plan(y, rho, q, policy))[0]
 
 
-def _ratio_product(xa, y, rho, q, policy):
-    K, qk = _powers(q, policy, _FCN_SCALE)
-    head = 1 - rho * rho * qk
-    w = _w_coeffs(rho, q, qk)
-
-    def factors(t, f, scratch):
-        return np.divide(head, _w_block(t, y, w, f, scratch), out=f)
-
-    return _point_products(factors, xa, K, 2)
+def f_CN(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
+    """Conditional density at a single point given neighbor value y."""
+    _check_params(q, rho, y=y)
+    value, terms = _density(_point(x), q, policy, *_fcn_plan(y, rho, q, policy))
+    return DensityEval(float(value), terms)
 
 
 def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -329,22 +359,31 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     conditions every product factor is positive for all real x, so the ratio
     is well defined even where the densities themselves vanish.
     """
-    QParam(q)
-    _check_float(y, rho, q)
+    _check_params(q, rho, y=y)
     if q == 1:
         raise DomainError("the product-form ratio is defined for q < 1 only")
-    _check_rho("rho", rho)
-    _check_interior("y", y, q)
     xa = _finite_points(x)
     if rho == 0:
         return np.ones_like(xa)
-    return _ratio_product(xa, y, rho, q, policy)
+    return _part_products(xa, _fcn_plan(y, rho, q, policy)[2]())
 
 
-def f_CN(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
-    """Conditional density at a single point given neighbor value y."""
-    value = float(f_CN_values(np.asarray(float(x)), y, rho, q, policy))
-    return DensityEval(value, _terms(x, q, policy, _FN_SCALE if rho == 0 else _FCN_SCALE))
+def _phi_plan(p, policy):
+    """phi_cond's mean and variance at q = 1 and its rho-part builder, None if uncorrelated."""
+    q = p.q
+    r1sq = p.rho1 * p.rho1
+    r2sq = p.rho2 * p.rho2
+
+    def part():
+        K, qk = _powers(q, policy, _PHI_SCALE)
+        w12 = _w_block(p.y, p.z, _w_coeffs(p.rho1 * p.rho2, q, qk), np.empty(K), np.empty(K))
+        num = (1 - r1sq * qk) * (1 - r2sq * qk) * w12
+        pairs = ((p.y, _w_coeffs(p.rho1, q, qk)), (p.z, _w_coeffs(p.rho2, q, qk)))
+        return K, num, 1 - r1sq * r2sq * qk, pairs
+
+    den = 1 - r1sq * r2sq
+    mu = (p.y * p.rho1 * (1 - r2sq) + p.z * p.rho2 * (1 - r1sq)) / den
+    return mu, (1 - r1sq) * (1 - r2sq) / den, None if p.rho1 == 0 and p.rho2 == 0 else part
 
 
 def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -354,49 +393,15 @@ def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_
     z (correlation rho2).  This is the orthogonality density of the
     Askey-Wilson family built by ``map_params`` from the same bundle.
     """
-    q = p.q
-    _check_float(p.y, p.rho1, p.z, p.rho2, q)
-    _check_interior("y", p.y, q)
-    _check_interior("z", p.z, q)
-    xa = _finite_points(x)
-    if q == 1:
-        mu, var = _phi_gaussian_moments(p)
-        return np.exp(-0.5 * (xa - mu) ** 2 / var) / math.sqrt(_TWO_PI * var)
-    base, inside = _f_N_masked(xa, q, policy)
-    if (p.rho1 == 0 and p.rho2 == 0) or not np.any(inside):
-        return base
-    K, qk = _powers(q, policy, _PHI_SCALE)
-    r1sq = p.rho1 * p.rho1
-    r2sq = p.rho2 * p.rho2
-    w12 = _w_block(p.y, p.z, _w_coeffs(p.rho1 * p.rho2, q, qk), np.empty(K), np.empty(K))
-    num = (1 - r1sq * qk) * (1 - r2sq * qk) * w12
-    head = 1 - r1sq * r2sq * qk
-    w1 = _w_coeffs(p.rho1, q, qk)
-    w2 = _w_coeffs(p.rho2, q, qk)
-
-    def factors(t, f, g, scratch):
-        np.multiply(head, _w_block(t, p.y, w1, f, scratch), out=f)
-        np.multiply(f, _w_block(t, p.z, w2, g, scratch), out=f)
-        return np.divide(num, f, out=f)
-
-    base[inside] *= _point_products(factors, xa[inside], K, 3)
-    return base
+    _check_params(p.q, p.rho1, p.rho2, y=p.y, z=p.z)
+    return _density(_finite_points(x), p.q, policy, *_phi_plan(p, policy))[0]
 
 
 def phi_cond(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     """Two-sided conditional density at a single point."""
-    value = float(phi_cond_values(np.asarray(float(x)), p, policy))
-    scale = _FN_SCALE if p.rho1 == 0 and p.rho2 == 0 else _PHI_SCALE
-    return DensityEval(value, _terms(x, p.q, policy, scale))
-
-
-def _phi_gaussian_moments(p: CondDensityParams):
-    r1sq = p.rho1 * p.rho1
-    r2sq = p.rho2 * p.rho2
-    den = 1 - r1sq * r2sq
-    mu = (p.y * p.rho1 * (1 - r2sq) + p.z * p.rho2 * (1 - r1sq)) / den
-    var = (1 - r1sq) * (1 - r2sq) / den
-    return mu, var
+    _check_params(p.q, p.rho1, p.rho2, y=p.y, z=p.z)
+    value, terms = _density(_point(x), p.q, policy, *_phi_plan(p, policy))
+    return DensityEval(float(value), terms)
 
 
 def phi_cond_via_ratio(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -407,10 +412,9 @@ def phi_cond_via_ratio(x, p: CondDensityParams, policy: TruncationPolicy = DEFAU
     points on or outside the support boundary return 0 directly.
     """
     q = p.q
-    _check_interior("y", p.y, q)
-    _check_interior("z", p.z, q)
-    _finite_points(x)
-    if q != 1 and not SupportInterval.for_q(q).strictly_contains(x):
+    _check_params(q, p.rho1, p.rho2, y=p.y, z=p.z)
+    x = _point(x)
+    if not SupportInterval.for_q(q).strictly_contains(x):
         return 0.0
     num1 = f_CN(x, p.y, p.rho1, q, policy).value
     num2 = f_CN(p.z, x, p.rho2, q, policy).value
@@ -421,8 +425,7 @@ def phi_cond_via_ratio(x, p: CondDensityParams, policy: TruncationPolicy = DEFAU
 
 def f_N_q0(x):
     """Semicircle closed form of f_N at q = 0."""
-    if not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x!r}")
+    x = _point(x)
     if not -2 < x < 2:
         return 0.0
     return math.sqrt(4 - x * x) / _TWO_PI
@@ -430,8 +433,7 @@ def f_N_q0(x):
 
 def f_CN_q0(x, y, rho):
     """Closed form of f_CN at q = 0: one quadratic factor against the semicircle."""
-    _check_rho("rho", rho)
-    _check_interior("y", y, 0)
+    _check_params(0, rho, y=y)
     base = f_N_q0(x)
     if not -2 < x < 2:
         return 0.0
@@ -442,8 +444,7 @@ def phi_q0(x, p: CondDensityParams):
     """Closed form of phi_cond at q = 0."""
     if p.q != 0:
         raise DomainError("phi_q0 is the q = 0 closed form; build the bundle with q = 0")
-    _check_interior("y", p.y, 0)
-    _check_interior("z", p.z, 0)
+    _check_params(0, p.rho1, p.rho2, y=p.y, z=p.z)
     base = f_N_q0(x)
     if not -2 < x < 2:
         return 0.0
@@ -472,11 +473,9 @@ def fcn_ratio_bounds(y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     Both bounds hold for every x strictly inside the support, up to the
     truncation tolerance of the policy.
     """
-    QParam(q)
+    _check_params(q, rho, y=y)
     if q == 1:
         raise DomainError("the ratio bounds are defined for q < 1 only")
-    _check_rho("rho", rho)
-    _check_interior("y", y, q)
     if rho == 0:
         return 1.0, 1.0
     num = q_pochhammer_inf(rho * rho, q, policy)

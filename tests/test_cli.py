@@ -1,6 +1,7 @@
 """Command line surface: selectors, formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,6 +12,10 @@ import pytest
 from qaw import CondDensityParams, c_n_main, chebyshev_U
 from qaw.cli import entry, main
 from qaw.densities import phi_q0
+
+
+# md5 of the csv output of TestEvalCommand.test_density_point_values_pinned
+DENSITY_EVAL_MD5 = "d2189796464829960028872691d8875a"
 
 
 def run(*argv):
@@ -113,6 +118,27 @@ class TestEvalCommand:
         first = run(*argv)
         second = run(*argv)
         assert first == second
+
+    def test_density_point_values_pinned(self):
+        # every density row of `qaw eval` is a point call; the grid runs 1.2
+        # half-widths either side (all of it interior at q = 1), and rho = 0
+        # runs f_N's product alone
+        digest = hashlib.md5()
+        for q in (-0.3, 0, 0.5, 0.9, 0.99, 1):
+            edge = 6.0 if q == 1 else 1.2 * 2 / math.sqrt(1 - q)
+            grid = f"{-edge!r}:{edge!r}:25"
+            base = ("--q", repr(q), "--y", "0.4", "--z", "-0.6", "--grid", grid)
+            for argv in (
+                ("f_N",),
+                ("f_CN", "--rho1", "0"),
+                ("f_CN", "--rho1", "0.6"),
+                ("phi", "--rho1", "0", "--rho2", "0"),
+                ("phi", "--rho1", "0.5", "--rho2", "-0.7"),
+            ):
+                code, text = run("eval", *argv, *base)
+                assert code == 0, argv
+                digest.update(text.encode())
+        assert digest.hexdigest() == DENSITY_EVAL_MD5
 
 
 class TestVerifyCommand:

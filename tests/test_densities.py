@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qaw import (
     DEFAULT_POLICY,
     CondDensityParams,
+    DensityEval,
     DomainError,
     SupportInterval,
     cond_ratio_values,
@@ -217,23 +218,29 @@ class TestNonFinitePoints:
     def test_every_density_entry_point_rejects(self):
         for q in (0.5, 1):
             p = CondDensityParams(0.4, 0.5, -0.6, 0.7, q)
-            calls = [
+            point_calls = [
                 lambda x: f_N(x, q),
-                lambda x: f_N_values(np.array([0.0, x]), q),
                 lambda x: f_CN(x, 0.2, 0.3, q),
+                lambda x: phi_cond(x, p),
+                lambda x: phi_cond_via_ratio(x, p),
+            ]
+            calls = point_calls + [
+                lambda x: f_N_values(np.array([0.0, x]), q),
                 lambda x: f_CN_values(np.array([0.0, x]), 0.2, 0.3, q),
                 lambda x: f_CN_values(np.array([0.0, x]), 0.2, 0.0, q),
-                lambda x: phi_cond(x, p),
                 lambda x: phi_cond_values(np.array([0.0, x]), p),
-                lambda x: phi_cond_via_ratio(x, p),
             ]
             if q != 1:
                 calls.append(lambda x: cond_ratio_values(np.array([0.0, x]), 0.2, 0.3, q))
                 calls.append(lambda x: cond_ratio_values([x], 0.2, 0.0, q))
-            for bad in (math.nan, math.inf, -math.inf):
+            for bad in (math.nan, math.inf, -math.inf, 0.1 + 5j, np.complex128(0.1 + 5j)):
                 for call in calls:
                     with pytest.raises(DomainError):
                         call(bad)
+            # a point call takes one number, not an array of them
+            for call in point_calls:
+                with pytest.raises(DomainError):
+                    call(np.array([0.1, 0.2]))
 
     def test_q0_closed_forms_reject_nan_and_inf_points(self):
         p = CondDensityParams(0.4, 0.5, -0.6, 0.7, 0)
@@ -259,10 +266,12 @@ class TestExactParameters:
             "cond_ratio_values": lambda: cond_ratio_values(xs, y, rho, q),
             "phi_cond": lambda: phi_cond(0.3, p),
             "phi_cond_values": lambda: phi_cond_values(xs, p),
+            "fcn_ratio_bounds": lambda: fcn_ratio_bounds(y, rho, q),
         }
 
     @pytest.mark.parametrize("name", ["f_N", "f_N_values", "f_CN", "f_CN_values",
-                                      "cond_ratio_values", "phi_cond", "phi_cond_values"])
+                                      "cond_ratio_values", "phi_cond", "phi_cond_values",
+                                      "fcn_ratio_bounds"])
     def test_fraction_base_or_field_raises(self, name):
         half = Fraction(1, 2)
         exact_q = self._calls(0.2, 0.3, half, CondDensityParams(0.4, 0.5, -0.6, 0.7, half))
@@ -300,17 +309,36 @@ def _grid_densities(q):
     }
 
 
+def _point_calls(q):
+    """The three scalar entry points at q with _grid_densities' parameters."""
+    p = CondDensityParams(0.4, 0.5, -0.6, -0.7, q)
+    return {
+        "f_N": lambda x: f_N(x, q),
+        "f_CN": lambda x: f_CN(x, 0.4, 0.5, q),
+        "phi_cond": lambda x: phi_cond(x, p),
+    }
+
+
 class TestBlockedProducts:
     """Grids are evaluated in blocks of points; every value keeps its bits."""
 
     @pytest.mark.parametrize("q, npts", [(0.99, 2000), (0.5, 5000), (0.9, 3000), (-0.7, 3000)])
     def test_grid_values_equal_single_point_calls(self, q, npts):
         xs = _grid(q, npts)
+        points = _point_calls(q)
         for name, fn in _grid_densities(q).items():
             values = fn(xs)
             assert values.shape == xs.shape
             mismatches = [i for i in range(0, npts, 97) if fn(xs[i : i + 1])[0] != values[i]]
+            if name in points:
+                # the scalar entry point runs the float path, not a 1-point array
+                point = points[name]
+                mismatches += [i for i in range(0, npts, 97) if point(xs[i]).value != values[i]]
             assert mismatches == [], name
+        half = 2 / math.sqrt(1 - q)
+        for name, point in points.items():
+            for edge in (-half, half):
+                assert point(edge) == DensityEval(0.0, 0), name
 
     def test_ratio_keeps_the_input_shape(self):
         y, rho, q = 0.4, 0.5, 0.9
