@@ -32,7 +32,9 @@ from .qcore import (
     DomainError,
     PoleError,
     QParam,
+    _check_below_one,
     _check_order,
+    _check_rho,
     q_binomial_row,
     q_pochhammer,
     q_pochhammer_seq,
@@ -106,10 +108,7 @@ class CondDensityParams:
 
     def __post_init__(self):
         QParam(self.q)
-        for name in ("rho1", "rho2"):
-            r = getattr(self, name)
-            if not -1 < r < 1:
-                raise DomainError(f"{name} must satisfy |rho| < 1, got {r!r}")
+        _check_rho(self.rho1, self.rho2)
         one_minus_q = 1 - self.q
         for name in ("y", "z"):
             t = getattr(self, name)
@@ -131,8 +130,7 @@ def map_params(p: CondDensityParams) -> AWComplexParams:
     a b = rho1**2, and similarly for the second pair.  q = 1 is rejected.
     """
     q = p.q
-    if q == 1:
-        raise DomainError("the parameter map is defined for q < 1 only")
+    _check_below_one(q, "the parameter map")
     scale = math.sqrt(1 - q) / 2
 
     def half(t, rho):
@@ -227,8 +225,7 @@ def aw_A_sym_seq(nmax, x, p: CondDensityParams):
     the real parameter bundle, so Fraction inputs give exact values.
     """
     q = p.q
-    if q == 1:
-        raise DomainError("the Askey-Wilson representations require q < 1")
+    _check_below_one(q, "the Askey-Wilson representations")
     r1sq = p.rho1 * p.rho1
     r2sq = p.rho2 * p.rho2
     B = b_big_seq(nmax, x, q)
@@ -275,8 +272,7 @@ def aw_A_mixed(n, x, p: CondDensityParams):
     Kept free of shared code with aw_A_sym so the two can cross-check.
     """
     q = p.q
-    if q == 1:
-        raise DomainError("the Askey-Wilson representations require q < 1")
+    _check_below_one(q, "the Askey-Wilson representations")
     if n == 0:
         return 1 + 0 * x
     r1sq = p.rho1 * p.rho1

@@ -44,8 +44,10 @@ from .qcore import (
     PoleError,
     TruncationError,
     TruncationPolicy,
+    _check_below_one,
     _check_finite,
     _check_order,
+    _check_rho,
     _factorial_seq,
     q_binomial,
     q_binomial_row,
@@ -73,11 +75,7 @@ __all__ = [
 ]
 
 
-def _reject_gaussian(q):
-    if q == 1:
-        raise DomainError(
-            "the general-q moment formulas degenerate at q = 1; use c_n_gaussian"
-        )
+_GENERAL_Q = "the general-q moment formulas (c_n_gaussian covers q = 1)"
 
 
 def _guard_poch(value):
@@ -99,7 +97,7 @@ def c_n_main(n, p: CondDensityParams):
     with the same bits.
     """
     _check_order(n)
-    _reject_gaussian(p.q)
+    _check_below_one(p.q, _GENERAL_Q)
     return _c_n_orders(n, p.y, p.rho1, p.z, p.rho2, p.q)(n)
 
 
@@ -111,7 +109,7 @@ def c_n_seq(N, p: CondDensityParams):
     returned tuple is kept.
     """
     _check_order(N)
-    _reject_gaussian(p.q)
+    _check_below_one(p.q, _GENERAL_Q)
     return _c_n_seq(N, p.y, p.rho1, p.z, p.rho2, p.q)
 
 
@@ -184,7 +182,7 @@ def c_n_via_P(n, p: CondDensityParams):
     """
     _check_order(n)
     q = p.q
-    _reject_gaussian(q)
+    _check_below_one(q, _GENERAL_Q)
     r1, r2 = p.rho1, p.rho2
     r1sq = r1 * r1
     R = r1sq * r2 * r2
@@ -211,9 +209,7 @@ def c_n_gaussian(n, y, z, rho1, rho2):
     correlations vanish the limit value is returned: 1 for n = 0, else 0.
     """
     _check_order(n)
-    for name, r in (("rho1", rho1), ("rho2", rho2)):
-        if not -1 < r < 1:
-            raise DomainError(f"{name} must satisfy |rho| < 1, got {r!r}")
+    _check_rho(rho1, rho2)
     if rho1 == 0 and rho2 == 0:
         return 1.0 if n == 0 else 0.0
     r1sq, r2sq = rho1 * rho1, rho2 * rho2
@@ -285,26 +281,11 @@ def alsalam_identity_residual(m, x, y, rho, q):
                           P_s(x | y, rho, q) / (rho^2; q)_s
 
     Identically zero; returned as a residual so tests can assert exactness.
+    The sum is gamma_ratio_closed(0, m, x, y, rho, q); the left side is not.
     """
-    _check_order(m)
-    poch = q_pochhammer_seq(rho * rho, q, m)
-    _guard_poch(poch[-1])  # a vanishing factor zeroes every later entry
-    lhs = asc_P_seq(m, y, x, rho, q)[m] / poch[m]
-    Hy = hermite_H_seq(m, y, q)
-    Px = asc_P_seq(m, x, y, rho, q)
-    row = q_binomial_row(m, q)
-    rhs = 0
-    for s in range(m + 1):
-        rhs = rhs + (
-            (-1) ** s
-            * row[s]
-            * q ** math.comb(s, 2)
-            * rho**s
-            * Hy[m - s]
-            * Px[s]
-            / poch[s]
-        )
-    return lhs - rhs
+    poch = _guard_poch(q_pochhammer(rho * rho, q, m))
+    lhs = asc_P_seq(m, y, x, rho, q)[m] / poch
+    return lhs - gamma_ratio_closed(0, m, x, y, rho, q)
 
 
 def alpha_coeff(n, j, m, rho1, rho2, q):
@@ -353,7 +334,7 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
     max(|rho1|, |rho2|).
     """
     q = p.q
-    _reject_gaussian(q)
+    _check_below_one(q, _GENERAL_Q)
     if N < 1:
         raise DomainError("the partial sum needs at least one term")
     Hx = hermite_H_seq(N - 1, x, q)
@@ -379,7 +360,7 @@ def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8, policy: Truncatio
     """
     TruncationPolicy(rel_tol)  # validates it by the policy's own rule
     q = p.q
-    _reject_gaussian(q)
+    _check_below_one(q, _GENERAL_Q)
     rho = max(abs(p.rho1), abs(p.rho2))
     if rho == 0:
         return 1

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .qcore import (
     DomainError,
     _check_finite,
@@ -86,7 +84,7 @@ class RecurrenceSpec:
         infinite.
         """
         _check_degree(n)
-        _check_points(x)
+        _check_finite(x)
         out = [1 + 0 * x]
         prev = 0 * x
         cur = out[0]
@@ -97,18 +95,6 @@ class RecurrenceSpec:
             prev, cur = cur, nxt
             out.append(cur)
         return out
-
-
-def _check_points(x):
-    """DomainError if the scalar or array x holds a nan or infinity.
-
-    Arrays take numpy's test; any other point goes through _check_finite,
-    which skips exact Rationals and accepts a complex value with finite parts.
-    """
-    if not isinstance(x, np.ndarray):
-        _check_finite(x)
-    elif not np.isfinite(x).all():
-        raise DomainError("evaluation points must be finite")
 
 
 def _zero(_k):
@@ -187,8 +173,7 @@ def asc_P_seq(n, x, y, rho, q):
     """
     _check_degree(n)
     brackets = q_bracket_seq(n, q)
-    _check_points(y)
-    _check_finite(rho)
+    _check_finite(y, rho)
     spec = RecurrenceSpec(
         lambda k: 1,
         lambda k: -rho * y * q**k,
@@ -293,23 +278,10 @@ def linearize_HH(n, m, q):
 def bh_expand_B(n, q):
     """Coefficients of B_n in the H basis.
 
-    Returns [c_0, ..., c_floor(n/2)] with B_n = sum_k c_k H_{n-2k}.  The
-    powers of q are combined into the single exponent C(n,2) - k(n-k), which
-    is nonnegative for every admissible k, so q = 0 is safe.
+    Returns [c_0, ..., c_floor(n/2)] with B_n = sum_k c_k H_{n-2k}.  Since
+    H_0 = 1 this is the product H_0 B_n, so product_HB(0, n, q).
     """
-    _check_degree(n)
-    sign = (-1) ** n
-    out = []
-    for k in range(n // 2 + 1):
-        exponent = math.comb(n, 2) - k * (n - k)
-        coeff = (
-            q_binomial(n, k, q)
-            * q_binomial(n - k, k, q)
-            * q_factorial(k, q)
-            * q**exponent
-        )
-        out.append(sign * coeff)
-    return out
+    return product_HB(0, n, q)
 
 
 def product_HB(m, n, q):
@@ -317,7 +289,8 @@ def product_HB(m, n, q):
 
     Returns [c_0, ..., c_floor((n+m)/2)] with
     H_m B_n = sum_i c_i H_{n+m-2i}.  Terms with i > n vanish through the
-    Gaussian binomial and are emitted as exact zeros.
+    Gaussian binomial and are emitted as exact zeros.  The powers of q meet
+    in one exponent C(n,2) - i(n-i) >= 0, so q = 0 is safe.
     """
     _check_degree(n)
     _check_degree(m)
@@ -375,6 +348,7 @@ def connection_P_from_BH(n, x, y, rho, q):
     with asc_P pointwise.
     """
     _check_degree(n)
+    _check_finite(rho)
     B = b_big_seq(n, y, q)
     H = hermite_H_seq(n, x, q)
     row = q_binomial_row(n, q)

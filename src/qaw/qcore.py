@@ -10,6 +10,10 @@ The one exception is the infinite product ``q_pochhammer_inf``, which is
 inherently approximate: it truncates under an explicit tail bound controlled
 by a :class:`TruncationPolicy` and therefore only makes sense in floating
 point.
+
+Each parameter rule of the package has its one private helper here:
+``_check_finite`` (scalars and numpy arrays), ``_check_rho`` (|rho| < 1)
+and ``_check_below_one`` (q < 1, where q = 1 needs its own closed form).
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from numbers import Rational
+
+import numpy as np
 
 __all__ = [
     "DomainError",
@@ -65,10 +71,6 @@ class QParam:
         if not (-1 < self.q <= 1):
             raise DomainError(f"base must satisfy -1 < q <= 1, got {self.q!r}")
 
-    @property
-    def is_gaussian_branch(self) -> bool:
-        return self.q == 1
-
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -98,7 +100,7 @@ def _check_order(n):
 
 
 def _check_finite(*values):
-    """DomainError unless every scalar in values is finite.
+    """DomainError unless every scalar or numpy array in values is finite.
 
     Finiteness only: the q-arithmetic runs formally outside -1 < q <= 1 on
     purpose.  Rationals are exact, hence finite, and are skipped, since
@@ -106,8 +108,25 @@ def _check_finite(*values):
     passes when both of its parts are finite.
     """
     for v in values:
-        if not isinstance(v, Rational) and not cmath.isfinite(v):
+        if isinstance(v, np.ndarray):
+            # count_nonzero, not .all(): a process's first bool reduction costs ~30 us
+            if np.count_nonzero(np.isfinite(v)) < v.size:
+                raise DomainError("values must be finite, got an array holding nan or inf")
+        elif not isinstance(v, Rational) and not cmath.isfinite(v):
             raise DomainError(f"parameters must be finite, got {v!r}")
+
+
+def _check_rho(*rhos):
+    """DomainError unless every correlation satisfies |rho| < 1 (so none is nan)."""
+    for rho in rhos:
+        if not -1 < rho < 1:
+            raise DomainError(f"rho must satisfy |rho| < 1, got {rho!r}")
+
+
+def _check_below_one(q, what):
+    """DomainError at q = 1, where what has no meaning; QParam or a |q| test bounds q above."""
+    if q == 1:
+        raise DomainError(f"q < 1 is required by {what}")
 
 
 def q_bracket(n, q):
@@ -208,8 +227,7 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     nan or infinite a or q.
     """
     _check_finite(a, q)
-    if q == 1:
-        raise DomainError("(a; q)_inf is undefined at q = 1")
+    _check_below_one(q, "(a; q)_inf")
     if abs(q) > 0.99:
         raise DomainError(
             f"(a; q)_inf restricted to |q| <= 0.99; term count explodes beyond (got q={q!r})"

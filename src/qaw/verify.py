@@ -372,11 +372,16 @@ def check_vnm(n, m, x, z, rho1, rho2, q, tol):
     return _quadrature("vnm", q, tol, integrand, [(params, target)])[0]
 
 
-def check_ratio_bounds(y, rho, q, tol, npoints=101):
+_RATIO_POINTS = 101
+_KERNEL_TERMS = 60
+_EXPANSION_TERMS = 40
+
+
+def check_ratio_bounds(y, rho, q, tol):
     """The f_CN / f_N ratio stays inside its closed-form bounds on a grid."""
     lower, upper = fcn_ratio_bounds(y, rho, q)
     half = SupportInterval.for_q(q).half_width
-    xs = np.linspace(-half, half, npoints + 2)[1:-1]
+    xs = np.linspace(-half, half, _RATIO_POINTS + 2)[1:-1]
     ratio = cond_ratio_values(xs, y, rho, q)
     violation = max(
         0.0,
@@ -385,37 +390,37 @@ def check_ratio_bounds(y, rho, q, tol, npoints=101):
     )
     return _report(
         "ratio_bounds",
-        {"y": y, "rho": rho, "q": q, "points": npoints},
+        {"y": y, "rho": rho, "q": q, "points": _RATIO_POINTS},
         violation,
         tol,
     )
 
 
-def check_poisson_mehler(y, rho, q, tol, terms=60):
+def check_poisson_mehler(y, rho, q, tol):
     """Partial sums of the Poisson-Mehler kernel converge to f_CN / f_N."""
     half = SupportInterval.for_q(q).half_width
     xs = np.linspace(-0.9 * half, 0.9 * half, 21)
-    partial = f_N_values(xs, q) * gamma_mk_partial(0, 0, xs, y, rho, q, terms)
+    partial = f_N_values(xs, q) * gamma_mk_partial(0, 0, xs, y, rho, q, _KERNEL_TERMS)
     target = f_CN_values(xs, y, rho, q)
     residual = float(np.max(np.abs(partial - target)))
     return _report(
         "poisson_mehler",
-        {"y": y, "rho": rho, "q": q, "terms": terms},
+        {"y": y, "rho": rho, "q": q, "terms": _KERNEL_TERMS},
         residual,
         tol,
     )
 
 
-def check_density_expansion(p: CondDensityParams, tol, terms=40):
+def check_density_expansion(p: CondDensityParams, tol):
     """Partial sums of the q-Hermite moment expansion converge to phi_cond."""
     half = SupportInterval.for_q(p.q).half_width
     xs = np.linspace(-0.9 * half, 0.9 * half, 21)
-    partial = phi_expansion_partial(xs, p, terms)
+    partial = phi_expansion_partial(xs, p, _EXPANSION_TERMS)
     target = phi_cond_values(xs, p)
     residual = float(np.max(np.abs(partial - target)))
     return _report(
         "density_expansion",
-        {**_bundle_dict(p), "terms": terms},
+        {**_bundle_dict(p), "terms": _EXPANSION_TERMS},
         residual,
         tol,
     )

@@ -257,11 +257,11 @@ def test_expansion_convergence():
         for q in (0.0, 0.5):
             for rho in (0.3, 0.6):
                 for y in (0.5, 1.2 / math.sqrt(1 - q)):
-                    assert check_poisson_mehler(y, rho, q, 1e-8, terms=60).passed
+                    assert check_poisson_mehler(y, rho, q, 1e-8).passed
             for rho1, rho2 in ((0.3, 0.6), (0.6, 0.6)):
                 for y, z in ((0.0, 0.0), (0.5, -0.5)):
                     p = CondDensityParams(y, rho1, z, rho2, q)
-                    assert check_density_expansion(p, 1e-6, terms=40).passed
+                    assert check_density_expansion(p, 1e-6).passed
 
 
 def test_markov_and_series_residuals():
@@ -274,7 +274,7 @@ def test_markov_and_series_residuals():
             for t in (0.3, -0.4):
                 assert check_sn_series(t, q, 1e-10).passed
             for rho in (0.3, 0.6):
-                assert check_ratio_bounds(0.5, rho, q, 1e-12, npoints=101).passed
+                assert check_ratio_bounds(0.5, rho, q, 1e-12).passed
 
 
 def test_polynomial_and_moment_bounds():

@@ -241,6 +241,12 @@ class TestNonFinitePoints:
             for call in point_calls:
                 with pytest.raises(DomainError):
                     call(np.array([0.1, 0.2]))
+        # w_factor takes any of its four arguments as a number or an array
+        args = (0.3, -0.2, 0.5, 0.4)
+        for i in range(4):
+            for bad in (math.nan, math.inf, -math.inf, np.array([0.1, math.nan])):
+                with pytest.raises(DomainError):
+                    w_factor(*args[:i], bad, *args[i + 1 :])
 
     def test_q0_closed_forms_reject_nan_and_inf_points(self):
         p = CondDensityParams(0.4, 0.5, -0.6, 0.7, 0)

@@ -1,7 +1,9 @@
-"""Every name a module imports is used in that module, and every private
-module-level name is used somewhere in the package."""
+"""Every name a module imports is used in that module, every private
+module-level name is used somewhere in the package, and each parameter rule
+is written out in qcore only."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -154,3 +156,50 @@ def test_every_cache_is_bounded():
     assert unbounded == {}
     # a new cache shows up here as a test change
     assert sum(len(lines) for lines in found.values()) == 3
+
+
+_ONE_SIDED_Q = re.compile(r"(?<!-1 < )q < 1")
+
+
+def _rule_copies(source):
+    """(line, rule) for every parameter rule a module writes out itself.
+
+    A rule is written out when a raised DomainError carries a string with
+    "|rho| < 1" or a one-sided "q < 1" (a "-1 < q < 1" range test is a
+    different rule), or when the module calls np.isfinite.  qcore holds the
+    one copy of each.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            if _name_of(node.exc.func) != "DomainError":
+                continue
+            texts = [
+                c.value for c in ast.walk(node.exc)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            ]
+            found += [(node.lineno, "|rho| < 1") for t in texts if "|rho| < 1" in t]
+            found += [(node.lineno, "q < 1") for t in texts if _ONE_SIDED_Q.search(t)]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "isfinite" and _name_of(node.func.value) in ("np", "numpy"):
+                found.append((node.lineno, "np.isfinite"))
+    return found
+
+
+def test_rule_scanner_flags_a_copied_rule():
+    source = (
+        "import numpy as np\n"
+        "def f(q, rho, x):\n"
+        "    if q == 1:\n        raise DomainError('f requires q < 1')\n"
+        "    if not -1 < rho < 1:\n        raise DomainError(f'rho must satisfy |rho| < 1, got {rho!r}')\n"
+        "    if not -1 < q < 1:\n        raise DomainError('the series requires -1 < q < 1')\n"
+        "    return np.isfinite(x)\n"
+    )
+    assert _rule_copies(source) == [(4, "q < 1"), (6, "|rho| < 1"), (9, "np.isfinite")]
+    rules = {rule for _, rule in _rule_copies((SRC / "qcore.py").read_text())}
+    assert rules == {"q < 1", "|rho| < 1", "np.isfinite"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)
+def test_parameter_rules_live_in_qcore(path):
+    assert _rule_copies(path.read_text()) == []

@@ -144,6 +144,7 @@ class TestNonFinitePoints:
             lambda t: asc_Q(2, 0.5, 0.3, t, 0.5),
             lambda t: b_big(2, 0.5, t),
             lambda t: b_small(2, 0.5, t),
+            lambda t: connection_P_from_BH(3, 0.2, 0.1, t, 0.3),
         )
         for call in calls:
             for t in (math.nan, math.inf, -math.inf, complex(0.3, math.nan)):

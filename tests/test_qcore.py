@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,10 @@ class TestNonFiniteParameters:
             lambda: s_n(3, math.nan),
             lambda: q_pochhammer(math.nan, 0.5, 3),
             lambda: q_pochhammer_seq(0.5, complex(0.5, math.inf), 3),
+            lambda: q_pochhammer(np.array([0.5, math.nan]), 0.5, 3),
+            lambda: q_pochhammer(np.array([[0.5], [-math.inf]]), 0.5, 3),
+            lambda: q_bracket_seq(3, np.array(math.nan)),
+            lambda: q_pochhammer(0.5, np.array(math.inf), 3),
         ],
     )
     def test_rejects_nan_and_inf(self, call):
@@ -171,6 +176,10 @@ class TestNonFiniteParameters:
         assert q_bracket(3, 0.5j) == pytest.approx(0.75 + 0.5j)
         assert q_binomial(2, 1, 2.0) == 3.0
         assert s_n(2, -3) == 1 + (1 - 3) + 1
+        # a finite array, complex or 0-d, passes the same test
+        a = np.array([0.5 + 0.25j, -0.3])
+        assert q_pochhammer(a, 0.5, 2).tolist() == [q_pochhammer(v, 0.5, 2) for v in a.tolist()]
+        assert q_bracket(2, np.array(0.5)) == 1.5
 
 
 class TestQPochhammer:
