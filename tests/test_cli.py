@@ -1,5 +1,6 @@
 """Command line surface: selectors, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,12 +11,15 @@ import sys
 import pytest
 
 from qaw import CondDensityParams, c_n_main, chebyshev_U
-from qaw.cli import entry, main
+from qaw.cli import _EVAL_SELECTORS, entry, main
 from qaw.densities import phi_q0
 
 
 # md5 of the csv output of TestEvalCommand.test_density_point_values_pinned
 DENSITY_EVAL_MD5 = "d2189796464829960028872691d8875a"
+
+# md5 of (argv, exit code, stdout, stderr) over TestCliSurface's invocations
+CLI_SURFACE_MD5 = "7b87f91e66497657a157c975c6673c13"
 
 
 def run(*argv):
@@ -234,6 +238,64 @@ class TestExpandCommand:
     def test_rejects_empty_expansion(self):
         code, _ = run("expand", "phi", "--n", "0", "--q", "0.5", "--x", "0.1")
         assert code == 2
+
+
+def _surface_invocations():
+    """eval and expand argv lists covering every output shape, plus usage errors."""
+    pair = ("--y", "0.4", "--rho1", "0.5", "--z", "-0.6", "--rho2", "0.7")
+    qs = ("-0.3", "0", "0.5", "0.9", "1")
+    where = (("--grid", "-1.5:1.5:7"), ("--x", "0.3"))
+    fmts = (("--format", "csv"), ("--format", "json"))
+    for sel in _EVAL_SELECTORS:
+        if sel == "C":
+            continue
+        for q in qs:
+            for at in where:
+                for fmt in fmts:
+                    yield ("eval", sel, "--n", "3", "--q", q, *pair, *at, *fmt)
+    for q in qs[:-1]:  # C at q = 1 goes through c_n_gaussian
+        for n in ("0", "3"):
+            for fmt in fmts:
+                yield ("eval", "C", "--n", n, "--q", q, *pair, *fmt)
+    for target in ("fcn", "phi"):
+        for q in qs:
+            for fmt in fmts:
+                # every point strictly inside the support for every q here
+                yield ("expand", target, "--n", "12", "--q", q, *pair, "--grid", "-1:1:5", *fmt)
+    yield from (
+        ("eval", "H", "--n", "2", "--q", "0.5", "--x", "1", "--grid", "0:1:3"),
+        ("eval", "H", "--n", "2", "--q", "0.5"),
+        ("eval", "H", "--n", "2", "--q", "0.5", "--grid", "1:2"),
+        ("eval", "H", "--n", "2", "--q", "0.5", "--grid", "0:1:0"),
+        ("eval", "H", "--n", "-1", "--q", "0.5", "--x", "1"),
+        ("eval", "C", "--n", "2", "--q", "0.5", "--x", "1"),
+        ("eval", "H", "--q", "nan", "--x", "1"),
+        ("eval", "H", "--q", "0.5", "--x", "inf", "--n", "3"),
+        ("eval", "H", "--q", "2", "--x", "1", "--n", "2"),
+        ("eval", "nosuch", "--q", "0.5", "--x", "1"),
+        ("eval", "f_N", "--q", "0.5", "--x", "0.1", "--tol", "nan"),
+        ("eval", "f_CN", "--q", "0.5", "--y", "9", "--rho1", "0.3", "--x", "0.1"),
+        ("expand", "fcn", "--n", "5", "--q", "0.3", "--grid", "-inf:1:3"),
+        ("expand", "fcn", "--n", "5", "--q", "0.3", "--rho2", "inf", "--x", "0.1"),
+        ("expand", "phi", "--n", "0", "--q", "0.5", "--x", "0.1"),
+        ("expand", "phi", "--n", "5", "--x", "0.1"),
+    )
+
+
+class TestCliSurface:
+    def test_every_output_shape_pinned(self, monkeypatch):
+        # argparse wraps its usage lines to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        digest = hashlib.md5()
+        count = 0
+        for argv in _surface_invocations():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(list(argv), out=out)
+            digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+            count += 1
+        assert count == 292
+        assert digest.hexdigest() == CLI_SURFACE_MD5
 
 
 class TestEntryPoint:
