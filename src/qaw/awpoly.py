@@ -112,7 +112,11 @@ class CondDensityParams:
         one_minus_q = 1 - self.q
         for name in ("y", "z"):
             t = getattr(self, name)
-            if not (one_minus_q * t * t <= 4):
+            try:
+                inside = one_minus_q * t * t <= 4
+            except TypeError:  # a complex point has no order
+                inside = False
+            if not inside:
                 raise DomainError(
                     f"{name}={t!r} lies outside the orthogonality interval for q={self.q!r}"
                 )

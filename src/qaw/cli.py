@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .polyfam import (
 )
 from .awpoly import CondDensityParams, aw_A_sym, aw_D, map_params
 from .densities import f_CN, f_N, phi_cond
-from .moments import c_n_main, gamma_mk_partial, phi_expansion_partial
+from .moments import c_n_gaussian, c_n_main, gamma_mk_partial, phi_expansion_partial
 from .verify import SuiteConfig, report_to_json, report_to_text, run_suite
 
 __all__ = ["main", "entry"]
@@ -83,19 +84,6 @@ def _build_parser():
     ev.add_argument("selector", choices=_EVAL_SELECTORS, metavar="SELECTOR",
                     help="one of " + ", ".join(_EVAL_SELECTORS))
     ev.add_argument("--n", type=int, default=0, help="degree / moment order")
-    ev.add_argument("--q", type=_base, required=True, help="base parameter in (-1, 1]")
-    ev.add_argument("--rho1", type=_finite, default=0.0)
-    ev.add_argument("--rho2", type=_finite, default=0.0)
-    ev.add_argument("--y", type=_finite, default=0.0, help="first conditioning point")
-    ev.add_argument("--z", type=_finite, default=0.0, help="second conditioning point")
-    ev.add_argument("--x", type=_finite, default=None, help="single evaluation point")
-    ev.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:COUNT",
-                    help="inclusive evaluation grid")
-    ev.add_argument("--format", choices=("csv", "json"), default="csv")
-    ev.add_argument("--tol", type=_finite, default=None,
-                    help="relative truncation tolerance for density products")
-    ev.add_argument("--max-terms", type=int, default=None,
-                    help="truncation term cap for density products")
 
     vf = sub.add_parser("verify", help="run the verification suite")
     group = vf.add_mutually_exclusive_group(required=True)
@@ -114,14 +102,21 @@ def _build_parser():
                     help="phi: moment expansion of the two-sided density; "
                     "fcn: Poisson-Mehler kernel for the one-sided density")
     ex.add_argument("--n", type=int, default=40, help="number of series terms")
-    ex.add_argument("--q", type=_base, required=True)
-    ex.add_argument("--rho1", type=_finite, default=0.0)
-    ex.add_argument("--rho2", type=_finite, default=0.0)
-    ex.add_argument("--y", type=_finite, default=0.0)
-    ex.add_argument("--z", type=_finite, default=0.0)
-    ex.add_argument("--x", type=_finite, default=None)
-    ex.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:COUNT")
-    ex.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    for cmd in (ev, ex):
+        cmd.add_argument("--q", type=_base, required=True, help="base parameter in (-1, 1]")
+        cmd.add_argument("--rho1", type=_finite, default=0.0)
+        cmd.add_argument("--rho2", type=_finite, default=0.0)
+        cmd.add_argument("--y", type=_finite, default=0.0, help="first conditioning point")
+        cmd.add_argument("--z", type=_finite, default=0.0, help="second conditioning point")
+        cmd.add_argument("--x", type=_finite, default=None, help="single evaluation point")
+        cmd.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:COUNT",
+                         help="inclusive evaluation grid")
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+    ev.add_argument("--tol", type=_finite, default=None,
+                    help="relative truncation tolerance for density products")
+    ev.add_argument("--max-terms", type=int, default=None,
+                    help="truncation term cap for density products")
     return parser
 
 
@@ -156,23 +151,23 @@ def _policy(args):
     return TruncationPolicy(rel_tol=rel_tol, max_terms=max_terms)
 
 
-def _emit(rows, columns, fmt, out):
+def _emit(rows, fmt, out):
+    """Write rows as JSON, or as CSV headed by the first row's keys with floats by repr."""
     if fmt == "json":
-        out.write(json.dumps([{k: row[k] for k in columns} for row in rows]))
+        out.write(json.dumps(rows))
         out.write("\n")
         return
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_cell(row[k]) for k in columns])
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
     out.write(text.getvalue())
 
 
-def _cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+def _table(head, points, cells):
+    """One row per point: the head columns, x, then the columns cells(x) returns."""
+    return [{**head, "x": x, **cells(x)} for x in points]
 
 
 def _cmd_eval(args, out):
@@ -180,70 +175,45 @@ def _cmd_eval(args, out):
     n, q = args.n, args.q
     if n < 0:
         raise DomainError(f"--n must be nonnegative, got {n}")
+    one = {"y": args.y, "rho1": args.rho1}
+    two = {**one, "z": args.z, "rho2": args.rho2}
 
     if sel == "C":
         if args.x is not None or args.grid is not None:
             raise DomainError("selector C is a function of (y, z); it takes no x grid")
         p = CondDensityParams(args.y, args.rho1, args.z, args.rho2, q)
-        value = float(c_n_main(n, p))
-        rows = [{"n": n, "q": q, "y": p.y, "rho1": p.rho1, "z": p.z, "rho2": p.rho2,
-                 "value": value}]
-        _emit(rows, ["n", "q", "y", "rho1", "z", "rho2", "value"], args.format, out)
+        value = c_n_gaussian(n, p.y, p.z, p.rho1, p.rho2) if q == 1 else c_n_main(n, p)
+        _emit([{"n": n, "q": q, **two, "value": float(value)}], args.format, out)
         return 0
 
     points = _points(args)
     policy = _policy(args)
-    rows = []
     if sel in ("h", "H", "B", "b", "U"):
         fn = {"h": hermite_h, "H": hermite_H, "B": b_big, "b": b_small}.get(sel)
-        columns = ["n", "q", "x", "value"]
-        for x in points:
-            value = chebyshev_U(n, x) if sel == "U" else fn(n, x, q)
-            rows.append({"n": n, "q": q, "x": x, "value": float(value)})
-    elif sel in ("Q", "P"):
-        columns = ["n", "q", "y", "rho1", "x", "value"]
-        if sel == "Q":
-            params = map_params(CondDensityParams(args.y, args.rho1, 0.0, 0.0, q))
-            for x in points:
-                rows.append({"n": n, "q": q, "y": args.y, "rho1": args.rho1, "x": x,
-                             "value": float(asc_Q(n, x, params.a, params.b, q))})
-        else:
-            for x in points:
-                rows.append({"n": n, "q": q, "y": args.y, "rho1": args.rho1, "x": x,
-                             "value": float(asc_P(n, x, args.y, args.rho1, q))})
-    elif sel in ("D", "A"):
+        head, at = {}, lambda x: chebyshev_U(n, x) if sel == "U" else fn(n, x, q)
+    elif sel == "Q":
+        params = map_params(CondDensityParams(args.y, args.rho1, 0.0, 0.0, q))
+        head, at = one, lambda x: asc_Q(n, x, params.a, params.b, q)
+    elif sel == "P":
+        head, at = one, lambda x: asc_P(n, x, args.y, args.rho1, q)
+    elif sel == "D":
+        params = map_params(CondDensityParams(args.y, args.rho1, args.z, args.rho2, q))
+        head, at = two, lambda x: aw_D(n, x, params, q)
+    elif sel == "A":
         p = CondDensityParams(args.y, args.rho1, args.z, args.rho2, q)
-        columns = ["n", "q", "y", "rho1", "z", "rho2", "x", "value"]
-        if sel == "D":
-            params = map_params(p)
-            for x in points:
-                rows.append({"n": n, "q": q, "y": p.y, "rho1": p.rho1, "z": p.z,
-                             "rho2": p.rho2, "x": x,
-                             "value": float(aw_D(n, x, params, q))})
-        else:
-            for x in points:
-                rows.append({"n": n, "q": q, "y": p.y, "rho1": p.rho1, "z": p.z,
-                             "rho2": p.rho2, "x": x,
-                             "value": float(aw_A_sym(n, x, p))})
+        head, at = two, lambda x: aw_A_sym(n, x, p)
     elif sel == "f_N":
-        columns = ["q", "x", "value", "terms"]
-        for x in points:
-            ev = f_N(x, q, policy)
-            rows.append({"q": q, "x": x, "value": ev.value, "terms": ev.terms})
+        head, at = {}, lambda x: f_N(x, q, policy)
     elif sel == "f_CN":
-        columns = ["q", "y", "rho1", "x", "value", "terms"]
-        for x in points:
-            ev = f_CN(x, args.y, args.rho1, q, policy)
-            rows.append({"q": q, "y": args.y, "rho1": args.rho1, "x": x,
-                         "value": ev.value, "terms": ev.terms})
+        head, at = one, lambda x: f_CN(x, args.y, args.rho1, q, policy)
     else:  # phi
         p = CondDensityParams(args.y, args.rho1, args.z, args.rho2, q)
-        columns = ["q", "y", "rho1", "z", "rho2", "x", "value", "terms"]
-        for x in points:
-            ev = phi_cond(x, p, policy)
-            rows.append({"q": q, "y": p.y, "rho1": p.rho1, "z": p.z, "rho2": p.rho2,
-                         "x": x, "value": ev.value, "terms": ev.terms})
-    _emit(rows, columns, args.format, out)
+        head, at = two, lambda x: phi_cond(x, p, policy)
+    if sel in ("f_N", "f_CN", "phi"):
+        rows = _table({"q": q, **head}, points, lambda x: asdict(at(x)))  # value, terms
+    else:
+        rows = _table({"n": n, "q": q, **head}, points, lambda x: {"value": float(at(x))})
+    _emit(rows, args.format, out)
     return 0
 
 
@@ -259,8 +229,7 @@ def _cmd_verify(args, out):
         config.checks = (args.check,)
     if args.tol is not None:
         for name in config.checks:
-            if name in config.tolerances:
-                config.tolerances[name] = args.tol
+            config.tolerances[name] = args.tol
     reports = run_suite(config)
     if args.format == "json":
         out.write(report_to_json(reports))
@@ -272,31 +241,31 @@ def _cmd_verify(args, out):
 
 def _cmd_expand(args, out):
     points = _points(args)
-    N = args.n
+    N, q = args.n, args.q
     if N < 1:
         raise DomainError(f"--n must be at least 1, got {N}")
-    rows = []
     if args.target == "fcn":
-        columns = ["q", "y", "rho1", "n_terms", "x", "closed_form", "partial_sum", "abs_error"]
-        for x in points:
-            closed = f_CN(x, args.y, args.rho1, args.q).value
-            partial = f_N(x, args.q).value * gamma_mk_partial(
-                0, 0, x, args.y, args.rho1, args.q, N
-            )
-            rows.append({"q": args.q, "y": args.y, "rho1": args.rho1, "n_terms": N,
-                         "x": x, "closed_form": closed, "partial_sum": float(partial),
-                         "abs_error": abs(closed - partial)})
+        head = {"y": args.y, "rho1": args.rho1}
+
+        def pair(x):
+            closed, density = f_CN(x, args.y, args.rho1, q).value, f_N(x, q).value
+            # f_N is 0 off the open support, where the kernel's H_i(x) overflow
+            if density == 0:
+                return closed, 0.0
+            return closed, density * gamma_mk_partial(0, 0, x, args.y, args.rho1, q, N)
     else:
-        p = CondDensityParams(args.y, args.rho1, args.z, args.rho2, args.q)
-        columns = ["q", "y", "rho1", "z", "rho2", "n_terms", "x", "closed_form",
-                   "partial_sum", "abs_error"]
-        for x in points:
-            closed = phi_cond(x, p).value
-            partial = float(phi_expansion_partial(x, p, N))
-            rows.append({"q": args.q, "y": p.y, "rho1": p.rho1, "z": p.z, "rho2": p.rho2,
-                         "n_terms": N, "x": x, "closed_form": closed, "partial_sum": partial,
-                         "abs_error": abs(closed - partial)})
-    _emit(rows, columns, args.format, out)
+        p = CondDensityParams(args.y, args.rho1, args.z, args.rho2, q)
+        head = {"y": p.y, "rho1": p.rho1, "z": p.z, "rho2": p.rho2}
+
+        def pair(x):
+            return phi_cond(x, p).value, phi_expansion_partial(x, p, N)
+
+    def cells(x):
+        closed, partial = pair(x)
+        partial = float(partial)
+        return {"closed_form": closed, "partial_sum": partial, "abs_error": abs(closed - partial)}
+
+    _emit(_table({"q": q, **head, "n_terms": N}, points, cells), args.format, out)
     return 0
 
 

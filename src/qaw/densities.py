@@ -232,7 +232,11 @@ def _check_params(q, *rhos, **points):
             raise DomainError(f"the densities take float parameters, got the exact value {v!r}")
     _check_rho(*rhos)
     for name, value in points.items():
-        if not SupportInterval.for_q(q).strictly_contains(value):
+        try:
+            inside = SupportInterval.for_q(q).strictly_contains(value)
+        except TypeError:  # a complex point has no order
+            inside = False
+        if not inside:
             raise DomainError(
                 f"{name}={value!r} must lie strictly inside the support interval for q={q!r}"
             )

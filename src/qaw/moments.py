@@ -329,25 +329,37 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
         phi(x | y, z) = f_N(x) sum_{i >= 0} H_i(x) c_i(y, z) / [i]_q!
 
     x may be a scalar (float result, through the single-point f_N) or a
-    numpy array of points (array result, through f_N_values).
-    Converges to phi_cond(x, p) as N grows; the rate is geometric in
-    max(|rho1|, |rho2|).
+    numpy array of points (array result, through f_N_values).  Where f_N is
+    0, off the open support, the result is 0.0 and H_i(x), which can
+    overflow there, is not evaluated.  Converges to phi_cond(x, p) as N
+    grows; the rate is geometric in max(|rho1|, |rho2|).
     """
     q = p.q
     _check_below_one(q, _GENERAL_Q)
     if N < 1:
         raise DomainError("the partial sum needs at least one term")
-    Hx = hermite_H_seq(N - 1, x, q)
     brackets = q_bracket_seq(N - 1, q)
     c = c_n_seq(N - 1, p)
+    scalar = np.ndim(x) == 0
+    if scalar:
+        density = f_N(x, q, policy).value
+        if density == 0:
+            return 0.0
+    else:
+        out = f_N_values(x, q, policy)
+        inside = out != 0
+        density, x = out[inside], np.asarray(x, dtype=float)[inside]
+    Hx = hermite_H_seq(N - 1, x, q)
     total = 0
     fact = 1
     for i in range(N):
         if i > 0:
             fact = fact * brackets[i]
         total = total + Hx[i] * c[i] / fact
-    density = f_N(x, q, policy).value if np.ndim(x) == 0 else f_N_values(x, q, policy)
-    return density * total
+    if scalar:
+        return density * total
+    out[inside] = density * total
+    return out
 
 
 def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -68,7 +68,11 @@ class QParam:
     q: float
 
     def __post_init__(self):
-        if not (-1 < self.q <= 1):
+        try:
+            inside = -1 < self.q <= 1
+        except TypeError:  # a complex base has no order
+            inside = False
+        if not inside:
             raise DomainError(f"base must satisfy -1 < q <= 1, got {self.q!r}")
 
 
@@ -117,9 +121,13 @@ def _check_finite(*values):
 
 
 def _check_rho(*rhos):
-    """DomainError unless every correlation satisfies |rho| < 1 (so none is nan)."""
+    """DomainError unless every correlation is real with |rho| < 1 (so none is nan)."""
     for rho in rhos:
-        if not -1 < rho < 1:
+        try:
+            inside = -1 < rho < 1
+        except TypeError:  # a complex correlation has no order
+            inside = False
+        if not inside:
             raise DomainError(f"rho must satisfy |rho| < 1, got {rho!r}")
 
 

@@ -70,6 +70,13 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             CondDensityParams(0.4, 1.0, 0.0, 0.5, 0.5)
 
+    def test_bundle_rejects_complex_rho_and_base(self):
+        # complex values have no order; DomainError, not TypeError
+        with pytest.raises(DomainError):
+            CondDensityParams(0.1, 0.2j, 0.3, 0.4, 0.5)
+        with pytest.raises(DomainError):
+            CondDensityParams(0.1, 0.2, 0.3, 0.4, 0.5j)
+
     def test_bundle_allows_boundary_point(self):
         half = 2 / math.sqrt(1 - 0.5)
         CondDensityParams(half, 0.5, 0.0, 0.5, 0.5)

@@ -7,10 +7,11 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
-from qaw import CondDensityParams, c_n_main, chebyshev_U
+from qaw import CondDensityParams, c_n_gaussian, c_n_main, chebyshev_U
 from qaw.cli import _EVAL_SELECTORS, entry, main
 from qaw.densities import phi_q0
 
@@ -79,6 +80,17 @@ class TestEvalCommand:
         _, rows = csv_rows(text)
         want = float(c_n_main(1, CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.5)))
         assert float(rows[0][6]) == want
+
+    def test_moment_selector_gaussian_branch(self):
+        # q = 1 is a valid --q; C goes through the Hermite closed form there
+        for n in (0, 1, 3, 6):
+            code, text = run(
+                "eval", "C", "--n", str(n), "--q", "1", "--y", "0.4", "--rho1", "0.5",
+                "--z", "-0.6", "--rho2", "0.7",
+            )
+            assert code == 0
+            _, rows = csv_rows(text)
+            assert rows[0][6] == repr(float(c_n_gaussian(n, 0.4, -0.6, 0.5, 0.7)))
 
     def test_chebyshev_selector_ignores_q(self):
         code, text = run("eval", "U", "--n", "3", "--q", "0.7", "--x", "0.5")
@@ -234,6 +246,19 @@ class TestExpandCommand:
             code, text = run(*base, *extra)
             assert code == 2, extra
             assert text == ""
+
+    def test_off_support_rows_read_zero(self):
+        # f_N is 0 off the open support |x| < 2 / sqrt(1 - q); the product is 0, not nan
+        pair = ("--y", "0.2", "--rho1", "0.4", "--z", "0.1", "--rho2", "0.3")
+        for target in ("fcn", "phi"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, text = run("expand", target, "--n", "64", "--q", "0.5", *pair,
+                                 "--grid", "3:1e5:3")
+            assert code == 0
+            header, rows = csv_rows(text)
+            assert header[-3:] == ["closed_form", "partial_sum", "abs_error"]
+            assert [row[-3:] for row in rows] == [["0.0", "0.0", "0.0"]] * 3
 
     def test_rejects_empty_expansion(self):
         code, _ = run("expand", "phi", "--n", "0", "--q", "0.5", "--x", "0.1")

@@ -148,6 +148,16 @@ class TestFCN:
         with pytest.raises(DomainError):
             f_CN(0.3, 5.0, 0.5, 0.5)
 
+    def test_rejects_complex_parameters(self):
+        # complex values have no order; DomainError, not TypeError
+        for call in (
+            lambda: f_CN(0.1, 0.2, 0.3j, 0.5),
+            lambda: f_CN(0.1, 0.2j, 0.3, 0.5),
+            lambda: f_N(0.1, 0.5j),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
     def test_rejects_boundary_conditioning_point(self):
         half = 2 / math.sqrt(1 - 0.5)
         with pytest.raises(DomainError):

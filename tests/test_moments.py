@@ -1,10 +1,13 @@
 """Conditional moments: collapses, closed forms, kernel identities, expansion."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qaw.moments
 from qaw import (
@@ -34,6 +37,11 @@ from qaw import (
 from qaw.polyfam import hermite_H_seq
 
 from helpers import seeded_bundles
+
+small_qs = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=12)
+small_fractions = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=16)
+# (1 - q) t**2 <= 1.9 * 1.96 < 4 for every q above: inside the interval for all of small_qs
+interval_points = st.fractions(min_value=Fraction(-7, 5), max_value=Fraction(7, 5), max_denominator=16)
 
 EXACT_P = CondDensityParams(
     Fraction(2, 5), Fraction(-3, 5), Fraction(1, 2), Fraction(7, 10), Fraction(1, 2)
@@ -125,6 +133,19 @@ class TestConditionalMoment:
     def test_two_routes_agree_exactly(self):
         for n in range(11):
             assert c_n_main(n, EXACT_P) == c_n_via_P(n, EXACT_P)
+
+    @given(
+        n=st.integers(min_value=0, max_value=6),
+        y=interval_points,
+        rho1=small_fractions,
+        z=interval_points,
+        rho2=small_fractions,
+        q=small_qs,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_two_routes_agree_exactly_on_any_bundle(self, n, y, rho1, z, rho2, q):
+        p = CondDensityParams(y, rho1, z, rho2, q)
+        assert c_n_main(n, p) == c_n_via_P(n, p)
 
     def test_two_routes_agree_on_random_bundles(self):
         for p in seeded_bundles(4):
@@ -231,6 +252,9 @@ class TestGaussianMoment:
     def test_rejects_bad_correlation(self):
         with pytest.raises(DomainError):
             c_n_gaussian(2, 0.0, 0.0, 1.0, 0.5)
+        # a complex correlation has no order; DomainError, not TypeError
+        with pytest.raises(DomainError):
+            c_n_gaussian(2, 0.1, 0.2, 0.3j, 0.1)
 
 
 class TestShiftedKernel:
@@ -349,6 +373,23 @@ class TestDensityExpansion:
         exact = phi_cond(x, p).value
         errors = [abs(phi_expansion_partial(x, p, N) - exact) for N in (10, 20, 40)]
         assert errors[0] > errors[1] > errors[2]
+
+    def test_off_support_is_zero(self):
+        # f_N is 0 off the open support, where H_i(x) overflows: 0.0, not nan
+        p = CondDensityParams(0.2, 0.4, 0.1, 0.3, 0.5)
+        half = 2 / math.sqrt(1 - 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e5, -1e5, half, -3.0):
+                got = phi_expansion_partial(x, p, 64)
+                assert type(got) is float and math.copysign(1, got) == 1 and got == 0
+            xs = np.array([-1e5, -0.7, half, 0.3, 1e5])
+            on_grid = phi_expansion_partial(xs, p, 64)
+        assert [math.copysign(1, v) for v in on_grid[[0, 2, 4]]] == [1, 1, 1]
+        assert list(on_grid[[0, 2, 4]]) == [0, 0, 0]
+        # in-support entries keep the bits of the scalar path
+        assert on_grid[1] == phi_expansion_partial(-0.7, p, 64)
+        assert on_grid[3] == phi_expansion_partial(0.3, p, 64) > 0
 
     def test_rejects_gaussian_and_empty(self):
         with pytest.raises(DomainError):
