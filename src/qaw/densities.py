@@ -20,8 +20,9 @@ are cut after K factors where K is chosen so the dropped tail perturbs
 the value by less than the policy's relative tolerance: each factor is
 1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= rel_tol with a
 conservative per-density constant C.  Each product reads its row q**k,
-k < K, from one cache of 32 read-only rows (``_powers``), at most about
-1.05 MB at |q| <= 0.99.
+k < K, from one cache of 32 read-only rows (``_powers``; ``_theta`` adds
+f_N's (1 + q**k)**2), and the x-free rows of the last four rho-parts from
+``_rows``, at most about 1.3 MB (K = 10000, the default term cap).
 
 A point call hands the evaluator a float: a Python comparison tests the
 support, and each product reduces one (1, K) row.  An array is masked
@@ -37,8 +38,8 @@ arrays and return bare arrays.  Points on or outside the support boundary
 get density exactly 0; a nan, infinite or complex point raises
 ``DomainError``, as does an array given to a point call.  Conditioning
 points must be strictly interior.  The products are float-only: an exact
-fraction (say a ``Fraction`` base or correlation) raises ``DomainError``;
-integers and floats are accepted.
+fraction (say a ``Fraction`` base or correlation) or a numpy array
+parameter raises ``DomainError``; integers and floats are accepted.
 """
 
 from __future__ import annotations
@@ -93,10 +94,7 @@ class SupportInterval:
     def for_q(cls, q):
         """Orthogonality interval for base q: +-2/sqrt(1-q), all of R at q = 1."""
         QParam(q)
-        if q == 1:
-            return cls(-math.inf, math.inf)
-        half = 2 / math.sqrt(1 - q)
-        return cls(-half, half)
+        return cls(-_half_width(q), _half_width(q))
 
     @property
     def half_width(self):
@@ -107,6 +105,10 @@ class SupportInterval:
 
     def strictly_contains(self, x):
         return self.lo < x < self.hi
+
+
+def _half_width(q):
+    return math.inf if q == 1 else 2 / math.sqrt(1 - q)
 
 
 @dataclass(frozen=True)
@@ -153,11 +155,6 @@ def _product_length(q, policy, scale):
 _FN_SCALE, _BOUND_SCALE, _FCN_SCALE, _PHI_SCALE = 8.0, 16.0, 32.0, 96.0
 
 
-@lru_cache(maxsize=128)
-def _fn_coef(q, policy):
-    return math.sqrt(1 - q) * q_pochhammer_inf(q, q, policy) / _TWO_PI
-
-
 @lru_cache(maxsize=32)
 def _powers(q, policy, scale):
     """(K, the read-only row q**k for k < K) of the product with constant scale."""
@@ -165,6 +162,16 @@ def _powers(q, policy, scale):
     qk = np.power(float(q), np.arange(K))
     qk.flags.writeable = False
     return K, qk
+
+
+@lru_cache(maxsize=32)
+def _theta(q, policy):
+    """(coef, K, qk, head) of f_N: its constant, its K and q**k row, and the row (1 + q**k)**2."""
+    coef = math.sqrt(1 - q) * q_pochhammer_inf(q, q, policy) / _TWO_PI
+    K, qk = _powers(q, policy, _FN_SCALE)
+    head = (1 + qk) ** 2
+    head.flags.writeable = False
+    return coef, K, qk, head
 
 
 # Elements per (points, K) buffer, 128 KB of float64: the fastest, or tied
@@ -183,15 +190,17 @@ def _point_products(block_factors, xs, K, nbuf):
     block-sized temporaries made malloc hand heap pages back and fault them
     in again, at a rate that varied with the heap layout.  The
     multiply-reduce runs along k in order, as on one (K, points) array, so
-    every product keeps its bits.  The result has the shape of xs (a float
-    xs is its own t and makes one (1, K) row).
+    every product keeps its bits.  The result has the shape of xs; a float
+    xs is its own t, makes one (1, K) row and gives a numpy scalar.
     """
-    col = xs if isinstance(xs, float) else xs.reshape(-1, 1)
-    n = np.size(xs)
+    if isinstance(xs, float):
+        return np.multiply.reduce(block_factors(xs, *np.empty((nbuf, 1, K))), axis=1)[0]
+    col = xs.reshape(-1, 1)
+    n = xs.size
     step = max(1, _BLOCK_ELEMENTS // K)
     if n <= step:
         factors = block_factors(col, *np.empty((nbuf, n, K)))
-        return np.multiply.reduce(factors, axis=1).reshape(np.shape(xs))
+        return np.multiply.reduce(factors, axis=1).reshape(xs.shape)
     bufs = np.empty((nbuf, step, K))
     out = np.empty(n)
     for start in range(0, n, step):
@@ -222,18 +231,21 @@ def _w_block(x, y, coeffs, out, scratch):
 def _check_params(q, *rhos, **points):
     """DomainError unless q, each |rho| < 1 and each named conditioning point suit a density.
 
-    An exact fraction (a Rational but not an integer) is refused: the
-    products are float-only and numpy cannot mix a Fraction into them.
+    An exact fraction (a Rational but not an integer) or a numpy array is
+    refused: the products are float-only, and _rows hashes the parameters.
     Plain type tests, so a point call does no numpy work here.
     """
     QParam(q)
     for v in (q, *rhos, *points.values()):
-        if type(v) is not float and isinstance(v, Rational) and not isinstance(v, Integral):
-            raise DomainError(f"the densities take float parameters, got the exact value {v!r}")
+        if type(v) is not float and (
+            isinstance(v, np.ndarray) or isinstance(v, Rational) and not isinstance(v, Integral)
+        ):
+            raise DomainError(f"the densities take float parameters, got {v!r}")
     _check_rho(*rhos)
+    half = _half_width(q)
     for name, value in points.items():
         try:
-            inside = SupportInterval.for_q(q).strictly_contains(value)
+            inside = -half < value < half
         except TypeError:  # a complex point has no order
             inside = False
         if not inside:
@@ -261,6 +273,16 @@ def _finite_points(x):
     return xa
 
 
+@lru_cache(maxsize=4, typed=True)
+def _rows(build, *key):
+    """build(*key) with every array read-only; key is (y, rho, q, policy) or (bundle, policy)."""
+    part = _, num, den, pairs = build(*key)
+    for row in (num, den, *(c for _, w in pairs for c in w)):
+        if row is not None:
+            row.flags.writeable = False
+    return part
+
+
 def _part_products(xs, part):
     """The product over k of num / (w(x, y1) den w(x, y2)) at xs, a float or an array.
 
@@ -282,16 +304,14 @@ def _part_products(xs, part):
 def _density(x, q, policy, mu, var, part=None):
     """(value, terms) of a density at x, a Python float or a float array.
 
-    N(mu, var) at q = 1; else f_N times the product of the rho-part that
-    part() builds once a point lies strictly inside the support.  terms is
-    the K of the last product run, 0 if none ran.
+    N(mu, var) at q = 1; else f_N times the product of the rho-part whose
+    rows _rows(*part) looks up once a point lies strictly inside the
+    support.  terms is the K of the last product run, 0 if none ran.
     """
     if q == 1:
         return np.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(_TWO_PI * var), 0
-    coef = _fn_coef(q, policy)
-    K, qk = _powers(q, policy, _FN_SCALE)
-    half = 2 / math.sqrt(1 - q)
-    head = (1 + qk) ** 2
+    coef, K, qk, head = _theta(q, policy)
+    half = _half_width(q)
 
     def theta(t, f):
         np.multiply((1 - q) * t * t, qk, out=f)
@@ -301,7 +321,7 @@ def _density(x, q, policy, mu, var, part=None):
         value = coef * _point_products(theta, xs, K, 1) / np.sqrt(4 - (1 - q) * xs * xs)
         if part is None:
             return value, K
-        rho_part = part()
+        rho_part = _rows(*part)
         return value * _part_products(xs, rho_part), rho_part[0]
 
     if isinstance(x, float):
@@ -331,14 +351,14 @@ def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     return DensityEval(float(value), terms)
 
 
+def _fcn_rows(y, rho, q, policy):
+    K, qk = _powers(q, policy, _FCN_SCALE)
+    return K, 1 - rho * rho * qk, None, ((y, _w_coeffs(rho, q, qk)),)
+
+
 def _fcn_plan(y, rho, q, policy):
-    """f_CN's mean and variance at q = 1 and its rho-part builder, None at rho = 0."""
-
-    def part():
-        K, qk = _powers(q, policy, _FCN_SCALE)
-        return K, 1 - rho * rho * qk, None, ((y, _w_coeffs(rho, q, qk)),)
-
-    return rho * y, 1 - rho * rho, None if rho == 0 else part
+    """f_CN's mean and variance at q = 1 and its rho-part's _rows key, None at rho = 0."""
+    return rho * y, 1 - rho * rho, None if rho == 0 else (_fcn_rows, y, rho, q, policy)
 
 
 def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -366,25 +386,25 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     xa = _finite_points(x)
     if rho == 0:
         return np.ones_like(xa)
-    return _part_products(xa, _fcn_plan(y, rho, q, policy)[2]())
+    return _part_products(xa, _rows(_fcn_rows, y, rho, q, policy))
+
+
+def _phi_rows(p, policy):
+    r1sq, r2sq = p.rho1 * p.rho1, p.rho2 * p.rho2
+    K, qk = _powers(p.q, policy, _PHI_SCALE)
+    w12 = _w_block(p.y, p.z, _w_coeffs(p.rho1 * p.rho2, p.q, qk), np.empty(K), np.empty(K))
+    num = (1 - r1sq * qk) * (1 - r2sq * qk) * w12
+    pairs = ((p.y, _w_coeffs(p.rho1, p.q, qk)), (p.z, _w_coeffs(p.rho2, p.q, qk)))
+    return K, num, 1 - r1sq * r2sq * qk, pairs
 
 
 def _phi_plan(p, policy):
-    """phi_cond's mean and variance at q = 1 and its rho-part builder, None if uncorrelated."""
-    q = p.q
-    r1sq = p.rho1 * p.rho1
-    r2sq = p.rho2 * p.rho2
-
-    def part():
-        K, qk = _powers(q, policy, _PHI_SCALE)
-        w12 = _w_block(p.y, p.z, _w_coeffs(p.rho1 * p.rho2, q, qk), np.empty(K), np.empty(K))
-        num = (1 - r1sq * qk) * (1 - r2sq * qk) * w12
-        pairs = ((p.y, _w_coeffs(p.rho1, q, qk)), (p.z, _w_coeffs(p.rho2, q, qk)))
-        return K, num, 1 - r1sq * r2sq * qk, pairs
-
+    """phi_cond's mean and variance at q = 1 and its rho-part's _rows key, None if uncorrelated."""
+    r1sq, r2sq = p.rho1 * p.rho1, p.rho2 * p.rho2
     den = 1 - r1sq * r2sq
     mu = (p.y * p.rho1 * (1 - r2sq) + p.z * p.rho2 * (1 - r1sq)) / den
-    return mu, (1 - r1sq) * (1 - r2sq) / den, None if p.rho1 == 0 and p.rho2 == 0 else part
+    rows = None if p.rho1 == 0 and p.rho2 == 0 else (_phi_rows, p, policy)
+    return mu, (1 - r1sq) * (1 - r2sq) / den, rows
 
 
 def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -47,6 +47,7 @@ from .qcore import (
     _check_below_one,
     _check_finite,
     _check_order,
+    _check_real,
     _check_rho,
     _factorial_seq,
     q_binomial,
@@ -210,6 +211,7 @@ def c_n_gaussian(n, y, z, rho1, rho2):
     """
     _check_order(n)
     _check_rho(rho1, rho2)
+    _check_real(y, z)
     if rho1 == 0 and rho2 == 0:
         return 1.0 if n == 0 else 0.0
     r1sq, r2sq = rho1 * rho1, rho2 * rho2

@@ -12,8 +12,9 @@ by a :class:`TruncationPolicy` and therefore only makes sense in floating
 point.
 
 Each parameter rule of the package has its one private helper here:
-``_check_finite`` (scalars and numpy arrays), ``_check_rho`` (|rho| < 1)
-and ``_check_below_one`` (q < 1, where q = 1 needs its own closed form).
+``_check_finite`` (scalars and numpy arrays), ``_check_real`` (finite and
+not complex), ``_check_rho`` (|rho| < 1) and ``_check_below_one`` (q < 1,
+where q = 1 needs its own closed form).
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ def _check_finite(*values):
                 raise DomainError("values must be finite, got an array holding nan or inf")
         elif not isinstance(v, Rational) and not cmath.isfinite(v):
             raise DomainError(f"parameters must be finite, got {v!r}")
+
+
+def _check_real(*values):
+    """DomainError unless every scalar or numpy array in values is finite and not complex."""
+    _check_finite(*values)
+    for v in values:
+        if np.iscomplexobj(v):
+            raise DomainError(f"parameters must be real, got {v!r}")
 
 
 def _check_rho(*rhos):

@@ -28,7 +28,11 @@ from qaw import (
     w_factor,
 )
 from qaw.densities import (
+    _fcn_rows,
+    _phi_rows,
     _powers,
+    _rows,
+    _theta,
     f_CN_q0,
     f_CN_values,
     f_N_q0,
@@ -300,6 +304,20 @@ class TestExactParameters:
         with pytest.raises(DomainError):
             exact_field[name]()
 
+    @pytest.mark.parametrize("name", ["f_N", "f_N_values", "f_CN", "f_CN_values",
+                                      "cond_ratio_values", "phi_cond", "phi_cond_values",
+                                      "fcn_ratio_bounds"])
+    def test_array_parameter_raises(self, name):
+        # a 0-d array is no float parameter, and it cannot key the row cache
+        arr = np.array(0.5)
+        cases = [self._calls(0.2, 0.3, arr, CondDensityParams(0.4, 0.5, -0.6, 0.7, arr))]
+        if name not in ("f_N", "f_N_values"):
+            cases.append(self._calls(np.array(0.2), arr, 0.5,
+                                     CondDensityParams(np.array(0.4), arr, -0.6, 0.7, 0.5)))
+        for calls in cases:
+            with pytest.raises(DomainError):
+                calls[name]()
+
     def test_integer_and_float_parameters_pass(self):
         # integers mix into numpy arithmetic, so only exact fractions are refused
         for q in (0, 0.5):
@@ -384,6 +402,27 @@ class TestMemoryBound:
             finally:
                 tracemalloc.stop()
             assert peak < 4_000_000, (name, peak)
+
+    def test_row_cache_retains_below_1_5_mb(self):
+        # a full _rows cache at q = 0.99, filled last by phi_cond bundles,
+        # whose eight rows of K = 4120 make the largest entries
+        q, maxsize = 0.99, _rows.cache_info().maxsize
+        half = 2 / math.sqrt(1 - q)
+        fracs = np.linspace(-0.9, 0.9, maxsize)
+        f_CN(0.1, 0.2, 0.5, q)
+        phi_cond(0.1, CondDensityParams(0.2, 0.5, 0.1, 0.3, q))  # q**k rows cached
+        _rows.cache_clear()
+        tracemalloc.start()
+        try:
+            for u in fracs:
+                f_CN(0.1, u * half, 0.5, q)
+            for u in fracs:
+                phi_cond(0.1, CondDensityParams(u * half, 0.5, -u * half, 0.3, q))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert _rows.cache_info().currsize == maxsize
+        assert retained < 1_500_000, retained
 
 
 class TestRatioBounds:
@@ -470,8 +509,45 @@ class TestProductRows:
     def test_cached_row_rejects_writes(self):
         K, row = _powers(0.5, DEFAULT_POLICY, 8.0)
         assert len(row) == K == 51
-        with pytest.raises(ValueError):
-            row[0] = 2.0
+        # the q**k row, f_N's head row and every cached rho-part row
+        p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
+        rows = [row, _theta(0.5, DEFAULT_POLICY)[3]]
+        for _, num, den, pairs in (
+            _rows(_fcn_rows, 0.2, 0.5, 0.5, DEFAULT_POLICY),
+            _rows(_phi_rows, p, DEFAULT_POLICY),
+        ):
+            rows += [num] + ([] if den is None else [den]) + [c for _, w in pairs for c in w]
+        assert len(rows) == 2 + 4 + 8
+        for row in rows:
+            with pytest.raises(ValueError):
+                row[0] = 2.0
+
+    def test_interleaved_calls_keep_the_bits_of_cold_calls(self):
+        # more parameter sets than _rows holds, revisited A, B, A, C, ...
+        q = 0.99
+        half = 2 / math.sqrt(1 - q)
+        # neighbours: sets that differ in one field by 1e-6, or in a sign
+        calls = [lambda x, y=y: f_CN(x, y, 0.6, q) for y in (-0.3 * half, 0.1, 0.1 + 1e-6)]
+        calls.append(lambda x: DensityEval(float(cond_ratio_values([x], 0.1, 0.6, q)[0]), 0))
+        calls += [
+            lambda x, p=CondDensityParams(u * half, 0.5, -0.2 * half, rho2, q): phi_cond(x, p)
+            for u, rho2 in ((0.3, -0.3), (0.3, 0.3), (-0.6, 0.8))
+        ]
+        assert len(calls) > _rows.cache_info().maxsize
+        xs = (-0.1 * half, 0.2, 0.25 * half)
+
+        def bits(ev):
+            return ev.value.hex(), ev.terms
+
+        cold = {}
+        for i, call in enumerate(calls):
+            for x in xs:
+                _rows.cache_clear()
+                cold[i, x] = bits(call(x))
+        order = [i for j in range(1, len(calls)) for i in (0, j)] * 2
+        for n, i in enumerate(order):
+            x = xs[n % len(xs)]
+            assert bits(calls[i](x)) == cold[i, x], (i, x)
 
     def test_golden_values_at_high_q(self):
         # pins the product digits at q = 0.5, 0.9, 0.99, beyond the suite's
@@ -480,3 +556,46 @@ class TestProductRows:
         for q in (0.5, 0.9, 0.99):
             _golden_feed(digest, q)
         assert digest.hexdigest() == GOLDEN_DENSITY_MD5
+
+
+@st.composite
+def float_bundles(draw):
+    """Float bundles: q in [-0.9, 0.99], |rho| <= 0.95, y and z within 0.99 of the half-width."""
+    q = draw(st.floats(-0.9, 0.99))
+    half = 2 / math.sqrt(1 - q)
+    frac, rho = st.floats(-0.99, 0.99), st.floats(-0.95, 0.95)
+    return CondDensityParams(draw(frac) * half, draw(rho), draw(frac) * half, draw(rho), q)
+
+
+class TestPointCallProperty:
+    @given(p=float_bundles(), u=st.floats(-0.99, 0.99), s=st.floats(-1, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_point_call_is_the_one_point_grid_value(self, p, u, s):
+        """Cold and warm point calls give the 1-point grid value bit for bit.
+
+        Bits are compared at any x within 0.99 of the half-width; positivity
+        at x within one unit of the conditional mean, where the law has its
+        mass: far in the tails at q near 1 the true value can lie below the
+        float range.
+        """
+        q = p.q
+        half = 2 / math.sqrt(1 - q)
+        r1sq, r2sq = p.rho1 * p.rho1, p.rho2 * p.rho2
+        means = {
+            "f_N": 0.0,
+            "f_CN": p.rho1 * p.y,
+            "phi_cond": (p.y * p.rho1 * (1 - r2sq) + p.z * p.rho2 * (1 - r1sq)) / (1 - r1sq * r2sq),
+        }
+        pairs = {
+            "f_N": (lambda x: f_N(x, q), lambda xs: f_N_values(xs, q)),
+            "f_CN": (lambda x: f_CN(x, p.y, p.rho1, q), lambda xs: f_CN_values(xs, p.y, p.rho1, q)),
+            "phi_cond": (lambda x: phi_cond(x, p), lambda xs: phi_cond_values(xs, p)),
+        }
+        for name, (point, grid) in pairs.items():
+            near = min(max(means[name] + s, -0.99 * half), 0.99 * half)
+            for x in (u * half, near):
+                _rows.cache_clear()
+                cold = point(x).value
+                warm = point(x).value
+                assert cold.hex() == warm.hex() == grid(np.array([x]))[0].hex(), (name, x)
+            assert point(near).value > 0, (name, near)

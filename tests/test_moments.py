@@ -256,6 +256,13 @@ class TestGaussianMoment:
         with pytest.raises(DomainError):
             c_n_gaussian(2, 0.1, 0.2, 0.3j, 0.1)
 
+    def test_rejects_complex_or_non_finite_points(self):
+        # y and z are real points: a complex one raises rather than giving a complex moment
+        for y, z in ((0.1j, 0.2), (0.1, np.complex128(0.2 + 1j)), (math.nan, 0.2), (0.1, math.inf)):
+            for rhos in ((0.3, 0.1), (0.0, 0.0)):
+                with pytest.raises(DomainError):
+                    c_n_gaussian(2, y, z, *rhos)
+
 
 class TestShiftedKernel:
     def test_uncorrelated_is_single_product(self):
