@@ -181,6 +181,26 @@ class TestVerifyCommand:
         rows = json.loads(blob)
         assert rows and all(row["pass"] for row in rows)
 
+    def test_json_is_strict_for_non_finite_residuals(self):
+        # the t = -0.4 series overflows to nan at q = 0.99 and fails
+        code, blob = run("verify", "--check", "sn_series", "--q", "0.99", "--format", "json")
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rows = json.loads(blob, parse_constant=reject)
+        assert [row["residual"] is None for row in rows] == [False, True]
+        assert not any(row["pass"] for row in rows)
+        code, text = run("verify", "--check", "sn_series", "--q", "0.99")
+        assert code == 1 and "residual=nan" in text
+
+    def test_zero_tolerance_asks_for_the_roundoff_floor(self):
+        code, text = run("verify", "--check", "orthogonality_H", "--nmax", "2", "--q", "0.3",
+                         "--tol", "0")
+        assert code == 1
+        assert "FAIL" in text
+
     def test_requires_a_selection(self):
         code, _ = run("verify")
         assert code == 2

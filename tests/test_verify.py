@@ -13,7 +13,9 @@ from qaw import (
     SuiteConfig,
     TruncationError,
     hermite_H,
+    hermite_H_seq,
     integrate_on_S,
+    q_factorial,
     report_to_json,
     report_to_text,
     run_suite,
@@ -66,7 +68,9 @@ class TestIntegrateOnS:
     def test_estimate_fields(self):
         est = integrate_on_S(lambda x: f_N_values(x, 0.0), 0.0)
         assert est.abs_error_estimate >= 0
-        assert est.evaluations > 0 and est.evaluations % 20 == 0
+        # interior nodes of a doubled trapezoid rule on N >= 64 intervals
+        n = est.evaluations + 1
+        assert n >= 64 and n & (n - 1) == 0
 
     def test_tighter_tolerance_consistency(self):
         f = lambda x: hermite_H(4, x, 0.3) ** 2 * f_N_values(x, 0.3)
@@ -79,10 +83,34 @@ class TestIntegrateOnS:
             integrate_on_S(lambda x: x, 1.5)
 
     def test_panel_budget_exhaustion(self):
-        # a jump keeps the two-level estimate O(panel) forever
+        # a jump keeps the two-level difference O(h) at every level
         step = lambda x: np.where(x > 0.1, 1.0, 0.0)
         with pytest.raises(TruncationError):
-            integrate_on_S(step, 0.0, target_tol=1e-12, max_panels=64)
+            integrate_on_S(step, 0.0, target_tol=1e-12)
+
+    def test_rejects_non_finite_tolerance(self):
+        f = lambda x: f_N_values(x, 0.3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                integrate_on_S(f, 0.3, target_tol=bad)
+        # zero and negative tolerances ask for the roundoff floor
+        for floor in (0.0, -1.0):
+            assert integrate_on_S(f, 0.3, target_tol=floor).value == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("q", [0.3, 0.7, 0.9, 0.99, -0.9])
+    def test_geometric_convergence_against_exact_targets(self, q):
+        # every H_n H_m f_N integral up to order 8 against [n]_q! or 0
+        pairs = [(n, m) for n in range(9) for m in range(n, 9)]
+
+        def f(x):
+            H = hermite_H_seq(8, x, q)
+            fn = f_N_values(x, q)
+            return np.stack([H[n] * H[m] * fn for n, m in pairs])
+
+        est = integrate_on_S(f, q)
+        exact = [float(q_factorial(n, q)) if n == m else 0.0 for n, m in pairs]
+        assert np.max(np.abs(est.value - exact)) <= 2e-10
+        assert est.evaluations <= 255
 
 
 class TestIndividualChecks:
@@ -220,6 +248,13 @@ class TestSuite:
         ]
         assert sum(counts.values()) == 1932
 
+    def test_gaussian_end_rows(self):
+        # q = 1 integrates on |x| <= 12 rather than in theta
+        checks = ("normalization", "orthogonality_H", "cond_expectation", "orthogonality_P", "vnm")
+        reports = run_suite(SuiteConfig(q_grid=(1,), checks=checks))
+        assert len(reports) == 287
+        assert all(r.passed for r in reports)
+
 
 class TestGoldenBytes:
     """Refactors keep the default suite's bytes; a change of digits updates these hashes."""
@@ -228,9 +263,9 @@ class TestGoldenBytes:
         reports = run_suite()
         # `qaw verify --all --format json` writes the JSON and one newline
         as_json = report_to_json(reports) + "\n"
-        assert hashlib.md5(as_json.encode()).hexdigest() == "86ccebac5c826fa71d45cd1f72294e40"
+        assert hashlib.md5(as_json.encode()).hexdigest() == "fab31a8e3d326a1ee25943a9e03a4dc8"
         as_text = report_to_text(reports)
-        assert hashlib.md5(as_text.encode()).hexdigest() == "a3b15a31bd0af10304416040caa48d2e"
+        assert hashlib.md5(as_text.encode()).hexdigest() == "894aed7b3288487d48bc00e9b192767c"
 
 
 class TestReportSerialization:
