@@ -46,7 +46,7 @@ from .polyfam import (
 from .awpoly import CondDensityParams, aw_A_sym, aw_D, map_params
 from .densities import f_CN, f_N, phi_cond
 from .moments import c_n_gaussian, c_n_main, gamma_mk_partial, phi_expansion_partial
-from .verify import SuiteConfig, report_to_json, report_to_text, run_suite
+from .verify import SuiteConfig, _strict, report_to_json, report_to_text, run_suite
 
 __all__ = ["main", "entry"]
 
@@ -152,9 +152,9 @@ def _policy(args):
 
 
 def _emit(rows, fmt, out):
-    """Write rows as JSON, or as CSV headed by the first row's keys with floats by repr."""
+    """Write rows as strict JSON, or as CSV headed by the first row's keys with floats by repr."""
     if fmt == "json":
-        out.write(json.dumps(rows))
+        out.write(json.dumps([{k: _strict(v) for k, v in row.items()} for row in rows]))
         out.write("\n")
         return
     text = io.StringIO()

@@ -50,13 +50,13 @@ from .qcore import (
     _check_real,
     _check_rho,
     _factorial_seq,
+    _sn_series,
     q_binomial,
     q_binomial_row,
     q_bracket_seq,
     q_factorial,
     q_pochhammer,
     q_pochhammer_seq,
-    s_n,
 )
 from .polyfam import asc_P_seq, hermite_H, hermite_H_seq
 from .awpoly import CondDensityParams
@@ -340,7 +340,7 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
     _check_below_one(q, _GENERAL_Q)
     if N < 1:
         raise DomainError("the partial sum needs at least one term")
-    brackets = q_bracket_seq(N - 1, q)
+    fact = _factorial_seq(N - 1, q)
     c = c_n_seq(N - 1, p)
     scalar = np.ndim(x) == 0
     if scalar:
@@ -353,11 +353,8 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
         density, x = out[inside], np.asarray(x, dtype=float)[inside]
     Hx = hermite_H_seq(N - 1, x, q)
     total = 0
-    fact = 1
     for i in range(N):
-        if i > 0:
-            fact = fact * brackets[i]
-        total = total + Hx[i] * c[i] / fact
+        total = total + Hx[i] * c[i] / fact[i]
     if scalar:
         return density * total
     out[inside] = density * total
@@ -368,23 +365,16 @@ def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8, policy: Truncatio
     """A priori series length for phi_expansion_partial.
 
     Uses the bounds |H_i| <= s_i(q) (1-q)**(-i/2) on the support and
-    |c_i| <= s_i(q) (1-q)**(-i/2) max(|rho1|, |rho2|)**i, giving the term
-    bound s_i(q)**2 max(|rho1|,|rho2|)**i / (q; q)_i.  Returns the smallest
-    N whose next term bound drops below rel_tol, which must lie in (0, 1).
+    |c_i| <= s_i(q) (1-q)**(-i/2) t**i, t = max(|rho1|, |rho2|): term i is
+    at most s_i(q)**2 t**i / (q; q)_i, term i of the second sn_series sum.
+    Returns the first i where that is below rel_tol, which lies in (0, 1).
     """
     TruncationPolicy(rel_tol)  # validates it by the policy's own rule
-    q = p.q
-    _check_below_one(q, _GENERAL_Q)
-    rho = max(abs(p.rho1), abs(p.rho2))
-    if rho == 0:
-        return 1
-    poch = 1.0
-    for i in range(policy.max_terms):
-        if i > 0:
-            poch *= 1 - float(q) ** i
-        bound = float(s_n(i, q)) ** 2 * rho**i / abs(poch)
-        if bound < rel_tol:
-            return max(1, i)
+    _check_below_one(p.q, _GENERAL_Q)
+    t = float(max(abs(p.rho1), abs(p.rho2)))
+    for i, (s, weight) in zip(range(policy.max_terms), _sn_series(t, float(p.q))):
+        if s * s * weight < rel_tol:  # never at i = 0, where the bound is 1
+            return i
     raise TruncationError(
         f"expansion bound did not drop below {rel_tol!r} within {policy.max_terms} terms"
     )

@@ -11,6 +11,10 @@ inherently approximate: it truncates under an explicit tail bound controlled
 by a :class:`TruncationPolicy` and therefore only makes sense in floating
 point.
 
+Gaussian-binomial rows (by a ratio rule on ``q_bracket_seq``) and s_n (by
+the Rogers-Szego recurrence) cost O(n); ``_sn_series`` yields the one s_n
+series that both the suite's sn_series check and the expansion budget sum.
+
 Each parameter rule of the package has its one private helper here:
 ``_check_finite`` (scalars and numpy arrays), ``_check_real`` (finite and
 not complex), ``_check_rho`` (|rho| < 1) and ``_check_below_one`` (q < 1,
@@ -20,6 +24,7 @@ where q = 1 needs its own closed form).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Rational
@@ -178,7 +183,7 @@ def _factorial_seq(n, q):
 
 
 def q_binomial(n, k, q):
-    """Gaussian binomial coefficient.
+    """Gaussian binomial coefficient, entry k of q_binomial_row(n, q).
 
     Returns [n]_q! / ([n-k]_q! [k]_q!) when n >= k >= 0 and 0 otherwise,
     so sums over out-of-range indices vanish without special casing.
@@ -187,31 +192,20 @@ def q_binomial(n, k, q):
         raise DomainError(f"binomial indices must be integers, got {n!r}, {k!r}")
     if not n >= k >= 0:
         return 0
-    return _binomial(q_bracket_seq(n, q), n, k, q)
+    return q_binomial_row(n, q)[k]
 
 
 def q_binomial_row(n, q):
     """The row [[n, 0]_q, [n, 1]_q, ..., [n, n]_q] from one bracket prefix.
 
-    Entry k equals q_binomial(n, k, q) bit for bit: the same products in the
-    same order, and [n, k]_q is [n, n-k]_q, so the second half mirrors the
-    first.
+    O(n) by [n, k+1]_q = [n, k]_q [n-k]_q / [k+1]_q, with no q-factorial to
+    overflow; the second half mirrors the first, since [n, k]_q is [n, n-k]_q.
     """
     brackets = q_bracket_seq(n, q)
-    half = [_binomial(brackets, n, k, q) for k in range(n // 2 + 1)]
+    half = [1 + 0 * q]
+    for k in range(n // 2):
+        half.append(half[-1] * brackets[n - k] / brackets[k + 1])
     return half + half[: (n + 1) // 2][::-1]
-
-
-def _binomial(brackets, n, k, q):
-    # [n]_q!/[n-k]_q! and [k]_q! built together from the prefix brackets
-    # (any list holding [0]_q..[n]_q); all brackets are nonzero on -1 < q <= 1
-    k = min(k, n - k)
-    num = 1 + 0 * q
-    den = 1 + 0 * q
-    for i in range(1, k + 1):
-        num = num * brackets[n - k + i]
-        den = den * brackets[i]
-    return num / den
 
 
 def q_pochhammer(a, q, n):
@@ -284,10 +278,26 @@ def multi_pochhammer(values, q, n, policy: TruncationPolicy = DEFAULT_POLICY):
 def s_n(n, q):
     """Row sum of the Gaussian binomials, s_n(q) = sum_k [n choose k]_q.
 
-    Grows like 2**n at q = 1 and bounds the sup of the n-th q-Hermite
-    polynomial on its orthogonality interval after rescaling.
+    O(n) by Rogers-Szego.  Grows like 2**n at q = 1 and bounds the sup of the
+    n-th q-Hermite polynomial on its orthogonality interval after rescaling.
     """
-    total = 0
-    for binomial in q_binomial_row(n, q):
-        total = total + binomial
-    return total
+    _check_order(n)
+    _check_finite(q)
+    return next(itertools.islice(_rogers_szego(q), n, None))[0]
+
+
+def _rogers_szego(q):
+    # (s_i(q), q**i), i = 0, 1, ...: s_{i+1} = 2 s_i - (1 - q**i) s_{i-1}, s_i = h_i(1 | q)
+    prev, s, power = 0 * q, 1 + 0 * q, 1 + 0 * q
+    while True:
+        yield s, power
+        prev, s = s, 2 * s - (1 - power) * prev
+        power = power * q
+
+
+def _sn_series(t, q):
+    """(s_i(q), t**i / (q; q)_i) for i = 0, 1, ...: the terms of both s_n generating functions."""
+    weight = 1 + 0 * t
+    for s, power in _rogers_szego(q):
+        yield s, weight
+        weight = weight * t / (1 - power * q)

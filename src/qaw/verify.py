@@ -29,12 +29,12 @@ from .qcore import (
     QParam,
     TruncationError,
     _check_finite,
+    _sn_series,
     q_binomial_row,
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
     q_pochhammer_seq,
-    s_n,
 )
 from .polyfam import asc_P_seq, hermite_H_seq
 from .awpoly import CondDensityParams, aw_A_sym_seq, aw_prefactor
@@ -254,22 +254,16 @@ def check_sn_series(t, q, tol):
 
         sum_i s_i(q) t**i / (q; q)_i   = 1 / (t; q)_inf**2
         sum_i s_i(q)^2 t**i / (q; q)_i = (t**2; q)_inf / (t; q)_inf**4
+
+    Both read qcore's float s_n series, as expansion_terms_needed does.
     """
     if not -1 < t < 1:
         raise DomainError(f"the series identities need |t| < 1, got {t!r}")
     if not -1 < q < 1:
         raise DomainError(f"the series identities need |q| < 1, got {q!r}")
-    S1 = 0.0
-    S2 = 0.0
-    poch = 1.0
-    ti = 1.0
-    for i in range(500):
-        if i > 0:
-            poch *= 1 - q**i
-            ti *= t
-        si = float(s_n(i, q))
-        term1 = si * ti / poch
-        term2 = si * si * ti / poch
+    S1 = S2 = 0.0
+    for i, (s, weight) in zip(range(500), _sn_series(float(t), float(q))):
+        term1, term2 = s * weight, s * s * weight
         S1 += term1
         S2 += term2
         if i >= 4 and abs(term1) < 1e-17 * (1 + abs(S1)) and abs(term2) < 1e-17 * (1 + abs(S2)):
@@ -522,6 +516,7 @@ def run_suite(config: SuiteConfig = None):
             raise DomainError(f"unknown check name {name!r}; known: {', '.join(CHECK_NAMES)}")
         default_tol, grid = _SUITE[name]
         tol = config.tolerances.get(name, default_tol)
+        _check_finite(tol)
         check = globals()[f"check_{name}"]
         for args in grid(config):
             rows = check(*args, tol)
@@ -529,13 +524,17 @@ def run_suite(config: SuiteConfig = None):
     return reports
 
 
+def _strict(value):
+    """value for strict JSON, which has no nan or inf: a non-finite float becomes None."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def report_to_json(reports):
     rows = [
         {
             "name": r.name,
             "params": r.params,
-            # strict JSON has no nan or inf; such a row has already failed
-            "residual": r.residual if math.isfinite(r.residual) else None,
+            "residual": _strict(r.residual),  # a non-finite residual has failed
             "tolerance": r.tolerance,
             "pass": r.passed,
         }

@@ -29,6 +29,10 @@ def run(*argv):
     return code, out.getvalue()
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def csv_rows(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -51,6 +55,14 @@ class TestEvalCommand:
         _, rows = csv_rows(text)
         parsed = json.loads(blob)
         assert [float(r[3]) for r in rows] == [row["value"] for row in parsed]
+
+    def test_json_is_strict_for_non_finite_values(self):
+        argv = ("eval", "H", "--n", "3", "--q", "0.5", "--x", "1e200")
+        code, blob = run(*argv, "--format", "json")
+        assert code == 0
+        assert json.loads(blob, parse_constant=reject_constant)[0]["value"] is None
+        code, text = run(*argv)
+        assert code == 0 and csv_rows(text)[1][0][-1] == "inf"
 
     def test_semicircle_midpoint(self):
         code, text = run("eval", "f_N", "--q", "0", "--x", "0")
@@ -181,19 +193,13 @@ class TestVerifyCommand:
         rows = json.loads(blob)
         assert rows and all(row["pass"] for row in rows)
 
-    def test_json_is_strict_for_non_finite_residuals(self):
-        # the t = -0.4 series overflows to nan at q = 0.99 and fails
+    def test_json_is_strict_for_failing_rows(self):
+        # both rows fail at q = 0.99: the t = 0.3 sums reach 5e52, so the
+        # absolute residual is about 1e39, and the t = -0.4 sum cancels
         code, blob = run("verify", "--check", "sn_series", "--q", "0.99", "--format", "json")
         assert code == 1
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        rows = json.loads(blob, parse_constant=reject)
-        assert [row["residual"] is None for row in rows] == [False, True]
-        assert not any(row["pass"] for row in rows)
-        code, text = run("verify", "--check", "sn_series", "--q", "0.99")
-        assert code == 1 and "residual=nan" in text
+        rows = json.loads(blob, parse_constant=reject_constant)
+        assert len(rows) == 2 and not any(row["pass"] for row in rows)
 
     def test_zero_tolerance_asks_for_the_roundoff_floor(self):
         code, text = run("verify", "--check", "orthogonality_H", "--nmax", "2", "--q", "0.3",

@@ -204,3 +204,43 @@ def test_rule_scanner_flags_a_copied_rule():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)
 def test_parameter_rules_live_in_qcore(path):
     assert _rule_copies(path.read_text()) == []
+
+
+def _hand_rolled_pochhammers(source):
+    """Lines that multiply an accumulator in place by 1 - <expr> ** <expr>.
+
+    ``poch *= 1 - q**i`` is a hand-rolled (q; q)_i; qcore builds the one
+    q_pochhammer_seq and the s_n series weights.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.Sub)
+        and isinstance(node.value.left, ast.Constant)
+        and node.value.left.value == 1
+        and isinstance(node.value.right, ast.BinOp)
+        and isinstance(node.value.right.op, ast.Pow)
+    ]
+
+
+def test_pochhammer_scanner_flags_a_hand_rolled_loop():
+    source = (
+        "def f(q, n):\n"
+        "    poch = 1.0\n"
+        "    for i in range(1, n):\n"
+        "        poch *= 1 - q**i\n"
+        "        poch *= 1 - float(q) ** i\n"
+        "        poch *= 1 - q * i\n"
+        "        poch = poch * (1 - q**i)\n"
+        "        poch *= 2 - q**i\n"
+        "    return poch\n"
+    )
+    assert _hand_rolled_pochhammers(source) == [4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)
+def test_no_hand_rolled_pochhammer(path):
+    assert _hand_rolled_pochhammers(path.read_text()) == []

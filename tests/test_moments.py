@@ -423,6 +423,12 @@ class TestTermBudget:
             with pytest.raises(DomainError):
                 expansion_terms_needed(p, rel_tol=rel_tol, policy=policy)
 
+    def test_budget_near_q_one_is_reached(self):
+        # the product-form s_n overflowed from order 618 at q = 0.9, so the
+        # bound never dropped and the loop ran into the term cap
+        p = CondDensityParams(0.1, 0.95, 0.2, 0.1, 0.9)
+        assert expansion_terms_needed(p, 1e-13, TruncationPolicy(max_terms=2000)) == 1665
+
     def test_budget_is_sufficient(self):
         p = CondDensityParams(0.4, 0.3, -0.6, 0.25, 0.5)
         N = expansion_terms_needed(p, rel_tol=1e-8)

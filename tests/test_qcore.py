@@ -13,6 +13,7 @@ from qaw import (
     DomainError,
     QParam,
     TruncationPolicy,
+    hermite_h,
     multi_pochhammer,
     q_binomial,
     q_binomial_row,
@@ -121,15 +122,30 @@ def _horner_binomial(n, k, q):
 
 
 class TestPrefixBitIdentity:
-    """The prefix-sequence forms reproduce one Horner chain per bracket, bit for bit."""
+    """The prefix-sequence forms reproduce one Horner chain per bracket, bit for bit.
+
+    Gaussian binomials come from the ratio rule instead of the product of
+    brackets: exact over Fraction, within 1e-13 relative in floats.
+    """
 
     def test_matches_separate_horner_chains(self):
         for q in (-0.7, 0.3, 0.9, Fraction(-1, 2)):
             for n in range(31):
                 assert q_bracket(n, q) == _horner_bracket(n, q)
                 assert q_factorial(n, q) == _horner_factorial(n, q)
+
+    def test_binomials_match_the_product_form(self):
+        for q in RATIONAL_QS:
+            for n in range(21):
                 for k in range(n + 1):
                     assert q_binomial(n, k, q) == _horner_binomial(n, k, q)
+        worst = 0.0
+        for q in (-0.99, -0.7, 0.3, 0.9, 0.99):
+            for n in range(65):
+                for k in range(n + 1):
+                    want = _horner_binomial(n, k, q)
+                    worst = max(worst, abs(q_binomial(n, k, q) - want) / want)
+        assert worst <= 1e-13
 
 
 class TestBinomialRow:
@@ -290,6 +306,22 @@ class TestSn:
     def test_q_one_gives_powers_of_two(self):
         for n in range(10):
             assert s_n(n, 1) == 2**n
+
+    def test_row_sums_and_rogers_szego_agree_exactly(self):
+        # s_n(q) = h_n(1 | q): the Rogers-Szego recurrence is the q-Hermite one at x = 1
+        for q in (Fraction(-1, 2), Fraction(3, 7), Fraction(9, 10)):
+            for n in range(31):
+                assert s_n(n, q) == sum(q_binomial_row(n, q))
+                assert s_n(n, q) == hermite_h(n, 1, q)
+
+    def test_large_orders_stay_finite(self):
+        # the product form overflowed to inf / inf = nan here
+        row = q_binomial_row(700, 0.9)
+        assert math.isfinite(q_binomial(700, 350, 0.9))
+        assert q_binomial(700, 350, 0.9) == row[350]
+        assert row == row[::-1] and row[0] == row[-1] == 1
+        assert math.isfinite(s_n(700, 0.9))
+        assert s_n(700, 0.9) == pytest.approx(sum(row), rel=1e-12)
 
 
 class TestParamGuards:

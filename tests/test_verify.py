@@ -24,6 +24,7 @@ from qaw.densities import f_N_values
 from qaw.verify import (
     CHECK_NAMES,
     DEFAULT_TOLERANCES,
+    CheckReport,
     check_aw_orthogonality,
     check_chapman_kolmogorov,
     check_cond_expectation,
@@ -225,6 +226,13 @@ class TestSuite:
         reports = run_suite(config)
         assert reports and all(not r.passed for r in reports)
 
+    def test_rejects_non_finite_tolerances(self):
+        # nan would fail every row and inf pass every row
+        for name, tol in (("sn_series", math.nan), ("ratio_bounds", math.inf)):
+            config = SuiteConfig(checks=(name,), q_grid=(0.3,), tolerances={name: tol})
+            with pytest.raises(DomainError):
+                run_suite(config)
+
     def test_default_tolerances_cover_all_checks(self):
         assert set(DEFAULT_TOLERANCES) == set(CHECK_NAMES)
 
@@ -263,9 +271,9 @@ class TestGoldenBytes:
         reports = run_suite()
         # `qaw verify --all --format json` writes the JSON and one newline
         as_json = report_to_json(reports) + "\n"
-        assert hashlib.md5(as_json.encode()).hexdigest() == "fab31a8e3d326a1ee25943a9e03a4dc8"
+        assert hashlib.md5(as_json.encode()).hexdigest() == "765f69aa4532ac15be53c2c2612b64b0"
         as_text = report_to_text(reports)
-        assert hashlib.md5(as_text.encode()).hexdigest() == "894aed7b3288487d48bc00e9b192767c"
+        assert hashlib.md5(as_text.encode()).hexdigest() == "e3d531ad8e9e91e318d9d2a219b63053"
 
 
 class TestReportSerialization:
@@ -277,6 +285,18 @@ class TestReportSerialization:
             assert row["name"] == r.name
             assert row["residual"] == r.residual
             assert row["pass"] == r.passed
+
+    def test_json_writes_non_finite_residuals_as_null(self):
+        reports = [
+            CheckReport("sn_series", {"t": 0.3}, residual, 1e-10, False)
+            for residual in (math.nan, math.inf, 2.5)
+        ]
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rows = json.loads(report_to_json(reports), parse_constant=reject)
+        assert [row["residual"] for row in rows] == [None, None, 2.5]
 
     def test_text_format(self):
         reports = run_suite(FAST_CONFIG)
