@@ -16,24 +16,23 @@ test suite:
 * ``aw_A_mixed``      a single-sum form mixing the two conditioning points.
 
 ``aw_phi43_oracle`` evaluates the classical terminating basic hypergeometric
-series for the same polynomial in extended precision; it exists purely as a
-test oracle.  ``aw_D_free`` and ``aw_A_free`` are the q = 0 closed forms.
+series for the same polynomial in mpmath, at a precision set by n and |q|
+with no cap; it exists purely as a test oracle.  At q = 0 it runs the same
+series at base 1e-20.  ``aw_D_free`` and ``aw_A_free`` are the q = 0 closed
+forms.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .qcore import (
     DomainError,
-    PoleError,
     QParam,
     _check_below_one,
     _check_order,
+    _check_pole,
     _check_rho,
     q_binomial_row,
     q_pochhammer,
@@ -148,37 +147,19 @@ def map_params(p: CondDensityParams) -> AWComplexParams:
     return AWComplexParams(a, a.conjugate(), c, c.conjugate())
 
 
-def _guard_factor(value, what):
-    if isinstance(value, complex) or isinstance(value, float):
-        if abs(value) < 1e-14:
-            raise PoleError(f"{what} vanished; the formula has a pole here")
-    elif value == 0:
-        raise PoleError(f"{what} vanished; the formula has a pole here")
-    return value
-
-
-def _shifted_poch(t, q, n):
-    """(t q**(n-1); q)_n, evaluated without forming q**(n-1) when n = 0."""
-    if n == 0:
-        return 1
-    total = 1
-    power = q ** (n - 1)
-    for _ in range(n):
-        total = _guard_factor(1 - t * power, "a shifted Pochhammer factor") * total
-        power = power * q
-    return total
-
-
 def aw_prefactor(n, rho1, rho2, q):
     """(rho1^2; q)_n (rho2^2; q)_n / (rho1^2 rho2^2 q**(n-1); q)_n.
 
     The normalizing constant shared by all probabilistic-scaling
-    representations; equals 1 at n = 0.
+    representations; equals 1 at n = 0, where no q**-1 is formed.  q = 1 is
+    allowed: the Gaussian end's ((1-rho1^2)(1-rho2^2)/(1-rho1^2 rho2^2))**n.
     """
+    QParam(q)
     r1sq = rho1 * rho1
     r2sq = rho2 * rho2
-    return q_pochhammer(r1sq, q, n) * q_pochhammer(r2sq, q, n) / _shifted_poch(
-        r1sq * r2sq, q, n
+    den = q_pochhammer(r1sq * r2sq * q ** max(n - 1, 0), q, n)
+    return q_pochhammer(r1sq, q, n) * q_pochhammer(r2sq, q, n) / _check_pole(
+        den, "(rho1^2 rho2^2 q**(n-1); q)_n"
     )
 
 
@@ -192,7 +173,10 @@ def aw_D(n, x, params: AWComplexParams, q):
 
     with pref = (ab)_n (cd)_n / (abcd q**(n-1))_n.  For conjugate-pair
     parameters and real x the value is real and is returned as a float.
+    Requires -1 < q < 1.
     """
+    QParam(q)
+    _check_below_one(q, "the Askey-Wilson representations")
     if n == 0:
         return 1.0
     a, b, c, d = params.a, params.b, params.c, params.d
@@ -203,10 +187,11 @@ def aw_D(n, x, params: AWComplexParams, q):
     Q2 = asc_Q_seq(n, x, c, d, q)
     poch_ab = q_pochhammer_seq(ab, q, n)
     poch_cd = q_pochhammer_seq(cd, q, n)
-    for i in range(1, n + 1):
-        _guard_factor(poch_ab[i], "(ab; q)_i")
-        _guard_factor(poch_cd[i], "(cd; q)_i")
-    pref = poch_ab[n] * poch_cd[n] / _shifted_poch(ab * cd, q, n)
+    # a vanishing factor zeroes every later entry, so the last ones decide
+    _check_pole(poch_ab[n], "(ab; q)_n")
+    _check_pole(poch_cd[n], "(cd; q)_n")
+    den = _check_pole(q_pochhammer(ab * cd * q ** (n - 1), q, n), "(abcd q**(n-1); q)_n")
+    pref = poch_ab[n] * poch_cd[n] / den
     rows = [q_binomial_row(j, q) for j in range(n + 1)]
     total = 0
     for j in range(n + 1):
@@ -252,7 +237,7 @@ def aw_A_sym_seq(nmax, x, p: CondDensityParams):
         if n == 0:
             out.append(1 + 0 * x)
             continue
-        pref = poch1[n] * poch2[n] / _shifted_poch(r1sq * r2sq, q, n)
+        pref = poch1[n] * poch2[n] / q_pochhammer(r1sq * r2sq * q ** (n - 1), q, n)
         total = 0
         for j in range(n + 1):
             total = total + rows[n][j] * B[n - j] * inner[j]
@@ -285,7 +270,7 @@ def aw_A_mixed(n, x, p: CondDensityParams):
     P_yx = asc_P_seq(n, p.y, x, p.rho1, q)
     poch1 = q_pochhammer_seq(r1sq, q, n)
     poch2 = q_pochhammer_seq(r2sq, q, n)
-    pref = poch1[n] * poch2[n] / _shifted_poch(r1sq * r2sq, q, n)
+    pref = poch1[n] * poch2[n] / q_pochhammer(r1sq * r2sq * q ** (n - 1), q, n)
     row = q_binomial_row(n, q)
     total = 0
     for m in range(n + 1):
@@ -322,7 +307,7 @@ def aw_D_free(n, x, a, b, c, d):
     if n == 1:
         e1 = a + b + c + d
         e3 = a * b * c + a * b * d + a * c * d + b * c * d
-        value = 2 * x - (e1 - e3) / _guard_factor(1 - ab * cd, "1 - abcd")
+        value = 2 * x - (e1 - e3) / _check_pole(1 - ab * cd, "1 - abcd")
         return real_part(value) if isinstance(value, complex) else value
     Q1 = asc_Q_seq(n, x, a, b, 0)
     Q2 = asc_Q_seq(n, x, c, d, 0)
@@ -365,88 +350,6 @@ def aw_A_free(n, x, p: CondDensityParams):
 # --- terminating basic hypergeometric oracle ---------------------------------
 
 
-def _series_mul(a, b, length):
-    return np.convolve(a, b)[:length]
-
-
-def _series_inv(b, length):
-    # power series reciprocal; b[0] must be nonzero
-    _guard_factor(complex(b[0]), "a power series constant term")
-    out = np.zeros(length, dtype=complex)
-    out[0] = 1.0 / b[0]
-    for k in range(1, length):
-        acc = 0.0 + 0.0j
-        top = min(k, len(b) - 1)
-        for j in range(1, top + 1):
-            acc += b[j] * out[k - j]
-        out[k] = -acc / b[0]
-    return out
-
-
-def _series_poch(t, shift, count, length):
-    """(t q**shift; q)_count as a truncated power series in q."""
-    out = np.zeros(length, dtype=complex)
-    out[0] = 1.0
-    for i in range(count):
-        deg = shift + i
-        factor = np.zeros(min(length, deg + 1), dtype=complex)
-        factor[0] = 1.0
-        if deg < length:
-            factor[deg] -= t
-        else:
-            factor = np.array([1.0 + 0.0j])
-        out = _series_mul(out, factor, length)
-    return out
-
-
-def _phi43_limit_q0(n, x, a, b, c, d):
-    """q -> 0 value of the terminating series form, via a Laurent expansion.
-
-    The terminating sum has factors (q**-n; q)_k that individually blow up
-    as q -> 0 while the full polynomial stays finite.  Rewriting
-    (q**-n; q)_k / (q; q)_k = (-1)**k q**(C(k,2) - nk) [n,k]_q turns each
-    term into q**E(k) times a function analytic at q = 0, with
-    E(k) = C(k,2) - k(n-1) <= 0.  The limit is then the coefficient of q**0
-    of the full Laurent expansion, which this helper extracts with truncated
-    power series arithmetic.
-    """
-    ab, ac, ad = a * b, a * c, a * d
-    theta = math.acos(x)
-    u = a * cmath.exp(-1j * theta)
-    v = a * cmath.exp(1j * theta)
-    length = math.comb(n, 2) + 1
-    euler = [_series_poch(1.0, 1, m, length) for m in range(n + 1)]  # (q; q)_m
-    pref_num = _series_mul(
-        _series_mul(_series_poch(ab, 0, n, length), _series_poch(ac, 0, n, length), length),
-        _series_poch(ad, 0, n, length),
-        length,
-    )
-    pref_den = _series_poch(a * b * c * d, n - 1, n, length)
-    pref = _series_mul(pref_num, _series_inv(pref_den, length), length) / a**n
-    total = 0.0 + 0.0j
-    for k in range(n + 1):
-        binom = _series_mul(
-            euler[n],
-            _series_mul(_series_inv(euler[k], length), _series_inv(euler[n - k], length), length),
-            length,
-        )
-        numer = _series_mul(
-            _series_mul(_series_poch(a * b * c * d, n - 1, k, length), _series_poch(u, 0, k, length), length),
-            _series_poch(v, 0, k, length),
-            length,
-        )
-        denom = _series_mul(
-            _series_mul(_series_poch(ab, 0, k, length), _series_poch(ac, 0, k, length), length),
-            _series_poch(ad, 0, k, length),
-            length,
-        )
-        term = _series_mul(binom, _series_mul(numer, _series_inv(denom, length), length), length)
-        term = _series_mul(term, pref, length)
-        index = n * k - k - math.comb(k, 2)  # = -E(k)
-        total += (-1) ** k * term[index]
-    return total
-
-
 def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     """Terminating basic hypergeometric evaluation of aw_D, as a test oracle.
 
@@ -457,9 +360,12 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
                       / (ab, ac, ad, q; q)_k) q**k
 
     with pref = (ab, ac, ad; q)_n / (a**n (abcd q**(n-1); q)_n).  The series
-    suffers cancellation of order q**(-C(n,2)), so it runs in mpmath with a
-    precision chosen from n and |q|.  At q = 0 the series form degenerates
-    and the analytic limit is taken instead.
+    suffers cancellation of order q**(-C(n,2)), so it runs in mpmath at
+    30 + C(n,2) log10(1/|q|) digits, with no cap.  The series form
+    degenerates at q = 0, but D_n is analytic in q there: a base with
+    |q| < 1e-20, q = 0 included, is evaluated at base +-1e-20 (+1e-20 at
+    q = 0), which moves the value by O(1e-20) and bounds the precision by
+    n alone.
 
     Requires a != 0 and -1 < q < 1.
     """
@@ -474,14 +380,13 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     x = min(1.0, max(-1.0, float(x)))
     if n == 0:
         return 1.0
-    if q == 0:
-        return float(real_part(_phi43_limit_q0(n, x, complex(a), complex(b), complex(c), complex(d))))
+    if abs(q) < 1e-20:
+        q = -1e-20 if q < 0 else 1e-20
 
     import mpmath as mp
 
-    lost = math.comb(n, 2) * max(0.0, -math.log10(abs(q)))
-    dps = min(400, 30 + int(math.ceil(lost)))
-    with mp.workdps(dps):
+    lost = math.comb(n, 2) * -math.log10(abs(q))
+    with mp.workdps(30 + int(math.ceil(lost))):
         qm = mp.mpf(q)
         am, bm, cm, dm = (mp.mpc(t) for t in (a, b, c, d))
         ab, ac, ad = am * bm, am * cm, am * dm
@@ -497,10 +402,8 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
             i = k - 1
             top *= (1 - qminus * qm**i) * (1 - lam * qm**i) * (1 - u * qm**i) * (1 - v * qm**i)
             for f in ((1 - ab * qm**i), (1 - ac * qm**i), (1 - ad * qm**i), (1 - qm**k)):
-                if abs(f) < mp.mpf("1e-30"):
-                    raise PoleError("a Pochhammer denominator vanished in the series")
                 bot *= f
-            total += top / bot * qm**k
+            total += top / _check_pole(bot, "a Pochhammer denominator of the series") * qm**k
         pref_num = mp.mpc(1)
         pref_den = mp.mpc(1)
         for i in range(n):

@@ -41,12 +41,12 @@ import numpy as np
 from .qcore import (
     DEFAULT_POLICY,
     DomainError,
-    PoleError,
     TruncationError,
     TruncationPolicy,
     _check_below_one,
     _check_finite,
     _check_order,
+    _check_pole,
     _check_real,
     _check_rho,
     _factorial_seq,
@@ -77,12 +77,6 @@ __all__ = [
 
 
 _GENERAL_Q = "the general-q moment formulas (c_n_gaussian covers q = 1)"
-
-
-def _guard_poch(value):
-    if value == 0:
-        raise PoleError("a Pochhammer denominator vanished in the moment formula")
-    return value
 
 
 def c_n_main(n, p: CondDensityParams):
@@ -146,7 +140,7 @@ def _c_n_orders(N, y, r1, z, r2, q):
     pow2 = [r2**i for i in range(N + 1)]
 
     def c_n(n):
-        den = _guard_poch(poch_R[n])
+        den = _check_pole(poch_R[n], "(rho1^2 rho2^2; q)_n")
         total = 0
         for k in range(n // 2 + 1):
             pref = (
@@ -191,7 +185,7 @@ def c_n_via_P(n, p: CondDensityParams):
     Pz = asc_P_seq(n, p.z, p.y, r1 * r2, q)
     poch_r1 = q_pochhammer_seq(r1sq, q, n)
     poch_R = q_pochhammer_seq(R, q, n)
-    _guard_poch(poch_R[-1])  # a vanishing factor zeroes every later entry
+    _check_pole(poch_R[-1], "(rho1^2 rho2^2; q)_n")
     row = q_binomial_row(n, q)
     total = 0
     for s in range(n + 1):
@@ -259,7 +253,7 @@ def gamma_ratio_closed(m, k, x, y, rho, q):
     Hy = hermite_H_seq(k, y, q)
     Px = asc_P_seq(m + k, x, y, rho, q)
     poch = q_pochhammer_seq(rho * rho, q, m + k)
-    _guard_poch(poch[-1])  # a vanishing factor zeroes every later entry
+    _check_pole(poch[-1], "(rho^2; q)_{m+k}")
     row = q_binomial_row(k, q)
     total = 0
     for s in range(k + 1):
@@ -285,7 +279,7 @@ def alsalam_identity_residual(m, x, y, rho, q):
     Identically zero; returned as a residual so tests can assert exactness.
     The sum is gamma_ratio_closed(0, m, x, y, rho, q); the left side is not.
     """
-    poch = _guard_poch(q_pochhammer(rho * rho, q, m))
+    poch = _check_pole(q_pochhammer(rho * rho, q, m), "(rho^2; q)_m")
     lhs = asc_P_seq(m, y, x, rho, q)[m] / poch
     return lhs - gamma_ratio_closed(0, m, x, y, rho, q)
 
@@ -309,7 +303,7 @@ def alpha_coeff(n, j, m, rho1, rho2, q):
         return 0
     k = (n - j - m) // 2
     r1sq, r2sq = rho1 * rho1, rho2 * rho2
-    den = _guard_poch(q_pochhammer(r1sq * r2sq, q, n))
+    den = _check_pole(q_pochhammer(r1sq * r2sq, q, n), "(rho1^2 rho2^2; q)_n")
     return (
         (-1) ** k
         * q ** math.comb(k, 2)

@@ -25,7 +25,6 @@ from .qcore import (
     _check_finite,
     _check_order,
     _factorial_seq,
-    q_binomial,
     q_binomial_row,
     q_bracket_seq,
     q_factorial,
@@ -288,27 +287,24 @@ def product_HB(m, n, q):
     """Coefficients of the product H_m B_n in the H basis.
 
     Returns [c_0, ..., c_floor((n+m)/2)] with
-    H_m B_n = sum_i c_i H_{n+m-2i}.  Terms with i > n vanish through the
-    Gaussian binomial and are emitted as exact zeros.  The powers of q meet
-    in one exponent C(n,2) - i(n-i) >= 0, so q = 0 is safe.
+    H_m B_n = sum_i c_i H_{n+m-2i} and, for i <= n,
+    c_i = (-1)**n [n,i]_q [n+m-i,i]_q [i]_q! q**(C(n,2) - i(n-i)); terms with
+    i > n vanish and are emitted as exact zeros.  One Gaussian-binomial row
+    and one q-factorial prefix give every term, through
+    [n+m-i,i]_q [i]_q! = [n+m-i]_q! / [n+m-2i]_q!.  The q exponent is
+    nonnegative, so q = 0 is safe.
     """
     _check_degree(n)
     _check_degree(m)
     sign = (-1) ** n
-    out = []
-    for i in range((n + m) // 2 + 1):
-        if i > n:
-            out.append(0)
-            continue
-        exponent = math.comb(n, 2) - i * (n - i)
-        coeff = (
-            q_binomial(n, i, q)
-            * q_binomial(n + m - i, i, q)
-            * q_factorial(i, q)
-            * q**exponent
-        )
-        out.append(sign * coeff)
-    return out
+    top = min(n, (n + m) // 2)
+    row = q_binomial_row(n, q)
+    fact = _factorial_seq(n + m, q)
+    out = [
+        sign * row[i] * fact[n + m - i] / fact[n + m - 2 * i] * q ** (math.comb(n, 2) - i * (n - i))
+        for i in range(top + 1)
+    ]
+    return out + [0] * ((n + m) // 2 - top)
 
 
 def I_nm(n, m, x, q):

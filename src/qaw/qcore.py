@@ -18,7 +18,8 @@ series that both the suite's sn_series check and the expansion budget sum.
 Each parameter rule of the package has its one private helper here:
 ``_check_finite`` (scalars and numpy arrays), ``_check_real`` (finite and
 not complex), ``_check_rho`` (|rho| < 1) and ``_check_below_one`` (q < 1,
-where q = 1 needs its own closed form).
+where q = 1 needs its own closed form).  The one pole rule is
+``_check_pole``: a denominator raises PoleError only when it is exactly 0.
 """
 
 from __future__ import annotations
@@ -149,6 +150,17 @@ def _check_below_one(q, what):
     """DomainError at q = 1, where what has no meaning; QParam or a |q| test bounds q above."""
     if q == 1:
         raise DomainError(f"q < 1 is required by {what}")
+
+
+def _check_pole(value, what):
+    """PoleError when value is exactly 0, else value.
+
+    Applied to the last entry of a Pochhammer prefix: a vanishing factor
+    zeroes every later entry, while a merely small float is a regular point.
+    """
+    if value == 0:
+        raise PoleError(f"{what} vanished; the formula has a pole here")
+    return value
 
 
 def q_bracket(n, q):

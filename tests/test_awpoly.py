@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from qaw import (
     AWComplexParams,
     CondDensityParams,
     DomainError,
+    PoleError,
     asc_P,
     aw_A_free,
     aw_A_mixed,
@@ -88,6 +90,27 @@ class TestParamValidation:
     def test_prefactor_at_zero(self):
         assert aw_prefactor(0, 0.5, 0.7, 0.5) == 1
 
+    def test_prefactor_pole(self):
+        # (rho1^2 rho2^2 q**(n-1); q)_n = 0 at rho1 = rho2 = 1
+        with pytest.raises(PoleError):
+            aw_prefactor(1, 1, 1, 0.5)
+
+    @pytest.mark.parametrize("q", [5, 1, -1])
+    def test_D_rejects_base_outside_minus_one_one(self, q):
+        prm = map_params(CondDensityParams(0.5, 0.4, -0.3, 0.6, 0.5))
+        with pytest.raises(DomainError):
+            aw_D(2, 0.1, prm, q)
+
+    @pytest.mark.parametrize("q", [5, -1])
+    def test_prefactor_rejects_base_outside_range(self, q):
+        with pytest.raises(DomainError):
+            aw_prefactor(2, 0.4, 0.6, q)
+
+    def test_prefactor_gaussian_end(self):
+        # q = 1 is in range: every factor is 1 - rho^2, and check_vnm reads it there
+        want = ((1 - 0.4**2) * (1 - 0.6**2) / (1 - 0.4**2 * 0.6**2)) ** 2
+        assert aw_prefactor(2, 0.4, 0.6, 1) == pytest.approx(want, rel=1e-14)
+
 
 class TestRepresentations:
     def test_degree_zero(self):
@@ -131,6 +154,15 @@ class TestRepresentations:
         p = CondDensityParams(Fraction(2, 5), Fraction(1, 2), Fraction(-3, 5), Fraction(7, 10), Fraction(1, 2))
         for n in range(9):
             assert leading_coefficient(lambda x: aw_A_sym_seq(n, x, p)[n], n) == 1
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_D_near_pole_matches_sym(self, n):
+        # (ab; q)_n is tiny but nonzero at rho = 0.95, q = 0.99: a regular point
+        p = CondDensityParams(0.5, 0.95, -0.3, 0.95, 0.99)
+        x = 0.3
+        lhs = aw_A_sym(n, x, p)
+        rhs = (1 - p.q) ** (-n / 2) * aw_D(n, x * math.sqrt(1 - p.q) / 2, map_params(p), p.q)
+        assert rhs == pytest.approx(lhs, rel=1e-12)
 
     def test_returns_real_floats(self):
         prm = map_params(BUNDLE)
@@ -192,11 +224,22 @@ class TestSeriesOracle:
                 assert got == pytest.approx(want, rel=1e-10)
 
     def test_free_case_limit_branch(self):
+        # the q = 0 closed form over mpmath: in floats it loses 1.1e-14 of
+        # D_10 = 0.056 to cancellation, while the oracle rounds correctly
         p = CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.0)
         prm = map_params(p)
-        for n in (2, 4, 6):
-            want = aw_D_free(n, 0.35, prm.a, prm.b, prm.c, prm.d)
-            assert aw_phi43_oracle(n, 0.35, prm, 0.0) == pytest.approx(want, rel=1e-10)
+        for n in (2, 4, 6, 10, 12):
+            with mp.workdps(40):
+                exact = aw_D_free(n, mp.mpf(0.35), *(mp.mpc(t) for t in (prm.a, prm.b, prm.c, prm.d)))
+                want = float(mp.re(exact))
+            assert aw_phi43_oracle(n, 0.35, prm, 0.0) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("q, n", [(1e-6, 30), (-1e-10, 30), (0.1, 45)])
+    def test_no_precision_cap(self, q, n):
+        # each needs more than 400 digits: 30 + C(n,2) log10(1/|q|)
+        prm = map_params(CondDensityParams(0.4, 0.5, -0.6, 0.7, q))
+        want = aw_D(n, 0.35, prm, q)
+        assert aw_phi43_oracle(n, 0.35, prm, q) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_a_zero(self):
         prm = map_params(CondDensityParams(0.4, 0.0, -0.6, 0.7, 0.5))

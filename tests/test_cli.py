@@ -20,7 +20,7 @@ from qaw.densities import phi_q0
 DENSITY_EVAL_MD5 = "d2189796464829960028872691d8875a"
 
 # md5 of (argv, exit code, stdout, stderr) over TestCliSurface's invocations
-CLI_SURFACE_MD5 = "7b87f91e66497657a157c975c6673c13"
+CLI_SURFACE_MD5 = "516fe7f9fb3906c20a8f7a6e5801f3ff"
 
 
 def run(*argv):

@@ -167,16 +167,20 @@ def _rule_copies(source):
 
     A rule is written out when a raised DomainError carries a string with
     "|rho| < 1" or a one-sided "q < 1" (a "-1 < q < 1" range test is a
-    different rule), or when the module calls np.isfinite.  qcore holds the
-    one copy of each.
+    different rule), when the module raises PoleError (the pole rule), or
+    when it calls np.isfinite.  qcore holds the one copy of each.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
-            if _name_of(node.exc.func) != "DomainError":
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            raised = _name_of(call.func if call else node.exc)
+            if raised == "PoleError":
+                found.append((node.lineno, "pole"))
+            if raised != "DomainError" or call is None:
                 continue
             texts = [
-                c.value for c in ast.walk(node.exc)
+                c.value for c in ast.walk(call)
                 if isinstance(c, ast.Constant) and isinstance(c.value, str)
             ]
             found += [(node.lineno, "|rho| < 1") for t in texts if "|rho| < 1" in t]
@@ -194,11 +198,15 @@ def test_rule_scanner_flags_a_copied_rule():
         "    if q == 1:\n        raise DomainError('f requires q < 1')\n"
         "    if not -1 < rho < 1:\n        raise DomainError(f'rho must satisfy |rho| < 1, got {rho!r}')\n"
         "    if not -1 < q < 1:\n        raise DomainError('the series requires -1 < q < 1')\n"
+        "    if x == 0:\n        raise PoleError('x vanished')\n"
+        "    if x is None:\n        raise PoleError\n"
         "    return np.isfinite(x)\n"
     )
-    assert _rule_copies(source) == [(4, "q < 1"), (6, "|rho| < 1"), (9, "np.isfinite")]
+    assert _rule_copies(source) == [
+        (4, "q < 1"), (6, "|rho| < 1"), (10, "pole"), (12, "pole"), (13, "np.isfinite")
+    ]
     rules = {rule for _, rule in _rule_copies((SRC / "qcore.py").read_text())}
-    assert rules == {"q < 1", "|rho| < 1", "np.isfinite"}
+    assert rules == {"q < 1", "|rho| < 1", "pole", "np.isfinite"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)

@@ -13,6 +13,7 @@ import qaw.moments
 from qaw import (
     CondDensityParams,
     DomainError,
+    PoleError,
     TruncationPolicy,
     alpha_coeff,
     alsalam_identity_residual,
@@ -308,6 +309,11 @@ class TestReflectionIdentity:
         for m in range(9):
             assert alsalam_identity_residual(m, *args) == 0
 
+    def test_pole_at_unit_rho(self):
+        # (rho^2; q)_m = 0 at rho = 1
+        with pytest.raises(PoleError):
+            alsalam_identity_residual(2, 0.1, 0.2, 1, 0.5)
+
 
 class TestExpansionCoefficients:
     def test_parity_and_range_zeros(self):
@@ -356,6 +362,11 @@ class TestExpansionCoefficients:
     def test_rejects_bad_indices(self):
         with pytest.raises(DomainError):
             alpha_coeff(2, -1, 0, 0.5, 0.4, 0.3)
+
+    def test_pole_at_unit_rhos(self):
+        # (rho1^2 rho2^2; q)_n = 0 at rho1 = rho2 = 1
+        with pytest.raises(PoleError):
+            alpha_coeff(2, 0, 0, 1, 1, 0.5)
 
 
 class TestDensityExpansion:

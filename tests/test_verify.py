@@ -271,9 +271,9 @@ class TestGoldenBytes:
         reports = run_suite()
         # `qaw verify --all --format json` writes the JSON and one newline
         as_json = report_to_json(reports) + "\n"
-        assert hashlib.md5(as_json.encode()).hexdigest() == "765f69aa4532ac15be53c2c2612b64b0"
+        assert hashlib.md5(as_json.encode()).hexdigest() == "f5b9e792c9b4c5175794b465213cc56d"
         as_text = report_to_text(reports)
-        assert hashlib.md5(as_text.encode()).hexdigest() == "e3d531ad8e9e91e318d9d2a219b63053"
+        assert hashlib.md5(as_text.encode()).hexdigest() == "6610867de001295504959e3bd55a7e1e"
 
 
 class TestReportSerialization:
