@@ -202,9 +202,7 @@ def aw_D(n, x, params: AWComplexParams, q):
             )
         total = total + rows[n][j] * b_vals[n - j] * inner
     value = pref * total
-    if isinstance(value, complex) and not isinstance(x, complex):
-        return real_part(value)
-    return value
+    return value if isinstance(x, complex) else real_part(value)
 
 
 def aw_A_sym_seq(nmax, x, p: CondDensityParams):
@@ -298,7 +296,8 @@ def aw_D_free(n, x, a, b, c, d):
     D_1 = 2x - (a+b+c+d - abc - abd - acd - bcd)/(1 - abcd); for n >= 2 the
     polynomial is (1-ab)(1-cd) times a three-sum combination of q = 0
     Al-Salam-Chihara values.  Used as an independent cross-check of the
-    q = 0 branch of aw_D.
+    q = 0 branch of aw_D, and like aw_D real for real x and complex for
+    complex x.
     """
     if n == 0:
         return 1.0
@@ -308,7 +307,7 @@ def aw_D_free(n, x, a, b, c, d):
         e1 = a + b + c + d
         e3 = a * b * c + a * b * d + a * c * d + b * c * d
         value = 2 * x - (e1 - e3) / _check_pole(1 - ab * cd, "1 - abcd")
-        return real_part(value) if isinstance(value, complex) else value
+        return value if isinstance(x, complex) else real_part(value)
     Q1 = asc_Q_seq(n, x, a, b, 0)
     Q2 = asc_Q_seq(n, x, c, d, 0)
 
@@ -322,9 +321,7 @@ def aw_D_free(n, x, a, b, c, d):
 
     # the per-degree prefactor survives the q -> 0 limit as (1-ab)(1-cd)
     value = (1 - ab) * (1 - cd) * (block(n) - 2 * x * block(n - 1) + block(n - 2))
-    if isinstance(value, complex) and not isinstance(x, complex):
-        return real_part(value)
-    return value
+    return value if isinstance(x, complex) else real_part(value)
 
 
 def aw_A_free(n, x, p: CondDensityParams):

@@ -8,22 +8,24 @@ absorbs a factor sqrt(1-q)/2 into the variable so the q -> 1 limit lands on
 the monic Hermite polynomials without renormalizing.  The bridge between the
 two scalings is exercised by the test suite.
 
-All recurrences start from p_{-1} = 0, p_0 = 1 and are evaluated by forward
-iteration; closed forms are used only as cross-checks.  Like the rest of the
-package, everything is generic over the scalar field, so Fraction inputs
-give exact values.
+All seven families run one forward loop, ``_forward``, on the recurrence
+p_{k+1} = (alpha[k] x + beta[k]) p_k - gamma[k] p_{k-1} from p_{-1} = 0,
+p_0 = 1.  Each family checks its degree against DEGREE_CAP, then builds its
+three coefficient lists once; gamma[0] multiplies p_{-1} and is never read,
+so gamma lists start at k = 1 behind a placeholder.  Closed forms are used
+only as cross-checks.  Like the rest of the package, everything is generic
+over the scalar field, so Fraction inputs give exact values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .qcore import (
     DomainError,
     _check_finite,
     _check_order,
+    _check_pole,
     _factorial_seq,
     q_binomial_row,
     q_bracket_seq,
@@ -32,7 +34,6 @@ from .qcore import (
 
 __all__ = [
     "DEGREE_CAP",
-    "RecurrenceSpec",
     "hermite_h", "hermite_h_seq",
     "hermite_H", "hermite_H_seq",
     "asc_Q", "asc_Q_seq",
@@ -62,42 +63,19 @@ def _check_degree(n):
         )
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """Three-term recurrence p_{k+1} = (alpha(k) x + beta(k)) p_k - gamma(k) p_{k-1}.
+def _forward(n, x, alpha, beta, gamma):
+    """[p_0(x), ..., p_n(x)] for p_{k+1} = (alpha[k] x + beta[k]) p_k - gamma[k] p_{k-1}.
 
-    Initial conditions are always p_{-1} = 0, p_0 = 1.  gamma is never
-    evaluated at k = 0 (its multiplier p_{-1} vanishes), so families whose
-    gamma(0) is formally singular, e.g. through a q**(k-1) factor at q = 0,
-    are safe.
+    p_{-1} = 0 and p_0 = 1, so gamma[0] is never read; that keeps a
+    q**(k-1) factor from being formed at q = 0.  x is a scalar or an array;
+    DomainError if any entry is nan or infinite.
     """
-
-    alpha: Callable
-    beta: Callable
-    gamma: Callable
-
-    def values(self, n, x):
-        """Return the list [p_0(x), ..., p_n(x)].
-
-        x is a scalar or an array; DomainError if any entry is nan or
-        infinite.
-        """
-        _check_degree(n)
-        _check_finite(x)
-        out = [1 + 0 * x]
-        prev = 0 * x
-        cur = out[0]
-        for k in range(n):
-            nxt = (self.alpha(k) * x + self.beta(k)) * cur
-            if k > 0:
-                nxt = nxt - self.gamma(k) * prev
-            prev, cur = cur, nxt
-            out.append(cur)
-        return out
-
-
-def _zero(_k):
-    return 0
+    _check_finite(x)
+    out = [1 + 0 * x]
+    for k in range(n):
+        nxt = (alpha[k] * x + beta[k]) * out[k]
+        out.append(nxt - gamma[k] * out[k - 1] if k else nxt)
+    return out
 
 
 def hermite_h_seq(n, x, q):
@@ -107,9 +85,9 @@ def hermite_h_seq(n, x, q):
     so the recurrence can be run formally (for instance at base 1/q, which
     the b_small inversion identity needs).
     """
+    _check_degree(n)
     _check_finite(q)
-    spec = RecurrenceSpec(lambda k: 2, _zero, lambda k: 1 - q**k)
-    return spec.values(n, x)
+    return _forward(n, x, [2] * n, [0] * n, [None] + [1 - q**k for k in range(1, n)])
 
 
 def hermite_h(n, x, q):
@@ -124,9 +102,7 @@ def hermite_H_seq(n, x, q):
     Hermite polynomials.
     """
     _check_degree(n)
-    brackets = q_bracket_seq(n, q)
-    spec = RecurrenceSpec(lambda k: 1, _zero, lambda k: brackets[k])
-    return spec.values(n, x)
+    return _forward(n, x, [1] * n, [0] * n, q_bracket_seq(n, q))
 
 
 def hermite_H(n, x, q):
@@ -141,13 +117,11 @@ def asc_Q_seq(n, x, a, b, q):
     Complex parameter pairs are evaluated in complex arithmetic; see asc_Q
     for the conjugate-pair collapse to real values.
     """
+    _check_degree(n)
     _check_finite(a, b, q)
-    spec = RecurrenceSpec(
-        lambda k: 2,
-        lambda k: -(a + b) * q**k,
-        lambda k: (1 - a * b * q ** (k - 1)) * (1 - q**k),
-    )
-    return spec.values(n, x)
+    beta = [-(a + b) * q**k for k in range(n)]
+    gamma = [None] + [(1 - a * b * q ** (k - 1)) * (1 - q**k) for k in range(1, n)]
+    return _forward(n, x, [2] * n, beta, gamma)
 
 
 def asc_Q(n, x, a, b, q):
@@ -173,12 +147,9 @@ def asc_P_seq(n, x, y, rho, q):
     _check_degree(n)
     brackets = q_bracket_seq(n, q)
     _check_finite(y, rho)
-    spec = RecurrenceSpec(
-        lambda k: 1,
-        lambda k: -rho * y * q**k,
-        lambda k: (1 - rho * rho * q ** (k - 1)) * brackets[k],
-    )
-    return spec.values(n, x)
+    beta = [-rho * y * q**k for k in range(n)]
+    gamma = [None] + [(1 - rho * rho * q ** (k - 1)) * brackets[k] for k in range(1, n)]
+    return _forward(n, x, [1] * n, beta, gamma)
 
 
 def asc_P(n, x, y, rho, q):
@@ -195,12 +166,8 @@ def b_big_seq(n, y, q):
     """
     _check_degree(n)
     brackets = q_bracket_seq(n, q)
-    spec = RecurrenceSpec(
-        lambda k: -(q**k),
-        _zero,
-        lambda k: -(q ** (k - 1)) * brackets[k],
-    )
-    return spec.values(n, y)
+    gamma = [None] + [-(q ** (k - 1)) * brackets[k] for k in range(1, n)]
+    return _forward(n, y, [-(q**k) for k in range(n)], [0] * n, gamma)
 
 
 def b_big(n, y, q):
@@ -214,13 +181,10 @@ def b_small_seq(n, y, q):
     b_{k+1} = -2 q**k y b_k + q**(k-1) (1 - q**k) b_{k-1}, so that
     (-1)**n q**(-C(n,2)) b_n(y | q) = h_n(y | 1/q).
     """
+    _check_degree(n)
     _check_finite(q)
-    spec = RecurrenceSpec(
-        lambda k: -2 * q**k,
-        _zero,
-        lambda k: -(q ** (k - 1)) * (1 - q**k),
-    )
-    return spec.values(n, y)
+    gamma = [None] + [-(q ** (k - 1)) * (1 - q**k) for k in range(1, n)]
+    return _forward(n, y, [-2 * q**k for k in range(n)], [0] * n, gamma)
 
 
 def b_small(n, y, q):
@@ -230,8 +194,8 @@ def b_small(n, y, q):
 
 def chebyshev_U_seq(n, x):
     """Chebyshev polynomials of the second kind, U_{k+1} = 2x U_k - U_{k-1}."""
-    spec = RecurrenceSpec(lambda k: 2, _zero, lambda k: 1)
-    return spec.values(n, x)
+    _check_degree(n)
+    return _forward(n, x, [2] * n, [0] * n, [1] * n)
 
 
 def chebyshev_U(n, x):
@@ -292,7 +256,9 @@ def product_HB(m, n, q):
     i > n vanish and are emitted as exact zeros.  One Gaussian-binomial row
     and one q-factorial prefix give every term, through
     [n+m-i,i]_q [i]_q! = [n+m-i]_q! / [n+m-2i]_q!.  The q exponent is
-    nonnegative, so q = 0 is safe.
+    nonnegative, so q = 0 is safe.  Where a divisor [k]_q! vanishes (q = -1,
+    [2]_q = 0) the product still exists, but this quotient cannot reach it:
+    PoleError.
     """
     _check_degree(n)
     _check_degree(m)
@@ -300,6 +266,8 @@ def product_HB(m, n, q):
     top = min(n, (n + m) // 2)
     row = q_binomial_row(n, q)
     fact = _factorial_seq(n + m, q)
+    # the i = 0 divisor [n+m]_q! is the last of the prefix, so it vanishes if any does
+    _check_pole(fact[n + m], "[n+m]_q!")
     out = [
         sign * row[i] * fact[n + m - i] / fact[n + m - 2 * i] * q ** (math.comb(n, 2) - i * (n - i))
         for i in range(top + 1)
@@ -328,12 +296,14 @@ def i_nm_closed(n, m, x, q):
     """Closed form of the B/H binomial convolution.
 
     Zero when n > m; otherwise (-1)**n q**C(n,2) [m]_q!/[m-n]_q! H_{m-n}(x).
+    PoleError where [m-n]_q! vanishes (q = -1, m - n >= 2), although the
+    falling product [m]_q ... [m-n+1]_q exists there.
     """
     _check_degree(n)
     _check_degree(m)
     if n > m:
         return 0
-    ratio = q_factorial(m, q) / q_factorial(m - n, q)
+    ratio = q_factorial(m, q) / _check_pole(q_factorial(m - n, q), "[m-n]_q!")
     return (-1) ** n * q ** math.comb(n, 2) * ratio * hermite_H(m - n, x, q)
 
 

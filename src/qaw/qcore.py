@@ -199,6 +199,7 @@ def q_binomial(n, k, q):
 
     Returns [n]_q! / ([n-k]_q! [k]_q!) when n >= k >= 0 and 0 otherwise,
     so sums over out-of-range indices vanish without special casing.
+    PoleError where the row's ratio rule meets [k+1]_q = 0 (q = -1).
     """
     if not (isinstance(n, int) and isinstance(k, int)):
         raise DomainError(f"binomial indices must be integers, got {n!r}, {k!r}")
@@ -212,11 +213,14 @@ def q_binomial_row(n, q):
 
     O(n) by [n, k+1]_q = [n, k]_q [n-k]_q / [k+1]_q, with no q-factorial to
     overflow; the second half mirrors the first, since [n, k]_q is [n, n-k]_q.
+    PoleError where a divisor [k+1]_q vanishes (q = -1, k + 1 even): the
+    value exists there, e.g. [4, 2]_{-1} = 2, but the ratio rule cannot
+    reach it.
     """
     brackets = q_bracket_seq(n, q)
     half = [1 + 0 * q]
     for k in range(n // 2):
-        half.append(half[-1] * brackets[n - k] / brackets[k + 1])
+        half.append(half[-1] * brackets[n - k] / _check_pole(brackets[k + 1], "[k+1]_q"))
     return half + half[: (n + 1) // 2][::-1]
 
 

@@ -201,6 +201,14 @@ class TestFreeCaseClosedForms:
             assert aw_A_free(1, x, p) == pytest.approx(want, rel=1e-14)
             assert aw_A_sym(1, x, p) == pytest.approx(want, rel=1e-12)
 
+    def test_complex_x_keeps_complex_value_at_every_degree(self):
+        prm = map_params(CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.0))
+        z = 0.3 + 0.2j
+        for n in (1, 2, 3):
+            free = aw_D_free(n, z, prm.a, prm.b, prm.c, prm.d)
+            assert isinstance(free, complex) and abs(free.imag) > 1e-3
+            assert free == pytest.approx(aw_D(n, z, prm, 0.0), rel=1e-12)
+
     def test_free_forms_match_general_code(self):
         p = CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.0)
         prm = map_params(p)

@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, every private
-module-level name is used somewhere in the package, and each parameter rule
-is written out in qcore only."""
+module-level name is used somewhere in the package, every exported name
+resolves, and each parameter rule is written out in qcore only."""
 
 import ast
 import re
@@ -102,6 +102,68 @@ def test_scanner_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _exports(source):
+    """The literal __all__ list of a module's source, or [] if it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _stale_exports(source):
+    """__all__ entries that no module-level def, class, assignment or import binds."""
+    bound = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return [name for name in _exports(source) if name not in bound]
+
+
+def _unlisted_reexports(init_source, exports):
+    """(module, name) for every name the package imports from a sibling
+    module whose __all__ (exports[module]) does not list it."""
+    return [
+        (node.module, alias.name)
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in exports[node.module]
+    ]
+
+
+def test_export_scanners_flag_stale_and_unlisted_names():
+    source = (
+        "from math import pi\nimport os.path\n"
+        "__all__ = ['pi', 'os', 'f', 'K', 'Gone', 'Inner', 'C']\n"
+        "K: int = 3\n"
+        "def f():\n    Inner = 1\n    return Inner\n"
+        "class C:\n    pass\n"
+    )
+    assert _stale_exports(source) == ["Gone", "Inner"]
+    polyfam = (SRC / "polyfam.py").read_text()
+    stale = polyfam.replace("__all__ = [\n", '__all__ = [\n    "RecurrenceSpec",\n')
+    assert _stale_exports(polyfam) == [] and _stale_exports(stale) == ["RecurrenceSpec"]
+    init = "from .polyfam import f, _forward\nfrom math import tau\n"
+    assert _unlisted_reexports(init, {"polyfam": ["f"]}) == [("polyfam", "_forward")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    assert _stale_exports(path.read_text()) == []
+
+
+def test_package_reexports_only_listed_names():
+    exports = {path.stem: _exports(path.read_text()) for path in MODULES}
+    assert _unlisted_reexports((SRC / "__init__.py").read_text(), exports) == []
 
 
 def _name_of(node):

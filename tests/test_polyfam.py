@@ -10,19 +10,26 @@ from hypothesis import strategies as st
 
 from qaw import (
     DomainError,
+    PoleError,
     asc_P,
     asc_P_seq,
     asc_Q,
+    asc_Q_seq,
     b_big,
     b_big_seq,
     b_small,
+    b_small_seq,
     chebyshev_U,
+    chebyshev_U_seq,
     gamma_mk_partial,
     hermite_h,
+    hermite_h_seq,
     hermite_H,
     hermite_H_seq,
     map_params,
     CondDensityParams,
+    q_binomial,
+    q_binomial_row,
     q_bracket,
     q_factorial,
     s_n,
@@ -100,6 +107,49 @@ class TestHermiteH:
         got = hermite_H(4, xs, 0.3)
         want = [hermite_H(4, float(x), 0.3) for x in xs]
         assert got == pytest.approx(want)
+
+
+FAMILIES = {
+    "hermite_h": lambda n: hermite_h(n, 0.5, 0.5),
+    "hermite_h_seq": lambda n: hermite_h_seq(n, 0.5, 0.5),
+    "hermite_H": lambda n: hermite_H(n, 0.5, 0.5),
+    "hermite_H_seq": lambda n: hermite_H_seq(n, 0.5, 0.5),
+    "asc_Q": lambda n: asc_Q(n, 0.5, 0.3, 0.4, 0.5),
+    "asc_Q_seq": lambda n: asc_Q_seq(n, 0.5, 0.3, 0.4, 0.5),
+    "asc_P": lambda n: asc_P(n, 0.5, 0.3, 0.4, 0.5),
+    "asc_P_seq": lambda n: asc_P_seq(n, 0.5, 0.3, 0.4, 0.5),
+    "b_big": lambda n: b_big(n, 0.5, 0.5),
+    "b_big_seq": lambda n: b_big_seq(n, 0.5, 0.5),
+    "b_small": lambda n: b_small(n, 0.5, 0.5),
+    "b_small_seq": lambda n: b_small_seq(n, 0.5, 0.5),
+    "chebyshev_U": lambda n: chebyshev_U(n, 0.5),
+    "chebyshev_U_seq": lambda n: chebyshev_U_seq(n, 0.5),
+}
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, DEGREE_CAP + 1])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_guards_its_degree(name, n):
+    # the guard runs before any coefficient list is built: [2] * 2.5 would
+    # raise TypeError and a huge n would allocate first
+    with pytest.raises(DomainError):
+        FAMILIES[name](n)
+
+
+def test_every_family_reaches_the_cap():
+    for name, call in FAMILIES.items():
+        value = call(DEGREE_CAP)
+        if name.endswith("_seq"):
+            assert len(value) == DEGREE_CAP + 1
+        else:
+            assert math.isfinite(value)
+
+
+def test_signed_zeros_of_the_first_step():
+    # (1 * x + 0) turns -0.0 into 0.0; a constant beta of 0 * x would not
+    assert math.copysign(1, hermite_H(1, -0.0, 0.5)) == 1
+    assert math.copysign(1, asc_P(1, -0.0, 0.0, 0.5, 0.5)) == -1
+    assert math.copysign(1, chebyshev_U(1, -0.0)) == 1
 
 
 class TestNonFinitePoints:
@@ -353,6 +403,26 @@ class TestIdentityHelpers:
             H = hermite_H_seq(n, x, q)
             total = sum(q_binomial(n, j, q) * B[n - j] * H[j] for j in range(n + 1))
             assert total == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: q_binomial_row(4, -1.0),
+        lambda: q_binomial(4, 2, -1.0),
+        lambda: q_binomial(4, 2, Fraction(-1)),
+        lambda: bh_expand_B(4, -1.0),
+        lambda: product_HB(1, 3, -1.0),
+        lambda: product_HB(0, 2, -1.0),
+        lambda: i_nm_closed(1, 3, 0.3, -1.0),
+    ],
+    ids=["row", "binomial", "binomial_exact", "bh_expand_B", "HB_1_3", "HB_0_2", "i_nm_closed"],
+)
+def test_vanishing_bracket_at_q_minus_one_is_a_pole(call):
+    # [2]_q = 0 at q = -1: the values exist ([4, 2]_{-1} = 2), but the ratio
+    # and quotient rules divide by zero on the way
+    with pytest.raises(PoleError):
+        call()
 
 
 class TestRealPart:
