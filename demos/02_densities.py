@@ -18,6 +18,9 @@ print(f"{'x':>6} " + " ".join(f"q={q:<10}" for q in (0.0, 0.5, 0.9, 1.0)))
 for x in (-1.5, -0.5, 0.0, 0.5, 1.5):
     row = [f_N(x, q).value for q in (0.0, 0.5, 0.9, 1.0)]
     print(f"{x:>6} " + " ".join(f"{v:<12.8f}" for v in row))
+# f_N sums a theta series for 0 < q < 1 (a product at q <= 0 and near 0); q = 1 is closed form
+terms = [f_N(0.0, q).terms for q in (0.0, 0.5, 0.9, 1.0)]
+print(f"{'terms':>6} " + " ".join(f"{t:<12}" for t in terms))
 
 q = 0.5
 half = SupportInterval.for_q(q).half_width
@@ -38,7 +41,7 @@ print("two-sided conditioning interpolates between the endpoints")
 p = CondDensityParams(1.2, 0.7, -0.8, 0.6, q)
 for x in (-1.0, 0.0, 0.5, 1.0):
     ev = phi_cond(x, p)
-    print(f"  phi({x:>4}) = {ev.value:.10f}   ({ev.terms} product terms)")
+    print(f"  phi({x:>4}) = {ev.value:.10f}   ({ev.terms} factors in its rho-part product)")
 
 print()
 print("the f_CN / f_N ratio is bounded uniformly in x")

@@ -39,6 +39,7 @@ from .qcore import (
     q_pochhammer_seq,
 )
 from .polyfam import (
+    _is_complex,
     asc_P_seq,
     asc_Q_seq,
     b_big_seq,
@@ -172,8 +173,8 @@ def aw_D(n, x, params: AWComplexParams, q):
               sum_i [j,i]_q Q_i(x|a,b) Q_{j-i}(x|c,d) / ((ab)_i (cd)_{j-i})
 
     with pref = (ab)_n (cd)_n / (abcd q**(n-1))_n.  For conjugate-pair
-    parameters and real x the value is real and is returned as a float.
-    Requires -1 < q < 1.
+    parameters and real x the value is real and is returned as a float, or
+    as a float array for a float array x.  Requires -1 < q < 1.
     """
     QParam(q)
     _check_below_one(q, "the Askey-Wilson representations")
@@ -202,7 +203,7 @@ def aw_D(n, x, params: AWComplexParams, q):
             )
         total = total + rows[n][j] * b_vals[n - j] * inner
     value = pref * total
-    return value if isinstance(x, complex) else real_part(value)
+    return value if _is_complex(x) else real_part(value)
 
 
 def aw_A_sym_seq(nmax, x, p: CondDensityParams):
@@ -307,7 +308,7 @@ def aw_D_free(n, x, a, b, c, d):
         e1 = a + b + c + d
         e3 = a * b * c + a * b * d + a * c * d + b * c * d
         value = 2 * x - (e1 - e3) / _check_pole(1 - ab * cd, "1 - abcd")
-        return value if isinstance(x, complex) else real_part(value)
+        return value if _is_complex(x) else real_part(value)
     Q1 = asc_Q_seq(n, x, a, b, 0)
     Q2 = asc_Q_seq(n, x, c, d, 0)
 
@@ -321,7 +322,7 @@ def aw_D_free(n, x, a, b, c, d):
 
     # the per-degree prefactor survives the q -> 0 limit as (1-ab)(1-cd)
     value = (1 - ab) * (1 - cd) * (block(n) - 2 * x * block(n - 1) + block(n - 2))
-    return value if isinstance(x, complex) else real_part(value)
+    return value if _is_complex(x) else real_part(value)
 
 
 def aw_A_free(n, x, p: CondDensityParams):

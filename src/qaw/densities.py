@@ -14,32 +14,45 @@ S(q) = [-2/sqrt(1-q), 2/sqrt(1-q)] (the whole real line when q = 1):
                 which orthogonalizes the Askey-Wilson family of
                 ``awpoly``.
 
-Every density is f_N's theta product times at most one product of
-quadratic rho-factors, and one private evaluator runs them all.  Products
-are cut after K factors where K is chosen so the dropped tail perturbs
-the value by less than the policy's relative tolerance: each factor is
-1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= rel_tol with a
-conservative per-density constant C.  Each product reads its row q**k,
-k < K, from one cache of 32 read-only rows (``_powers``; ``_theta`` adds
-f_N's (1 + q**k)**2), and the x-free rows of the last four rho-parts from
-``_rows``, at most about 1.3 MB (K = 10000, the default term cap).
+Every density is f_N times at most one product of quadratic rho-factors,
+and one private evaluator runs them all.  f_N is a theta function,
+
+    f_N(x) = sqrt(1-q) theta_1(theta | sqrt(q)) / (2 pi q**(1/8)),
+    x = 2 cos(theta) / sqrt(1-q),
+
+summed for 0 < q <= 0.99 by Jacobi's imaginary transformation: with
+L = -ln(q) / 2 it is a wrapped Gaussian whose n-th term is smaller than
+the first by about e**(-n**2 pi**2 / L), so M = 1 term serves at q = 0.9
+and 0.99, 2 at q = 0.1 and 0.5, 3 at q = 0.01.  For q <= 0, and for
+0 < q below about 2e-4, where the series is the longer, f_N is its
+product, like the rho-parts.  Products are cut after K factors where K
+is chosen so the dropped tail perturbs the value by less than the
+policy's relative tolerance: each factor is 1 + O(C q**k), so K solves
+C |q|**K / (1 - |q|) <= rel_tol with a conservative per-density constant
+C.  Each product reads its row q**k, k < K, from one cache of 32
+read-only rows (``_powers``), ``_theta`` caches f_N's route for 32 bases
+(the series' M decay rates, or the product's (1 + q**k)**2 row), and
+``_rows`` the x-free rows of the last four rho-parts, at most about
+1.3 MB (K = 10000, the default term cap).
 
 A point call hands the evaluator a float: a Python comparison tests the
-support, and each product reduces one (1, K) row.  An array is masked
-once, gathered and scattered only if a point is off the support, and its
-products run over blocks of at most 16384 elements: memory is O(points)
-whatever K is.  Factors multiply in order either way, so for q < 1 a grid
-value equals the point call bit for bit (f_N's q = 1 call uses math.exp).
+support, the series runs its ufuncs on numpy scalars and each product
+reduces one (1, K) row.  An array is masked once, gathered and scattered
+only if a point is off the support, and its products run over blocks of
+at most 16384 elements: memory is O(points) whatever K is.  Terms add and
+factors multiply in order either way, so for q < 1 a grid value equals
+the point call bit for bit (f_N's q = 1 call uses math.exp).
 
-Scalar entry points return a ``DensityEval``, whose ``terms`` is the K of
-the last product run (the rho-part's if there is one, else f_N's), 0 off
-the open support and at q = 1; the ``*_values`` companions take numpy
-arrays and return bare arrays.  Points on or outside the support boundary
-get density exactly 0; a nan, infinite or complex point raises
-``DomainError``, as does an array given to a point call.  Conditioning
-points must be strictly interior.  The products are float-only: an exact
-fraction (say a ``Fraction`` base or correlation) or a numpy array
-parameter raises ``DomainError``; integers and floats are accepted.
+Scalar entry points return a ``DensityEval``, whose ``terms`` counts the
+terms or factors of the last series or product run (the rho-part's K if
+there is one, else f_N's M or K), 0 off the open support and at q = 1;
+the ``*_values`` companions take numpy arrays and return bare arrays.
+Points on or outside the support boundary get density exactly 0; a nan,
+infinite or complex point raises ``DomainError``, as does an array given
+to a point call.  Conditioning points must be strictly interior.  The
+products are float-only: an exact fraction (say a ``Fraction`` base or
+correlation) or a numpy array parameter raises ``DomainError``; integers
+and floats are accepted.
 """
 
 from __future__ import annotations
@@ -59,6 +72,7 @@ from .qcore import (
     TruncationPolicy,
     _check_below_one,
     _check_finite,
+    _check_product_base,
     _check_rho,
     q_pochhammer_inf,
 )
@@ -113,7 +127,12 @@ def _half_width(q):
 
 @dataclass(frozen=True)
 class DensityEval:
-    """A density value together with the product length that produced it."""
+    """A density value and the count of terms summed or factors multiplied for it.
+
+    terms is the rho-part's product length K when the density has one,
+    else f_N's: the M terms of its theta series or the K factors of its
+    product.  0 where nothing ran: off the open support and at q = 1.
+    """
 
     value: float
     terms: int
@@ -135,7 +154,7 @@ def w_factor(x, y, rho, q, k=0):
     return (1 - rsq) ** 2 - (1 - q) * r * (1 + rsq) * x * y + (1 - q) * rsq * (x * x + y * y)
 
 
-def _product_length(q, policy, scale):
+def _factors_needed(q, policy, scale):
     """Smallest K with scale * |q|**K / (1 - |q|) below the relative tolerance."""
     aq = abs(q)
     if aq == 0:
@@ -143,12 +162,13 @@ def _product_length(q, policy, scale):
     target = policy.rel_tol * (1 - aq) / scale
     if target >= 1:
         return 1
-    needed = max(1, math.ceil(math.log(target) / math.log(aq)))
+    return max(1, math.ceil(math.log(target) / math.log(aq)))
+
+
+def _check_cap(needed, policy, what):
+    """TruncationError naming what if needed terms exceed the policy's term cap."""
     if needed > policy.max_terms:
-        raise TruncationError(
-            f"density product needs {needed} factors, above the cap {policy.max_terms}"
-        )
-    return needed
+        raise TruncationError(f"{what}, above the cap {policy.max_terms}")
 
 
 # C per product: f_N, fcn_ratio_bounds' lower bound, f_CN / f_N, phi_cond / f_N
@@ -158,20 +178,56 @@ _FN_SCALE, _BOUND_SCALE, _FCN_SCALE, _PHI_SCALE = 8.0, 16.0, 32.0, 96.0
 @lru_cache(maxsize=32)
 def _powers(q, policy, scale):
     """(K, the read-only row q**k for k < K) of the product with constant scale."""
-    K = _product_length(q, policy, scale)
+    K = _factors_needed(q, policy, scale)
+    _check_cap(K, policy, f"density product needs {K} factors")
     qk = np.power(float(q), np.arange(K))
     qk.flags.writeable = False
     return K, qk
 
 
-@lru_cache(maxsize=32)
-def _theta(q, policy):
-    """(coef, K, qk, head) of f_N: its constant, its K and q**k row, and the row (1 + q**k)**2."""
+def _theta_series(q, policy):
+    """(coef, M, (s, L), rates) of f_N's wrapped-Gaussian series at 0 < q <= 0.99.
+
+    s = sqrt(1-q) / 2, L = -ln(q) / 2, coef = sqrt(1-q) sqrt(pi/L) /
+    (2 pi q**(1/8)) and rates[n] = 2 pi (2n + 1) / L; M is the smallest n with
+    (2n + 1) e**(-n**2 pi**2 / L) below the relative tolerance, which bounds
+    the first dropped term against the n = 0 one.
+    """
+    _check_product_base(q)  # f_N keeps the product's domain for now
+    L = -math.log(q) / 2
+    M = 1
+    while (2 * M + 1) * math.exp(-M * M * math.pi * math.pi / L) > policy.rel_tol:
+        M += 1
+    coef = math.sqrt(1 - q) * math.sqrt(math.pi / L) / (_TWO_PI * q**0.125)
+    rates = _TWO_PI * (2 * np.arange(M) + 1) / L
+    rates.flags.writeable = False
+    return coef, M, (math.sqrt(1 - q) / 2, L), rates
+
+
+def _theta_product(q, policy):
+    """(coef, K, qk, head) of f_N's product: its constant, K, the q**k row and (1 + q**k)**2."""
     coef = math.sqrt(1 - q) * q_pochhammer_inf(q, q, policy) / _TWO_PI
     K, qk = _powers(q, policy, _FN_SCALE)
     head = (1 + qk) ** 2
     head.flags.writeable = False
     return coef, K, qk, head
+
+
+@lru_cache(maxsize=32)
+def _theta(q, policy):
+    """f_N's route at q < 1, read by _f_N_inside: its series or its product.
+
+    The series for q > 0 wherever it needs fewer terms than the product
+    needs factors (M = 1 to 4 from q = 0.99 down to about 2e-4); the
+    product for q <= 0 and near 0.  Only the chosen count meets the cap.
+    """
+    if q > 0:
+        series = _theta_series(q, policy)
+        M = series[1]
+        if M < _factors_needed(q, policy, _FN_SCALE):
+            _check_cap(M, policy, f"the theta series needs {M} terms")
+            return series
+    return _theta_product(q, policy)
 
 
 # Elements per (points, K) buffer, 128 KB of float64: the fastest, or tied
@@ -301,26 +357,69 @@ def _part_products(xs, part):
     return _point_products(factors, xs, K, 2 + len(rest))
 
 
+def _series_sum(xs, q, s, L, rates):
+    """sum_n (-1)**n e**(-(phi + n pi)**2 / L) (1 - e**(-rates[n] theta)) at xs.
+
+    Jacobi's imaginary transformation of f_N's theta function.  With
+    u = |x| s = cos(theta), s = sqrt(1-q) / 2, and w = sin(theta) from
+    4 - (1-q) x**2, as in the product, both angles come from atan2:
+    phi = pi/2 - theta, the n = 0 exponent's, keeps its digits near the
+    centre and theta near the edge, where arcsin(u) and arccos(u) lose
+    them.  Within an ulp of the edge 4 - (1-q) x**2 can round below 0, by
+    about its own size; abs keeps w real there.  A float runs the same
+    ufuncs on numpy scalars as an array does on its points, with no out=
+    (which costs a scalar call more than the ufunc itself), and terms are
+    added in order, so a point and a grid agree bit for bit.  Temporaries
+    are point-sized.
+    """
+    u = abs(xs) * s
+    w = np.sqrt(abs(4 - (1 - q) * xs * xs)) / 2
+    phi, theta = np.arctan2(u, w), np.arctan2(w, u)
+    total = 0.0
+    for n, rate in enumerate(rates.tolist()):
+        a = phi + n * math.pi if n else phi
+        term = np.exp(a * a / -L) * np.expm1(theta * -rate)
+        if n % 2:
+            total += term
+        else:
+            total -= term
+    return total
+
+
+def _f_N_inside(xs, q, theta):
+    """f_N at xs, a float or a float array strictly inside the support, by the route theta.
+
+    theta is _theta_series's tuple, whose third entry is the pair (s, L),
+    or _theta_product's, whose third entry is the q**k row.
+    """
+    coef, terms, consts, row = theta
+    if isinstance(consts, tuple):
+        return coef * _series_sum(xs, q, *consts, row)
+
+    def factors(t, f):
+        np.multiply((1 - q) * t * t, consts, out=f)
+        return np.subtract(row, f, out=f)
+
+    return coef * _point_products(factors, xs, terms, 1) / np.sqrt(4 - (1 - q) * xs * xs)
+
+
 def _density(x, q, policy, mu, var, part=None):
     """(value, terms) of a density at x, a Python float or a float array.
 
     N(mu, var) at q = 1; else f_N times the product of the rho-part whose
     rows _rows(*part) looks up once a point lies strictly inside the
-    support.  terms is the K of the last product run, 0 if none ran.
+    support.  terms is the count of the last series or product run, 0 if
+    none ran.
     """
     if q == 1:
         return np.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(_TWO_PI * var), 0
-    coef, K, qk, head = _theta(q, policy)
+    theta = _theta(q, policy)
     half = _half_width(q)
 
-    def theta(t, f):
-        np.multiply((1 - q) * t * t, qk, out=f)
-        return np.subtract(head, f, out=f)
-
     def inside(xs):
-        value = coef * _point_products(theta, xs, K, 1) / np.sqrt(4 - (1 - q) * xs * xs)
+        value = _f_N_inside(xs, q, theta)
         if part is None:
-            return value, K
+            return value, theta[1]
         rho_part = _rows(*part)
         return value * _part_products(xs, rho_part), rho_part[0]
 

@@ -10,25 +10,28 @@ two scalings is exercised by the test suite.
 
 All seven families run one forward loop, ``_forward``, on the recurrence
 p_{k+1} = (alpha[k] x + beta[k]) p_k - gamma[k] p_{k-1} from p_{-1} = 0,
-p_0 = 1.  Each family checks its degree against DEGREE_CAP, then builds its
-three coefficient lists once; gamma[0] multiplies p_{-1} and is never read,
-so gamma lists start at k = 1 behind a placeholder.  Closed forms are used
-only as cross-checks.  Like the rest of the package, everything is generic
-over the scalar field, so Fraction inputs give exact values.
+p_0 = 1.  Each family checks its degree against DEGREE_CAP and its base,
+parameters and x finite in one call, then builds its three coefficient
+lists once; gamma[0] multiplies p_{-1} and is never read, so gamma lists
+start at k = 1 behind a placeholder.  Closed forms are used only as
+cross-checks.  Like the rest of the package, everything is generic over
+the scalar field, so Fraction inputs give exact values.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .qcore import (
     DomainError,
+    _bracket_seq,
     _check_finite,
     _check_order,
     _check_pole,
     _factorial_seq,
     q_binomial_row,
-    q_bracket_seq,
     q_factorial,
 )
 
@@ -67,10 +70,9 @@ def _forward(n, x, alpha, beta, gamma):
     """[p_0(x), ..., p_n(x)] for p_{k+1} = (alpha[k] x + beta[k]) p_k - gamma[k] p_{k-1}.
 
     p_{-1} = 0 and p_0 = 1, so gamma[0] is never read; that keeps a
-    q**(k-1) factor from being formed at q = 0.  x is a scalar or an array;
-    DomainError if any entry is nan or infinite.
+    q**(k-1) factor from being formed at q = 0.  x is a scalar or an array,
+    checked finite by the family together with its parameters.
     """
-    _check_finite(x)
     out = [1 + 0 * x]
     for k in range(n):
         nxt = (alpha[k] * x + beta[k]) * out[k]
@@ -86,7 +88,7 @@ def hermite_h_seq(n, x, q):
     the b_small inversion identity needs).
     """
     _check_degree(n)
-    _check_finite(q)
+    _check_finite(q, x)
     return _forward(n, x, [2] * n, [0] * n, [None] + [1 - q**k for k in range(1, n)])
 
 
@@ -102,7 +104,8 @@ def hermite_H_seq(n, x, q):
     Hermite polynomials.
     """
     _check_degree(n)
-    return _forward(n, x, [1] * n, [0] * n, q_bracket_seq(n, q))
+    _check_finite(q, x)
+    return _forward(n, x, [1] * n, [0] * n, _bracket_seq(n, q))
 
 
 def hermite_H(n, x, q):
@@ -118,7 +121,7 @@ def asc_Q_seq(n, x, a, b, q):
     for the conjugate-pair collapse to real values.
     """
     _check_degree(n)
-    _check_finite(a, b, q)
+    _check_finite(a, b, q, x)
     beta = [-(a + b) * q**k for k in range(n)]
     gamma = [None] + [(1 - a * b * q ** (k - 1)) * (1 - q**k) for k in range(1, n)]
     return _forward(n, x, [2] * n, beta, gamma)
@@ -127,13 +130,13 @@ def asc_Q_seq(n, x, a, b, q):
 def asc_Q(n, x, a, b, q):
     """Al-Salam-Chihara polynomial Q_n(x | a, b, q).
 
-    For b = conj(a) and real x the value is real; the imaginary roundoff
-    residue is checked against 1e-12 * (1 + |value|) and truncated.
+    For b = conj(a) and real x the value is real (a float array for a
+    float array x); the imaginary roundoff residue is checked against
+    1e-12 * (1 + |value|) and truncated.
     """
     val = asc_Q_seq(n, x, a, b, q)[-1]
-    if isinstance(val, complex) and not isinstance(x, complex):
-        if _is_conjugate_pair(a, b):
-            return real_part(val)
+    if _is_complex(val) and not _is_complex(x) and _is_conjugate_pair(a, b):
+        return real_part(val)
     return val
 
 
@@ -145,8 +148,8 @@ def asc_P_seq(n, x, y, rho, q):
     the conditional-normal Hermite polynomials.
     """
     _check_degree(n)
-    brackets = q_bracket_seq(n, q)
-    _check_finite(y, rho)
+    _check_finite(q, y, rho, x)
+    brackets = _bracket_seq(n, q)
     beta = [-rho * y * q**k for k in range(n)]
     gamma = [None] + [(1 - rho * rho * q ** (k - 1)) * brackets[k] for k in range(1, n)]
     return _forward(n, x, [1] * n, beta, gamma)
@@ -165,7 +168,8 @@ def b_big_seq(n, y, q):
     connection coefficients between the P and H families.
     """
     _check_degree(n)
-    brackets = q_bracket_seq(n, q)
+    _check_finite(q, y)
+    brackets = _bracket_seq(n, q)
     gamma = [None] + [-(q ** (k - 1)) * brackets[k] for k in range(1, n)]
     return _forward(n, y, [-(q**k) for k in range(n)], [0] * n, gamma)
 
@@ -182,7 +186,7 @@ def b_small_seq(n, y, q):
     (-1)**n q**(-C(n,2)) b_n(y | q) = h_n(y | 1/q).
     """
     _check_degree(n)
-    _check_finite(q)
+    _check_finite(q, y)
     gamma = [None] + [-(q ** (k - 1)) * (1 - q**k) for k in range(1, n)]
     return _forward(n, y, [-2 * q**k for k in range(n)], [0] * n, gamma)
 
@@ -195,6 +199,7 @@ def b_small(n, y, q):
 def chebyshev_U_seq(n, x):
     """Chebyshev polynomials of the second kind, U_{k+1} = 2x U_k - U_{k-1}."""
     _check_degree(n)
+    _check_finite(x)
     return _forward(n, x, [2] * n, [0] * n, [1] * n)
 
 
@@ -209,12 +214,27 @@ def _is_conjugate_pair(a, b):
     return abs(b - a.conjugate()) <= 1e-14 * (1 + abs(a))
 
 
+def _is_complex(v):
+    """True for a complex scalar or a complex numpy array."""
+    return isinstance(v, complex) or isinstance(v, np.ndarray) and v.dtype.kind == "c"
+
+
 def real_part(value, rel_tol=1e-12):
-    """Collapse a complex value that must be real analytically.
+    """Collapse a complex value, or a complex array, that must be real analytically.
 
     The imaginary part has to be roundoff noise: anything above
     rel_tol * (1 + |value|) raises DomainError instead of being dropped.
+    An array is held to the rule entry by entry and collapses to a float
+    array.
     """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "c":
+            return value
+        if np.count_nonzero(np.abs(value.imag) > rel_tol * (1 + np.abs(value))):
+            raise DomainError(
+                f"values expected to be real have imaginary residues {value.imag!r}"
+            )
+        return value.real.copy()
     if not isinstance(value, complex):
         return value
     if abs(value.imag) > rel_tol * (1 + abs(value)):

@@ -16,9 +16,11 @@ the Rogers-Szego recurrence) cost O(n); ``_sn_series`` yields the one s_n
 series that both the suite's sn_series check and the expansion budget sum.
 
 Each parameter rule of the package has its one private helper here:
-``_check_finite`` (scalars and numpy arrays), ``_check_real`` (finite and
-not complex), ``_check_rho`` (|rho| < 1) and ``_check_below_one`` (q < 1,
-where q = 1 needs its own closed form).  The one pole rule is
+``_check_finite`` (scalars and numpy arrays; a plain float takes a
+``math.isfinite`` fast path), ``_check_real`` (finite and not complex),
+``_check_rho`` (|rho| < 1), ``_check_below_one`` (q < 1, where q = 1 needs
+its own closed form) and ``_check_product_base`` (|q| <= 0.99 for an
+infinite product).  The one pole rule is
 ``_check_pole``: a denominator raises PoleError only when it is exactly 0.
 """
 
@@ -119,6 +121,8 @@ def _check_finite(*values):
     passes when both of its parts are finite.
     """
     for v in values:
+        if type(v) is float and math.isfinite(v):
+            continue  # the common case, without the Rational ABC test
         if isinstance(v, np.ndarray):
             # count_nonzero, not .all(): a process's first bool reduction costs ~30 us
             if np.count_nonzero(np.isfinite(v)) < v.size:
@@ -152,6 +156,14 @@ def _check_below_one(q, what):
         raise DomainError(f"q < 1 is required by {what}")
 
 
+def _check_product_base(q):
+    """DomainError if |q| > 0.99, where an infinite product's factor count explodes."""
+    if abs(q) > 0.99:
+        raise DomainError(
+            f"(a; q)_inf restricted to |q| <= 0.99; term count explodes beyond (got q={q!r})"
+        )
+
+
 def _check_pole(value, what):
     """PoleError when value is exactly 0, else value.
 
@@ -175,6 +187,11 @@ def q_bracket_seq(n, q):
     """The prefix list [[0]_q, [1]_q, ..., [n]_q], by Horner's rule."""
     _check_order(n)
     _check_finite(q)
+    return _bracket_seq(n, q)
+
+
+def _bracket_seq(n, q):
+    # q_bracket_seq once n and q are checked, for callers that check q with their other inputs
     out = [0 * q]
     for _ in range(n):
         out.append(out[-1] * q + 1)
@@ -255,10 +272,7 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """
     _check_finite(a, q)
     _check_below_one(q, "(a; q)_inf")
-    if abs(q) > 0.99:
-        raise DomainError(
-            f"(a; q)_inf restricted to |q| <= 0.99; term count explodes beyond (got q={q!r})"
-        )
+    _check_product_base(q)
     threshold = policy.rel_tol * (1 - abs(q))
     total = 1 + 0 * a
     factor = a

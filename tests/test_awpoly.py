@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from qaw import (
@@ -168,6 +169,14 @@ class TestRepresentations:
         prm = map_params(BUNDLE)
         value = aw_D(3, 0.4, prm, BUNDLE.q)
         assert isinstance(value, float)
+
+    def test_float_array_gives_float_array(self):
+        prm = map_params(BUNDLE)
+        xs = np.array([0.3, -0.2])
+        got = aw_D(3, xs, prm, BUNDLE.q)
+        assert got.dtype == np.float64
+        assert got.tolist() == [aw_D(3, float(x), prm, BUNDLE.q) for x in xs]
+        assert aw_D(3, xs + 0.1j, prm, BUNDLE.q).dtype == np.complex128
 
 
 class TestFreeCaseClosedForms:

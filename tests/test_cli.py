@@ -17,10 +17,10 @@ from qaw.densities import phi_q0
 
 
 # md5 of the csv output of TestEvalCommand.test_density_point_values_pinned
-DENSITY_EVAL_MD5 = "d2189796464829960028872691d8875a"
+DENSITY_EVAL_MD5 = "053b80bb05e9fe8eaf5e150b05f9e03b"
 
 # md5 of (argv, exit code, stdout, stderr) over TestCliSurface's invocations
-CLI_SURFACE_MD5 = "516fe7f9fb3906c20a8f7a6e5801f3ff"
+CLI_SURFACE_MD5 = "b205d2d9becce2ba912975991efa5f99"
 
 
 def run(*argv):

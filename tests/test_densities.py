@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,11 +29,14 @@ from qaw import (
     w_factor,
 )
 from qaw.densities import (
+    _f_N_inside,
     _fcn_rows,
     _phi_rows,
     _powers,
     _rows,
     _theta,
+    _theta_product,
+    _theta_series,
     f_CN_q0,
     f_CN_values,
     f_N_q0,
@@ -452,7 +456,7 @@ class TestRatioBounds:
 
 
 # md5 of _golden_feed over q = 0.5, 0.9, 0.99
-GOLDEN_DENSITY_MD5 = "3ccc1c21208cffb22d1c3729b19540b3"
+GOLDEN_DENSITY_MD5 = "a40bfac3af3b9e8073f6434581241823"
 
 
 def _golden_feed(digest, q):
@@ -478,8 +482,8 @@ class TestProductRows:
 
     def test_each_product_keeps_its_own_cap(self):
         policy = TruncationPolicy(max_terms=4000)
-        assert f_N(0.1, 0.99, policy).terms == 3873
-        assert f_CN(0.1, 0.2, 0.0, 0.99, policy).terms == 3873
+        assert f_N(0.1, 0.99, policy).terms == 1
+        assert f_CN(0.1, 0.2, 0.0, 0.99, policy).terms == 1
         with pytest.raises(TruncationError, match="4011 factors"):
             f_CN(0.1, 0.2, 0.5, 0.99, policy)
         with pytest.raises(TruncationError, match="4120 factors"):
@@ -496,10 +500,10 @@ class TestProductRows:
         q, y, z = 0.5, 0.3, -0.4
         p = CondDensityParams(y, 0.5, z, -0.3, q)
         plain = CondDensityParams(y, 0.0, z, 0.0, q)
-        # interior point: f_N's, f_CN's and phi_cond's own K at q = 0.5
-        assert (f_N(0.1, q).terms, f_CN(0.1, y, 0.6, q).terms, phi_cond(0.1, p).terms) == (51, 53, 55)
-        # zero correlation: the f_N product alone
-        assert (f_CN(0.1, y, 0.0, q).terms, phi_cond(0.1, plain).terms) == (51, 51)
+        # interior point: f_N's series M, f_CN's and phi_cond's own K at q = 0.5
+        assert (f_N(0.1, q).terms, f_CN(0.1, y, 0.6, q).terms, phi_cond(0.1, p).terms) == (2, 53, 55)
+        # zero correlation: the f_N series alone
+        assert (f_CN(0.1, y, 0.0, q).terms, phi_cond(0.1, plain).terms) == (2, 2)
         # on or off the support, and the q = 1 closed forms: no product
         for x in (2 / math.sqrt(1 - q), 5.0):
             assert (f_N(x, q).terms, f_CN(x, y, 0.6, q).terms, phi_cond(x, p).terms) == (0, 0, 0)
@@ -599,3 +603,67 @@ class TestPointCallProperty:
                 warm = point(x).value
                 assert cold.hex() == warm.hex() == grid(np.array([x]))[0].hex(), (name, x)
             assert point(near).value > 0, (name, near)
+
+
+def _f_N_oracle(x, q):
+    """f_N at the float x by its product, summed in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        x, q = mpmath.mpf(x), mpmath.mpf(q)
+        t = (1 - q) * x * x
+        total, qk, tiny = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(10) ** -62
+        while abs(qk) > tiny:
+            # the k-th theta factor times the k-th factor of (q; q)_inf
+            total *= ((1 + qk) ** 2 - t * qk) * (1 - qk * q)
+            qk *= q
+        return mpmath.sqrt(1 - q) * total / (2 * mpmath.pi * mpmath.sqrt(4 - t))
+
+
+class TestThetaRoutes:
+    """f_N's theta part: the wrapped-Gaussian series where it is shorter, else the product."""
+
+    # Rounding costs relative accuracy in proportion to the Gaussian
+    # exponent E = ln(f_N(0) / f_N(x)), which reaches 250 at 0.9 of the
+    # half-width at q = 0.99, where random samples put the series within
+    # 1e-13 and the product up to 1.6e-13 off; the bounds widen by E / 100
+    # past E = 100.
+    @pytest.mark.parametrize(
+        "q, fracs",
+        [(q, (0.0, 0.3, -0.6, 0.9, 0.99, -0.999)) for q in (0.01, 0.1, 0.5, 0.9, -0.5, -0.9)]
+        + [(0.99, (0.3, -0.9, 0.999))],
+    )
+    def test_against_a_60_digit_product(self, q, fracs):
+        half = 2 / math.sqrt(1 - q)
+        peak = f_N(0.0, q).value
+        for frac in fracs:
+            x = frac * half
+            got = f_N(x, q).value
+            want = _f_N_oracle(x, q)
+            rel = float(abs(got - want) / want)
+            widen = max(1, math.log(peak / got) / 100)
+            assert rel <= (1e-13 if abs(frac) <= 0.9 else 2e-12) * widen, (q, frac, rel)
+
+    @given(q=st.floats(0.01, 0.99), u=st.floats(-0.9, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_series_and_product_agree(self, q, u):
+        # the product's own error, up to 1.6e-13 near q = 0.99, sets the bound
+        x = u * 2 / math.sqrt(1 - q)
+        product_route = _theta_product(q, DEFAULT_POLICY)
+        series = _f_N_inside(x, q, _theta_series(q, DEFAULT_POLICY))
+        product = _f_N_inside(x, q, product_route)
+        widen = max(1, math.log(_f_N_inside(0.0, q, product_route) / product) / 100)
+        assert abs(series - product) <= 3e-13 * widen * product, (q, x)
+
+    def test_route_choice(self):
+        # the series where it needs fewer terms than the product has factors
+        for q, M in ((0.01, 3), (0.1, 2), (0.5, 2), (0.9, 1), (0.99, 1)):
+            assert isinstance(_theta(q, DEFAULT_POLICY)[2], tuple)
+            assert f_N(0.1, q).terms == M, q
+        # q <= 0 has no series, and near q = 0 the product is the shorter
+        for q in (-0.9, -0.5, 0.0, 1e-12):
+            coef, K, qk, head = _theta(q, DEFAULT_POLICY)
+            assert K == _powers(q, DEFAULT_POLICY, 8.0)[0] == f_N(0.1, q).terms, q
+            assert np.array_equal(head, (1 + qk) ** 2)
+        assert _theta_series(1e-12, DEFAULT_POLICY)[1] > _theta(1e-12, DEFAULT_POLICY)[1]
+        # the chosen count meets the policy's cap, whichever route it is
+        with pytest.raises(TruncationError, match="2 terms"):
+            f_N(0.1, 0.5, TruncationPolicy(max_terms=1))

@@ -1,9 +1,13 @@
 """Every name a module imports is used in that module, every private
 module-level name is used somewhere in the package, every exported name
-resolves, and each parameter rule is written out in qcore only."""
+resolves, each parameter rule is written out in qcore only, and the CLI
+imports without the heavy optional modules."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -314,3 +318,30 @@ def test_pochhammer_scanner_flags_a_hand_rolled_loop():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)
 def test_no_hand_rolled_pochhammer(path):
     assert _hand_rolled_pochhammers(path.read_text()) == []
+
+
+_HEAVY = ("mpmath", "numpy.polynomial")
+
+
+def _heavy_modules_after(statement):
+    """The modules of _HEAVY that a fresh interpreter holds after running statement."""
+    probe = f"import sys\n{statement}\nprint(*[m for m in {_HEAVY!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_heavy_module_probe_sees_a_loaded_module():
+    assert _heavy_modules_after("import qaw.cli, numpy.polynomial") == ["numpy.polynomial"]
+
+
+def test_cli_import_loads_no_heavy_module():
+    # mpmath serves the oracle and loads on its first call; every CLI
+    # command pays for what the import loads
+    assert _heavy_modules_after("import qaw.cli") == []

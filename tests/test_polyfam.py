@@ -435,3 +435,21 @@ class TestRealPart:
     def test_rejects_genuine_imaginary(self):
         with pytest.raises(DomainError):
             real_part(1.0 + 0.1j)
+
+    def test_collapses_an_array_under_the_same_rule(self):
+        got = real_part(np.array([2.0 + 1e-15j, -3.0 - 2e-12j]))
+        assert got.dtype == np.float64 and got.tolist() == [2.0, -3.0]
+        # one entry above rel_tol * (1 + |value|) fails the whole array
+        with pytest.raises(DomainError):
+            real_part(np.array([2.0 + 1e-15j, 1.0 + 1e-9j]))
+        floats = np.array([1.5, -0.5])
+        assert real_part(floats) is floats
+
+    def test_conjugate_pair_gives_a_float_array_for_a_float_array(self):
+        a, xs = 0.3 + 0.2j, np.array([0.3, -1.2, 0.0])
+        got = asc_Q(5, xs, a, a.conjugate(), 0.5)
+        assert got.dtype == np.float64
+        assert got.tolist() == [asc_Q(5, float(x), a, a.conjugate(), 0.5) for x in xs]
+        # a complex array keeps its complex values, and so does a non-conjugate pair
+        assert asc_Q(5, xs + 0.1j, a, a.conjugate(), 0.5).dtype == np.complex128
+        assert asc_Q(5, xs, a, a, 0.5).dtype == np.complex128

@@ -271,9 +271,9 @@ class TestGoldenBytes:
         reports = run_suite()
         # `qaw verify --all --format json` writes the JSON and one newline
         as_json = report_to_json(reports) + "\n"
-        assert hashlib.md5(as_json.encode()).hexdigest() == "f5b9e792c9b4c5175794b465213cc56d"
+        assert hashlib.md5(as_json.encode()).hexdigest() == "1af3315e681c9be4f57b90f9b576b30f"
         as_text = report_to_text(reports)
-        assert hashlib.md5(as_text.encode()).hexdigest() == "6610867de001295504959e3bd55a7e1e"
+        assert hashlib.md5(as_text.encode()).hexdigest() == "0c58b46081c63ccba38929023cf37dfb"
 
 
 class TestReportSerialization:
