@@ -179,7 +179,7 @@ def aw_D(n, x, params: AWComplexParams, q):
     QParam(q)
     _check_below_one(q, "the Askey-Wilson representations")
     if n == 0:
-        return 1.0
+        return 1 + 0 * x
     a, b, c, d = params.a, params.b, params.c, params.d
     ab = a * b
     cd = c * d
@@ -301,7 +301,7 @@ def aw_D_free(n, x, a, b, c, d):
     complex x.
     """
     if n == 0:
-        return 1.0
+        return 1 + 0 * x
     ab = a * b
     cd = c * d
     if n == 1:

@@ -25,27 +25,43 @@ L = -ln(q) / 2 it is a wrapped Gaussian whose n-th term is smaller than
 the first by about e**(-n**2 pi**2 / L), so M = 1 term serves at q = 0.9
 and 0.99, 2 at q = 0.1 and 0.5, 3 at q = 0.01.  For q <= 0, and for
 0 < q below about 2e-4, where the series is the longer, f_N is its
-product, like the rho-parts.  Products are cut after K factors where K
-is chosen so the dropped tail perturbs the value by less than the
-policy's relative tolerance: each factor is 1 + O(C q**k), so K solves
-C |q|**K / (1 - |q|) <= rel_tol with a conservative per-density constant
-C.  Each product reads its row q**k, k < K, from one cache of 32
-read-only rows (``_powers``), ``_theta`` caches f_N's route for 32 bases
-(the series' M decay rates, or the product's (1 + q**k)**2 row), and
-``_rows`` the x-free rows of the last four rho-parts, at most about
-1.3 MB (K = 10000, the default term cap).
+product.  Products are cut after K factors where K is chosen so the
+dropped tail perturbs the value by less than the policy's relative
+tolerance: each factor is 1 + O(C q**k), so K solves
+C |q|**K / (1 - |q|) <= rel_tol with a conservative per-density constant C.
+
+A rho-part multiplies the factors (1 - rho**2 q**k) / w_k(x, y), one per
+neighbor y (phi_cond's also carry w_k(y, z) / (1 - rho1**2 rho2**2 q**k)).
+With u = x sqrt(1-q) / 2 and v = y sqrt(1-q) / 2, -log w_k(x, y) is
+sum_m 4 (rho q**k)**m T_m(u) T_m(v) / m (DLMF 20.7(viii); Gasper & Rahman
+1.6), so the factors k >= J multiply to
+
+    exp sum_{m=1}^{M} q**(J m) (4 rho**m T_m(u) T_m(v) - rho**(2m)) / (m (1 - q**m)),
+
+one Chebyshev series in u whose terms shrink like (rho q**J)**m whatever
+q is.  A rho-part is J exact head factors times exp of that series' first
+M terms, summed by Clenshaw, with (J, M) chosen per parameter set to make
+J + M least (J = 0 and M = 45 at q = 0.99, rho = 0.5; J = 11 and M = 16
+at q = 0.9), where K would be 4011 and 361.  Up to K = 110 the whole
+product, J = K, stays: on the small grids of a quadrature it is the
+cheaper.  Each product reads its row q**k from one cache of 32 read-only
+rows (``_powers``), ``_theta`` caches f_N's route for 32 bases (the
+series' M decay rates, or the product's (1 + q**k)**2 row), and ``_rows``
+the routes of the last four rho-parts, their head rows and series
+coefficients: a few kilobytes each.
 
 A point call hands the evaluator a float: a Python comparison tests the
-support, the series runs its ufuncs on numpy scalars and each product
-reduces one (1, K) row.  An array is masked once, gathered and scattered
+support, f_N's series runs its ufuncs on numpy scalars, a rho-part's head
+factors reduce one (1, J) row, its Clenshaw sum runs in Python floats and
+np.exp takes the tail.  An array is masked once, gathered and scattered
 only if a point is off the support, and its products run over blocks of
-at most 16384 elements: memory is O(points) whatever K is.  Terms add and
-factors multiply in order either way, so for q < 1 a grid value equals
-the point call bit for bit (f_N's q = 1 call uses math.exp).
+at most 16384 elements: memory is O(points) whatever K is.  Terms add
+and factors multiply in order either way, so for q < 1 a grid value
+equals the point call bit for bit (f_N's q = 1 call uses math.exp).
 
 Scalar entry points return a ``DensityEval``, whose ``terms`` counts the
-terms or factors of the last series or product run (the rho-part's K if
-there is one, else f_N's M or K), 0 off the open support and at q = 1;
+terms or factors of the last series or product run (the rho-part's J + M
+if there is one, else f_N's M or K), 0 off the open support and at q = 1;
 the ``*_values`` companions take numpy arrays and return bare arrays.
 Points on or outside the support boundary get density exactly 0; a nan,
 infinite or complex point raises ``DomainError``, as does an array given
@@ -129,7 +145,8 @@ def _half_width(q):
 class DensityEval:
     """A density value and the count of terms summed or factors multiplied for it.
 
-    terms is the rho-part's product length K when the density has one,
+    terms is the rho-part's J head factors plus M log-series terms when
+    the density has one (J = K and M = 0 where the whole product runs),
     else f_N's: the M terms of its theta series or the K factors of its
     product.  0 where nothing ran: off the open support and at q = 1.
     """
@@ -205,12 +222,12 @@ def _theta_series(q, policy):
 
 
 def _theta_product(q, policy):
-    """(coef, K, qk, head) of f_N's product: its constant, K, the q**k row and (1 + q**k)**2."""
+    """(coef, K, qk, head) of f_N's product: its constant, K, q**k and (1 + q**k)**2 for 0 < k < K."""
     coef = math.sqrt(1 - q) * q_pochhammer_inf(q, q, policy) / _TWO_PI
     K, qk = _powers(q, policy, _FN_SCALE)
-    head = (1 + qk) ** 2
+    head = (1 + qk[1:]) ** 2
     head.flags.writeable = False
-    return coef, K, qk, head
+    return coef, K, qk[1:], head
 
 
 @lru_cache(maxsize=32)
@@ -266,24 +283,6 @@ def _point_products(block_factors, xs, K, nbuf):
     return out.reshape(xs.shape)
 
 
-def _w_coeffs(rho, q, qk):
-    # the parts of w_factor(x, y, rho, q, k) free of x and y, one entry per
-    # power qk = q**k; _w_block combines them in w_factor's order of operations
-    r = rho * qk
-    rsq = r * r
-    return (1 - rsq) ** 2, (1 - q) * r * (1 + rsq), (1 - q) * rsq
-
-
-def _w_block(x, y, coeffs, out, scratch):
-    # a - b * x * y + c * (x * x + y * y), written into out
-    a, b, c = coeffs
-    np.multiply(b, x, out=out)
-    np.multiply(out, y, out=out)
-    np.subtract(a, out, out=out)
-    out += np.multiply(c, x * x + y * y, out=scratch)
-    return out
-
-
 def _check_params(q, *rhos, **points):
     """DomainError unless q, each |rho| < 1 and each named conditioning point suit a density.
 
@@ -331,30 +330,174 @@ def _finite_points(x):
 
 @lru_cache(maxsize=4, typed=True)
 def _rows(build, *key):
-    """build(*key) with every array read-only; key is (y, rho, q, policy) or (bundle, policy)."""
-    part = _, num, den, pairs = build(*key)
-    for row in (num, den, *(c for _, w in pairs for c in w)):
-        if row is not None:
-            row.flags.writeable = False
-    return part
+    """build(*key), a rho-part's route; key is (y, rho, q, policy) or (bundle, policy).
+
+    The route's arrays are read-only: _head builds them so.
+    """
+    return build(*key)
+
+
+# |coefficient m| of a rho-part's log series is at most C R**m / (m (1 - |q|**m))
+# times |q|**(J m), R the largest |rho|: C = 4 + 1 for f_CN / f_N and
+# 4 + 4 + 4 + 1 + 1 + 1 for phi_cond / f_N
+_FCN_TAIL, _PHI_TAIL = 5.0, 15.0
+
+
+# Products this short stay whole: up to here the product is the cheaper on
+# the 31- and 32-point grids that open every quadrature of the suite (for
+# f_CN to about K = 170, for phi_cond to about K = 100), while from 128
+# points on the series wins at K = 30 and up.
+_PRODUCT_FACTORS = 110
+
+
+def _split(q, policy, K, scale, r):
+    """(J, M): J exact factors, then M log-series terms, of a rho-part; (K, 0) for the product.
+
+    After M terms the series' tail is at most scale r'**(M+1) /
+    ((M+1) (1 - |q|**(M+1)) (1 - r')), r' = r |q|**J, and M is the smallest
+    count that puts it below the relative tolerance.  With A = ln(scale /
+    rel_tol), B = ln(1/r) and lam = ln(1/|q|), M is about A / (B + lam J),
+    so J + M is least at J* = (sqrt(A lam) - B) / lam, clipped at 0, and
+    it is about 2 sqrt(A / lam), well below K ~ A / lam.  The product, J = K
+    and M = 0, up to _PRODUCT_FACTORS; only the chosen count meets the cap.
+    """
+    if K <= _PRODUCT_FACTORS:
+        return K, 0
+    aq = abs(q)
+    lam = -math.log(aq)
+    A = math.log(scale / policy.rel_tol)
+    J = max(0, round((math.sqrt(A * lam) + math.log(r)) / lam))
+    rJ = r * aq**J
+    target = policy.rel_tol * (1 - rJ) / scale
+    M, tail, qm = 1, rJ * rJ, aq * aq
+    while tail > target * (M + 1) * (1 - qm):
+        M, tail, qm = M + 1, tail * rJ, qm * aq
+    _check_cap(J + M, policy, f"the rho-part needs {J} factors and {M} series terms")
+    return J, M
+
+
+def _head(q, J, K, pairs, cross, policy, scale):
+    """The x-free coefficients of a rho-part's factors k < J, as read-only arrays.
+
+    A neighbor's factor w_k(x, y) is written (c x - B) x + A, with r = rho
+    q**k, c = (1-q) r**2, B = (1-q) r (1 + r**2) y and A = (1 - r**2)**2 +
+    c y**2.  pairs holds (y, rho) per neighbor, each putting 1 - rho**2
+    q**k into the numerator; cross, phi_cond's rho1 rho2 or None, puts
+    w_k(y, z) at cross there too and gives den = 1 - cross**2 q**k.
+    Returns (J, num, den or None, (A, B, c) per neighbor).  The whole
+    product, J = K, reads _powers' row.
+    """
+    qk = _powers(q, policy, scale)[1] if J == K else np.power(float(q), np.arange(J))
+
+    def w_coeffs(rho, y):
+        r = rho * qk
+        rsq = r * r
+        c = (1 - q) * rsq
+        return (1 - rsq) ** 2 + c * (y * y), (1 - q) * y * r * (1 + rsq), c
+
+    coeffs = tuple(w_coeffs(rho, y) for y, rho in pairs)
+    (y, r1), *rest = pairs
+    num, den = 1 - r1 * r1 * qk, None
+    if cross is not None:
+        ((z, r2),) = rest
+        A, B, c = w_coeffs(cross, y)
+        num *= (1 - r2 * r2 * qk) * ((c * z - B) * z + A)
+        den = 1 - (r1 * r1) * (r2 * r2) * qk
+    cols = [num, *([] if den is None else [den]), *(v for w in coeffs for v in w)]
+    for v in cols:
+        v.flags.writeable = False
+    return J, num, den, coeffs
+
+
+def _log_series(q, J, M, v1, r1, v2=0.0, r2=0.0, cross=0.0):
+    """a_0 .. a_M with sum_m a_m T_m(u) the log of a rho-part's factors k >= J.
+
+    A neighbor at v = s * y, s = sqrt(1-q) / 2, with correlation rho has
+    factors (1 - rho**2 q**k) / w_k(x, y) whose log, summed over k >= J, is
+
+        sum_m g_m (4 rho**m T_m(u) T_m(v) - rho**(2m)),  u = s * x,
+
+    with g_m = q**(J m) / (m (1 - q**m)).  (v1, r1) and (v2, r2) add; cross
+    = rho1 rho2 subtracts the same x-free sum for the neighbors' own two
+    points, phi_cond's w(y, z, rho1 rho2) / (rho1**2 rho2**2; q).  Python
+    floats, O(M); 1 - q**m comes from expm1, which keeps its digits near
+    q = 1.
+    """
+    a = [0.0] * (M + 1)
+    lq, qJ, odd_sign = math.log(abs(q)), q**J, q < 0
+    g, p1, p2, sm, a0 = 1.0, 1.0, 1.0, 1.0, 0.0
+    s1, t1, s2, t2 = 1.0, v1, 1.0, v2  # T_{m-1} and T_m at v1 and v2
+    for m in range(1, M + 1):
+        g *= qJ
+        d = -math.expm1(m * lq)  # 1 - |q|**m
+        c = g / (m * (2 - d if odd_sign and m & 1 else d))
+        p1, p2, sm = p1 * r1, p2 * r2, sm * cross
+        a[m] = 4 * c * (p1 * t1 + p2 * t2)
+        a0 -= c * (p1 * p1 + p2 * p2 + sm * (4 * t1 * t2 - sm))
+        s1, t1 = t1, 2 * v1 * t1 - s1
+        s2, t2 = t2, 2 * v2 * t2 - s2
+    a[0] = a0
+    return tuple(a)
+
+
+def _head_products(xs, head):
+    """The product over k < J of num / (w(x, y1) den w(x, y2)) at xs, a float or an array.
+
+    head is _head's tuple; _point_products reduces the factors, so a point
+    and a grid agree bit for bit.
+    """
+    J, num, den, (w1, *rest) = head
+
+    def w_block(t, w, out):
+        A, B, c = w
+        np.multiply(c, t, out=out)
+        out -= B
+        out *= t
+        out += A
+        return out
+
+    def factors(t, f, *more):
+        w_block(t, w1, f)
+        if den is not None:
+            f *= den
+        for w, g in zip(rest, more):
+            f *= w_block(t, w, g)
+        return np.divide(num, f, out=f)
+
+    return _point_products(factors, xs, J, 1 + len(rest))
+
+
+def _chebyshev(u, a):
+    """sum_m a[m] T_m(u) by Clenshaw's recurrence, u a Python float or a float array.
+
+    The same statements run on a float and on an array, one IEEE operation
+    at a time, so a point and a grid agree bit for bit; an array is updated
+    in place after one point-sized product per term.
+    """
+    b1, b2 = a[-1], 0.0
+    u2 = u + u
+    for am in a[-2:0:-1]:
+        b = u2 * b1
+        b -= b2
+        b += am
+        b1, b2 = b, b1
+    b = u * b1
+    b -= b2
+    b += a[0]
+    return b
 
 
 def _part_products(xs, part):
-    """The product over k of num / (w(x, y1) den w(x, y2)) at xs, a float or an array.
+    """The rho-part at xs, a float or an array: its J factors times exp of its log-series tail.
 
-    part is (K, num, den or None, one (y, _w_coeffs) pair per neighbor).
+    part is (J + M, _head's tuple or None, s, a_0 .. a_M or None), u = s * x;
+    np.exp on both a float and an array.
     """
-    K, num, den, ((y1, w1), *rest) = part
-
-    def factors(t, f, scratch, *more):
-        _w_block(t, y1, w1, f, scratch)
-        if den is not None:
-            f *= den
-        for (y, w), g in zip(rest, more):
-            f *= _w_block(t, y, w, g, scratch)
-        return np.divide(num, f, out=f)
-
-    return _point_products(factors, xs, K, 2 + len(rest))
+    _, head, s, a = part
+    if a is None:
+        return _head_products(xs, head)
+    tail = np.exp(_chebyshev(xs * s, a))
+    return tail if head is None else _head_products(xs, head) * tail
 
 
 def _series_sum(xs, q, s, L, rates):
@@ -390,17 +533,25 @@ def _f_N_inside(xs, q, theta):
     """f_N at xs, a float or a float array strictly inside the support, by the route theta.
 
     theta is _theta_series's tuple, whose third entry is the pair (s, L),
-    or _theta_product's, whose third entry is the q**k row.
+    or _theta_product's, whose third entry is the row q**k, 0 < k < K.
     """
     coef, terms, consts, row = theta
     if isinstance(consts, tuple):
         return coef * _series_sum(xs, q, *consts, row)
 
+    # the k = 0 factor, 4 - (1-q) x**2, comes divided by its square root: the
+    # root remains, of abs as in _series_sum, for within an ulp or so of the
+    # edge 4 - (1-q) x**2 rounds to 0 or below
+    edge = abs(4 - (1 - q) * xs * xs)
+    value = coef * (math.sqrt(edge) if isinstance(xs, float) else np.sqrt(edge))
+    if terms == 1:
+        return value
+
     def factors(t, f):
         np.multiply((1 - q) * t * t, consts, out=f)
         return np.subtract(row, f, out=f)
 
-    return coef * _point_products(factors, xs, terms, 1) / np.sqrt(4 - (1 - q) * xs * xs)
+    return value * _point_products(factors, xs, terms - 1, 1)
 
 
 def _density(x, q, policy, mu, var, part=None):
@@ -450,9 +601,13 @@ def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
     return DensityEval(float(value), terms)
 
 
-def _fcn_rows(y, rho, q, policy):
-    K, qk = _powers(q, policy, _FCN_SCALE)
-    return K, 1 - rho * rho * qk, None, ((y, _w_coeffs(rho, q, qk)),)
+def _fcn_rows(y, rho, q, policy, product=False):
+    """f_CN / f_N's route (J + M, head, s, a); product forces J = K, M = 0."""
+    K = _factors_needed(q, policy, _FCN_SCALE)
+    J, M = (K, 0) if product else _split(q, policy, K, _FCN_TAIL, abs(rho))
+    s = math.sqrt(1 - q) / 2
+    head = _head(q, J, K, ((y, rho),), None, policy, _FCN_SCALE) if J else None
+    return J + M, head, s, _log_series(q, J, M, s * y, rho) if M else None
 
 
 def _fcn_plan(y, rho, q, policy):
@@ -478,23 +633,37 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
 
     Requires q < 1 and a strictly interior conditioning point y; under those
     conditions every product factor is positive for all real x, so the ratio
-    is well defined even where the densities themselves vanish.
+    is well defined even where the densities themselves vanish.  Points on
+    or outside the support, where the log series need not converge, take
+    the full product, J = K.
     """
     _check_params(q, rho, y=y)
     _check_below_one(q, "the product-form ratio")
     xa = _finite_points(x)
     if rho == 0:
         return np.ones_like(xa)
-    return _part_products(xa, _rows(_fcn_rows, y, rho, q, policy))
+    route = _rows(_fcn_rows, y, rho, q, policy)
+    if route[3] is None:
+        return _part_products(xa, route)
+    inside = np.abs(xa) < _half_width(q)
+    if np.count_nonzero(inside) == xa.size:
+        return _part_products(xa, route)
+    out = np.empty(xa.shape)
+    out[inside] = _part_products(xa[inside], route)
+    outside = ~inside
+    out[outside] = _part_products(xa[outside], _fcn_rows(y, rho, q, policy, product=True))
+    return out
 
 
-def _phi_rows(p, policy):
-    r1sq, r2sq = p.rho1 * p.rho1, p.rho2 * p.rho2
-    K, qk = _powers(p.q, policy, _PHI_SCALE)
-    w12 = _w_block(p.y, p.z, _w_coeffs(p.rho1 * p.rho2, p.q, qk), np.empty(K), np.empty(K))
-    num = (1 - r1sq * qk) * (1 - r2sq * qk) * w12
-    pairs = ((p.y, _w_coeffs(p.rho1, p.q, qk)), (p.z, _w_coeffs(p.rho2, p.q, qk)))
-    return K, num, 1 - r1sq * r2sq * qk, pairs
+def _phi_rows(p, policy, product=False):
+    """phi_cond / f_N's route, as _fcn_rows's; both neighbors add into one series in u."""
+    q, r1, r2 = p.q, p.rho1, p.rho2
+    K = _factors_needed(q, policy, _PHI_SCALE)
+    J, M = (K, 0) if product else _split(q, policy, K, _PHI_TAIL, max(abs(r1), abs(r2)))
+    s = math.sqrt(1 - q) / 2
+    head = _head(q, J, K, ((p.y, r1), (p.z, r2)), r1 * r2, policy, _PHI_SCALE) if J else None
+    a = _log_series(q, J, M, s * p.y, r1, s * p.z, r2, r1 * r2) if M else None
+    return J + M, head, s, a
 
 
 def _phi_plan(p, policy):

@@ -178,6 +178,16 @@ class TestRepresentations:
         assert got.tolist() == [aw_D(3, float(x), prm, BUNDLE.q) for x in xs]
         assert aw_D(3, xs + 0.1j, prm, BUNDLE.q).dtype == np.complex128
 
+    def test_degree_zero_keeps_the_shape_of_x(self):
+        # as aw_A_sym's 1 + 0 * x; a scalar x still gives 1.0
+        prm = map_params(BUNDLE)
+        xs = np.array([[0.3, -0.2, 0.1]])
+        for got in (aw_D(0, xs, prm, BUNDLE.q), aw_D_free(0, xs, prm.a, prm.b, prm.c, prm.d)):
+            assert got.shape == xs.shape and got.dtype == np.float64
+            assert got.tolist() == [[1.0, 1.0, 1.0]]
+        assert aw_D(0, 0.3, prm, BUNDLE.q) == aw_D_free(0, 0.3, prm.a, prm.b, prm.c, prm.d) == 1.0
+        assert aw_A_sym(0, xs, BUNDLE).shape == xs.shape
+
 
 class TestFreeCaseClosedForms:
     def test_D1_display(self):

@@ -1,5 +1,6 @@
 """Density functions: pinned values, closed-form collapses, symmetry, bounds."""
 
+import decimal
 import hashlib
 import math
 import tracemalloc
@@ -29,8 +30,11 @@ from qaw import (
     w_factor,
 )
 from qaw.densities import (
+    _PRODUCT_FACTORS,
     _f_N_inside,
+    _factors_needed,
     _fcn_rows,
+    _part_products,
     _phi_rows,
     _powers,
     _rows,
@@ -456,7 +460,7 @@ class TestRatioBounds:
 
 
 # md5 of _golden_feed over q = 0.5, 0.9, 0.99
-GOLDEN_DENSITY_MD5 = "a40bfac3af3b9e8073f6434581241823"
+GOLDEN_DENSITY_MD5 = "ce1876ee9db1757825dc2aebeaf6afc2"
 
 
 def _golden_feed(digest, q):
@@ -484,10 +488,16 @@ class TestProductRows:
         policy = TruncationPolicy(max_terms=4000)
         assert f_N(0.1, 0.99, policy).terms == 1
         assert f_CN(0.1, 0.2, 0.0, 0.99, policy).terms == 1
-        with pytest.raises(TruncationError, match="4011 factors"):
-            f_CN(0.1, 0.2, 0.5, 0.99, policy)
-        with pytest.raises(TruncationError, match="4120 factors"):
-            phi_cond(0.1, CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.99), policy)
+        # K = 4011 and 4120 factors: the log series runs within the cap
+        p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.99)
+        assert (f_CN(0.1, 0.2, 0.5, 0.99, policy).terms, phi_cond(0.1, p, policy).terms) == (45, 47)
+        with pytest.raises(TruncationError, match="0 factors and 45 series terms"):
+            f_CN(0.1, 0.2, 0.5, 0.99, TruncationPolicy(max_terms=44))
+        with pytest.raises(TruncationError, match="53 factors"):
+            f_CN(0.1, 0.2, 0.5, 0.5, TruncationPolicy(max_terms=52))
+        p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
+        with pytest.raises(TruncationError, match="55 factors"):
+            phi_cond(0.1, p, TruncationPolicy(max_terms=54))
 
     def test_ratio_runs_where_f_N_cannot(self):
         # the ratio never needs (q; q)_inf, which is restricted to |q| <= 0.99
@@ -516,11 +526,11 @@ class TestProductRows:
         # the q**k row, f_N's head row and every cached rho-part row
         p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
         rows = [row, _theta(0.5, DEFAULT_POLICY)[3]]
-        for _, num, den, pairs in (
+        for _, (_, num, den, coeffs), _, _ in (
             _rows(_fcn_rows, 0.2, 0.5, 0.5, DEFAULT_POLICY),
             _rows(_phi_rows, p, DEFAULT_POLICY),
         ):
-            rows += [num] + ([] if den is None else [den]) + [c for _, w in pairs for c in w]
+            rows += [num] + ([] if den is None else [den]) + [c for w in coeffs for c in w]
         assert len(rows) == 2 + 4 + 8
         for row in rows:
             with pytest.raises(ValueError):
@@ -667,3 +677,152 @@ class TestThetaRoutes:
         # the chosen count meets the policy's cap, whichever route it is
         with pytest.raises(TruncationError, match="2 terms"):
             f_N(0.1, 0.5, TruncationPolicy(max_terms=1))
+
+
+def _rho_part_oracle(x, pairs, q, cross=None):
+    """The rho-part at the float x by its product, in 50-digit decimal arithmetic.
+
+    Each (y, rho) of pairs contributes (1 - rho**2 q**k) / w_k(x, y) and
+    cross = (y, z, rho1 rho2) contributes w_k(y, z) / (1 - (rho1 rho2)**2 q**k);
+    the product stops where |q**k| < 1e-40.  libmpdec runs it about ten times
+    faster than mpmath's pure-Python backend.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        q = D(q)
+
+        def w(a, b, r):
+            rsq = r * r
+            cross = (1 - q) * r * (1 + rsq) * a * b
+            return (1 - rsq) ** 2 - cross + (1 - q) * rsq * (a * a + b * b)
+
+        factors = [(D(x), D(y), D(rho), True) for y, rho in pairs]
+        if cross is not None:
+            factors.append((*map(D, cross), False))
+        num = den = qk = D(1)
+        while abs(qk) > D("1e-40"):
+            for a, b, rho, over_w in factors:
+                r = rho * qk
+                if over_w:
+                    num, den = num * (1 - r * rho), den * w(a, b, r)
+                else:
+                    num, den = num * w(a, b, r), den * (1 - r * rho)
+            qk *= q
+        return num / den
+
+
+class TestRhoPartRoutes:
+    """rho-parts: J exact factors times exp of an M-term log series, or the whole product."""
+
+    # Rounding costs relative accuracy in proportion to the size of the
+    # log-ratio, which passes 250 near the edge at q = 0.99 (the same holds
+    # for the product); the bound widens by |ln ratio| / 100 past 100, as
+    # TestThetaRoutes' does.  f_CN and phi_cond are read as ratios to f_N
+    # where their value is a normal float.
+    @pytest.mark.parametrize(
+        "q, fracs",
+        [(q, (0.0, 0.4, -0.75, 0.9, -0.99, 0.999)) for q in (0.3, 0.5, 0.9, -0.5)]
+        + [(0.99, (0.4, -0.99, 0.999))],
+    )
+    def test_against_a_50_digit_product(self, q, fracs):
+        half = 2 / math.sqrt(1 - q)
+        y, z = 0.3 * half, -0.55 * half
+        for rho1, rho2 in ((0.6, -0.3), (-0.9, 0.5)):
+            p = CondDensityParams(y, rho1, z, rho2, q)
+            for frac in fracs:
+                x = frac * half
+                fn = f_N(x, q).value
+                fcn = _rho_part_oracle(x, [(y, rho1)], q)
+                phi = _rho_part_oracle(x, [(y, rho1), (z, rho2)], q, (y, z, rho1 * rho2))
+                checks = [(cond_ratio_values([x], y, rho1, q)[0], fcn)]
+                if fn * float(fcn) > 1e-290:
+                    checks.append((f_CN(x, y, rho1, q).value / fn, fcn))
+                if fn * float(phi) > 1e-290:
+                    checks.append((phi_cond(x, p).value / fn, phi))
+                for got, want in checks:
+                    rel = abs(decimal.Decimal(float(got)) / want - 1)
+                    widen = max(1, abs(math.log(float(want))) / 100)
+                    assert rel <= 1e-13 * widen, (q, rho1, frac, float(rel))
+
+    @given(
+        q=st.floats(0.72, 0.99) | st.floats(-0.99, -0.72),
+        u=st.floats(-0.99, 0.99), v=st.floats(-0.99, 0.99), w=st.floats(-0.99, 0.99),
+        rho1=st.floats(-0.95, 0.95).filter(lambda r: abs(r) > 0.01), rho2=st.floats(-0.95, 0.95),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_and_whole_product_agree(self, q, u, v, w, rho1, rho2):
+        # the product's own rounding, up to about 1e-13 at K ~ 4000, sets the
+        # bound; far in the corners at q near 1 a ratio can lie below the
+        # normal floats, where relative digits are lost either way
+        half = 2 / math.sqrt(1 - q)
+        x, y, z = u * half, v * half, w * half
+        p = CondDensityParams(y, rho1, z, rho2, q)
+        for build, key in ((_fcn_rows, (y, rho1, q)), (_phi_rows, (p,))):
+            split = build(*key, DEFAULT_POLICY)
+            whole = build(*key, DEFAULT_POLICY, product=True)
+            got, want = _part_products(x, split), _part_products(x, whole)
+            if want < 1e-290:
+                continue
+            widen = max(1, abs(math.log(want)) / 100)
+            assert abs(got - want) <= 3e-13 * widen * want, (build.__name__, q, x)
+
+    def test_route_choice(self):
+        policy = DEFAULT_POLICY
+        # the whole product at q = 0, and wherever K is at most _PRODUCT_FACTORS
+        for q in (0.0, -0.5, 0.5, 0.7):
+            K = _factors_needed(q, policy, 32.0)
+            route = _fcn_rows(0.2, 0.5, q, policy)
+            assert K <= _PRODUCT_FACTORS and route[0] == route[1][0] == K and route[3] is None
+        assert _fcn_rows(0.2, 0.5, 0.0, policy)[0] == 1
+        # past it, J exact factors and M series terms, J + M well below K
+        for q, J, M in ((0.99, 0, 45), (0.9, 11, 16), (-0.9, 11, 16)):
+            terms, head, _, a = _fcn_rows(0.2, 0.5, q, policy)
+            assert (0 if head is None else head[0], len(a) - 1) == (J, M), q
+            assert terms == J + M == f_CN(0.1, 0.2, 0.5, q).terms < _factors_needed(q, policy, 32.0)
+        # J + M meets the cap through _check_cap
+        f_CN(0.1, 0.2, 0.5, 0.9, TruncationPolicy(max_terms=27))
+        with pytest.raises(TruncationError, match="11 factors and 16 series terms, above the cap 26"):
+            f_CN(0.1, 0.2, 0.5, 0.9, TruncationPolicy(max_terms=26))
+
+    def test_cached_entry_holds_no_long_row_at_high_q(self):
+        q = 0.99
+        entries = [
+            _rows(_fcn_rows, 0.2, 0.9, q, DEFAULT_POLICY),
+            _rows(_phi_rows, CondDensityParams(0.2, 0.9, 0.1, -0.95, q), DEFAULT_POLICY),
+        ]
+        for terms, head, _, a in entries:
+            J = 0 if head is None else head[0]
+            assert terms == J + len(a) - 1 < 200
+            arrays = [] if head is None else [head[1], head[2], *(c for w in head[3] for c in w)]
+            assert all(len(row) <= terms for row in arrays if row is not None)
+
+    def test_ratio_off_the_support_takes_the_product(self):
+        # the log series need not converge for |x| above the half-width
+        y, rho, q = 0.3, 0.9, 0.99
+        half = 2 / math.sqrt(1 - q)
+        xs = np.array([-1.05 * half, 0.5, half, 3 * half])
+        got = cond_ratio_values(xs, y, rho, q)
+        whole = _fcn_rows(y, rho, q, DEFAULT_POLICY, product=True)
+        assert got[1] == _part_products(0.5, _rows(_fcn_rows, y, rho, q, DEFAULT_POLICY))
+        for i in (0, 2, 3):
+            assert got[i] == _part_products(xs[i : i + 1], whole)[0]
+
+
+class TestSupportEdge:
+    def test_product_route_stays_finite_inside_the_edge(self):
+        # 4 - (1-q) x**2 rounds to 0 or below an ulp or so inside the edge
+        q = -0.08512651498873702
+        x = float(np.nextafter(2 / math.sqrt(1 - q), 0))
+        ev = f_N(x, q)
+        assert ev.terms == 14 and 0 <= ev.value < 1e-7
+        for q in (0.0, q, -0.3, -0.5, -0.9):
+            half = 2 / math.sqrt(1 - q)
+            xs = [half]
+            for _ in range(50):
+                xs.append(float(np.nextafter(xs[-1], 0)))
+            xs = np.array(xs[1:] + [-x for x in xs[1:]])
+            for values in (f_N_values(xs, q), f_CN_values(xs, 0.3, 0.5, q)):
+                assert np.all(np.isfinite(values)) and np.all(values >= 0), q
+                assert np.all(values < 1e-6), q
+            assert all(0 <= f_CN(float(x), 0.3, 0.5, q).value < 1e-6 for x in xs), q

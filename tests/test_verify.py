@@ -271,9 +271,9 @@ class TestGoldenBytes:
         reports = run_suite()
         # `qaw verify --all --format json` writes the JSON and one newline
         as_json = report_to_json(reports) + "\n"
-        assert hashlib.md5(as_json.encode()).hexdigest() == "1af3315e681c9be4f57b90f9b576b30f"
+        assert hashlib.md5(as_json.encode()).hexdigest() == "23168e0b9458b4cf07b20ade1a08067d"
         as_text = report_to_text(reports)
-        assert hashlib.md5(as_text.encode()).hexdigest() == "0c58b46081c63ccba38929023cf37dfb"
+        assert hashlib.md5(as_text.encode()).hexdigest() == "50d6d7648c60082f3bc454c069105ab1"
 
 
 class TestReportSerialization:
