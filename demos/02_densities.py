@@ -41,8 +41,9 @@ print("two-sided conditioning interpolates between the endpoints")
 p = CondDensityParams(1.2, 0.7, -0.8, 0.6, q)
 for x in (-1.0, 0.0, 0.5, 1.0):
     ev = phi_cond(x, p)
-    print(f"  phi({x:>4}) = {ev.value:.10f}   ({ev.terms} factors: the whole rho-part product)")
-print("near q = 1 a rho-part is J exact factors times exp of an M-term log series")
+    print(f"  phi({x:>4}) = {ev.value:.10f}   (J + M = {ev.terms} terms)")
+print("a rho-part is J exact factors times exp of an M-term log series; J + M grows")
+print("like 1 / sqrt(-ln q), where the product would need K ~ 1 / -ln(q) factors")
 for q_high in (0.9, 0.99):
     ev = phi_cond(0.5, CondDensityParams(1.2, 0.7, -0.8, 0.6, q_high))
     print(f"  q = {q_high}: phi( 0.5) = {ev.value:.10f}   (J + M = {ev.terms} terms)")

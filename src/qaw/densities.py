@@ -41,14 +41,17 @@ sum_m 4 (rho q**k)**m T_m(u) T_m(v) / m (DLMF 20.7(viii); Gasper & Rahman
 one Chebyshev series in u whose terms shrink like (rho q**J)**m whatever
 q is.  A rho-part is J exact head factors times exp of that series' first
 M terms, summed by Clenshaw, with (J, M) chosen per parameter set to make
-J + M least (J = 0 and M = 45 at q = 0.99, rho = 0.5; J = 11 and M = 16
-at q = 0.9), where K would be 4011 and 361.  Up to K = 110 the whole
-product, J = K, stays: on the small grids of a quadrature it is the
-cheaper.  Each product reads its row q**k from one cache of 32 read-only
-rows (``_powers``), ``_theta`` caches f_N's route for 32 bases (the
-series' M decay rates, or the product's (1 + q**k)**2 row), and ``_rows``
-the routes of the last four rho-parts, their head rows and series
-coefficients: a few kilobytes each.
+J + M least at every base (J = 0 and M = 45 at q = 0.99, rho = 0.5; J = 11
+and M = 16 at q = 0.9; J = 6 and M = 6 at q = 0.5), where K would be 4011,
+361 and 53.  The whole product, J = K, runs only where J + M would not be
+below K, at q = 0 and at some |q| below about 1e-5.  Head rows are built
+in Python floats, and the series' weights come from a cache of 32 rows
+per (q, J, M) (``_series_weights``).  f_N's product and the ratio bounds
+read their row q**k from one cache of 32 read-only rows (``_powers``),
+``_theta`` caches f_N's route for 32 bases (the series' M decay rates, or
+the product's (1 + q**k)**2 row), and ``_rows`` the routes of the last
+four rho-parts, their head rows and series coefficients: a few kilobytes
+each.
 
 A point call hands the evaluator a float: a Python comparison tests the
 support, f_N's series runs its ufuncs on numpy scalars, a rho-part's head
@@ -182,10 +185,10 @@ def _factors_needed(q, policy, scale):
     return max(1, math.ceil(math.log(target) / math.log(aq)))
 
 
-def _check_cap(needed, policy, what):
-    """TruncationError naming what if needed terms exceed the policy's term cap."""
+def _check_cap(needed, policy, what, *args):
+    """TruncationError naming what.format(*args) if needed terms exceed the policy's term cap."""
     if needed > policy.max_terms:
-        raise TruncationError(f"{what}, above the cap {policy.max_terms}")
+        raise TruncationError(f"{what.format(*args)}, above the cap {policy.max_terms}")
 
 
 # C per product: f_N, fcn_ratio_bounds' lower bound, f_CN / f_N, phi_cond / f_N
@@ -196,7 +199,7 @@ _FN_SCALE, _BOUND_SCALE, _FCN_SCALE, _PHI_SCALE = 8.0, 16.0, 32.0, 96.0
 def _powers(q, policy, scale):
     """(K, the read-only row q**k for k < K) of the product with constant scale."""
     K = _factors_needed(q, policy, scale)
-    _check_cap(K, policy, f"density product needs {K} factors")
+    _check_cap(K, policy, "density product needs {} factors", K)
     qk = np.power(float(q), np.arange(K))
     qk.flags.writeable = False
     return K, qk
@@ -242,7 +245,7 @@ def _theta(q, policy):
         series = _theta_series(q, policy)
         M = series[1]
         if M < _factors_needed(q, policy, _FN_SCALE):
-            _check_cap(M, policy, f"the theta series needs {M} terms")
+            _check_cap(M, policy, "the theta series needs {} terms", M)
             return series
     return _theta_product(q, policy)
 
@@ -332,6 +335,9 @@ def _finite_points(x):
 def _rows(build, *key):
     """build(*key), a rho-part's route; key is (y, rho, q, policy) or (bundle, policy).
 
+    cond_ratio_values appends True to f_CN's key for the whole product it
+    takes off the support, so that route is cached beside the split one.
+
     The route's arrays are read-only: _head builds them so.
     """
     return build(*key)
@@ -343,14 +349,24 @@ def _rows(build, *key):
 _FCN_TAIL, _PHI_TAIL = 5.0, 15.0
 
 
-# Products this short stay whole: up to here the product is the cheaper on
-# the 31- and 32-point grids that open every quadrature of the suite (for
-# f_CN to about K = 170, for phi_cond to about K = 100), while from 128
-# points on the series wins at K = 30 and up.
-_PRODUCT_FACTORS = 110
+@lru_cache(maxsize=32)
+def _series_weights(q, J, M):
+    """g_1 .. g_M, g_m = q**(J m) / (m (1 - q**m)), of a rho-part's log series.
+
+    They depend on the base and the route alone, so one row per (q, J, M)
+    serves every correlation and conditioning point.  1 - q**m comes from
+    expm1, which keeps its digits near q = 1.
+    """
+    lq, qJ, odd_sign = math.log(abs(q)), q**J, q < 0
+    weights, g = [], 1.0
+    for m in range(1, M + 1):
+        g *= qJ
+        d = -math.expm1(m * lq)  # 1 - |q|**m
+        weights.append(g / (m * (2 - d if odd_sign and m & 1 else d)))
+    return tuple(weights)
 
 
-def _split(q, policy, K, scale, r):
+def _split(q, policy, K, scale, r, product=False):
     """(J, M): J exact factors, then M log-series terms, of a rho-part; (K, 0) for the product.
 
     After M terms the series' tail is at most scale r'**(M+1) /
@@ -358,55 +374,76 @@ def _split(q, policy, K, scale, r):
     count that puts it below the relative tolerance.  With A = ln(scale /
     rel_tol), B = ln(1/r) and lam = ln(1/|q|), M is about A / (B + lam J),
     so J + M is least at J* = (sqrt(A lam) - B) / lam, clipped at 0, and
-    it is about 2 sqrt(A / lam), well below K ~ A / lam.  The product, J = K
-    and M = 0, up to _PRODUCT_FACTORS; only the chosen count meets the cap.
+    it is about 2 sqrt(A / lam), well below K ~ A / lam.  The whole
+    product, J = K and M = 0, where J + M is not below K (only for |q|
+    below about 1e-5; at q = 0, K = 1) or when product asks for it.  Only
+    the chosen count meets the cap.
     """
-    if K <= _PRODUCT_FACTORS:
-        return K, 0
-    aq = abs(q)
-    lam = -math.log(aq)
-    A = math.log(scale / policy.rel_tol)
-    J = max(0, round((math.sqrt(A * lam) + math.log(r)) / lam))
-    rJ = r * aq**J
-    target = policy.rel_tol * (1 - rJ) / scale
-    M, tail, qm = 1, rJ * rJ, aq * aq
-    while tail > target * (M + 1) * (1 - qm):
-        M, tail, qm = M + 1, tail * rJ, qm * aq
-    _check_cap(J + M, policy, f"the rho-part needs {J} factors and {M} series terms")
+    J, M = K, 0
+    if K > 1 and not product:
+        aq = abs(q)
+        lam = -math.log(aq)
+        A = math.log(scale / policy.rel_tol)
+        j = max(0, round((math.sqrt(A * lam) + math.log(r)) / lam))
+        rJ = r * aq**j
+        target = policy.rel_tol * (1 - rJ) / scale
+        m, tail, qm = 1, rJ * rJ, aq * aq
+        while tail > target * (m + 1) * (1 - qm):
+            m, tail, qm = m + 1, tail * rJ, qm * aq
+        if j + m < K:
+            J, M = j, m
+    if M:
+        _check_cap(J + M, policy, "the rho-part needs {} factors and {} series terms", J, M)
+    else:
+        _check_cap(K, policy, "density product needs {} factors", K)
     return J, M
 
 
-def _head(q, J, K, pairs, cross, policy, scale):
-    """The x-free coefficients of a rho-part's factors k < J, as read-only arrays.
+def _head(q, J, pairs, cross):
+    """The x-free coefficients of a rho-part's factors k < J, as read-only rows.
 
     A neighbor's factor w_k(x, y) is written (c x - B) x + A, with r = rho
     q**k, c = (1-q) r**2, B = (1-q) r (1 + r**2) y and A = (1 - r**2)**2 +
     c y**2.  pairs holds (y, rho) per neighbor, each putting 1 - rho**2
     q**k into the numerator; cross, phi_cond's rho1 rho2 or None, puts
     w_k(y, z) at cross there too and gives den = 1 - cross**2 q**k.
-    Returns (J, num, den or None, (A, B, c) per neighbor).  The whole
-    product, J = K, reads _powers' row.
+    Returns (J, num, den or None, (A, B, c) per neighbor), built in Python
+    floats and copied into one array: up to |q| = 0.9 the series route has
+    J <= 18, where that costs no more than numpy's dozen or more calls.
     """
-    qk = _powers(q, policy, scale)[1] if J == K else np.power(float(q), np.arange(J))
-
-    def w_coeffs(rho, y):
-        r = rho * qk
-        rsq = r * r
-        c = (1 - q) * rsq
-        return (1 - rsq) ** 2 + c * (y * y), (1 - q) * y * r * (1 + rsq), c
-
-    coeffs = tuple(w_coeffs(rho, y) for y, rho in pairs)
+    p = 1 - q
+    qk = [q**k for k in range(J)]
     (y, r1), *rest = pairs
-    num, den = 1 - r1 * r1 * qk, None
+    cols = [1 - r1 * r1 * t for t in qk]  # num, then den, then A, B, c per neighbor
     if cross is not None:
         ((z, r2),) = rest
-        A, B, c = w_coeffs(cross, y)
-        num *= (1 - r2 * r2 * qk) * ((c * z - B) * z + A)
-        den = 1 - (r1 * r1) * (r2 * r2) * qk
-    cols = [num, *([] if den is None else [den]), *(v for w in coeffs for v in w)]
-    for v in cols:
-        v.flags.writeable = False
-    return J, num, den, coeffs
+        s2 = r2 * r2
+        A, B, C = _w_coeffs(qk, p, cross, y)
+        cols = [n * ((1 - s2 * t) * ((c * z - b) * z + a)) for n, t, a, b, c in zip(cols, qk, A, B, C)]
+        cols += [1 - (r1 * r1) * s2 * t for t in qk]
+    for y, rho in pairs:
+        for col in _w_coeffs(qk, p, rho, y):
+            cols += col
+    rows = np.array(cols).reshape(-1, J)
+    rows.flags.writeable = False
+    i = 1 if cross is None else 2
+    coeffs = tuple((rows[j], rows[j + 1], rows[j + 2]) for j in range(i, len(rows), 3))
+    return J, rows[0], None if cross is None else rows[1], coeffs
+
+
+def _w_coeffs(qk, p, rho, y):
+    """Lists A, B, c of the factors w_k(x, y) = (c x - B) x + A, k < len(qk); p = 1 - q."""
+    A, B, C = [], [], []
+    ysq, py = y * y, p * y
+    for t in qk:
+        r = rho * t
+        rsq = r * r
+        c = p * rsq
+        d = 1 - rsq
+        A.append(d * d + c * ysq)
+        B.append(py * r * (1 + rsq))
+        C.append(c)
+    return A, B, C
 
 
 def _log_series(q, J, M, v1, r1, v2=0.0, r2=0.0, cross=0.0):
@@ -417,25 +454,22 @@ def _log_series(q, J, M, v1, r1, v2=0.0, r2=0.0, cross=0.0):
 
         sum_m g_m (4 rho**m T_m(u) T_m(v) - rho**(2m)),  u = s * x,
 
-    with g_m = q**(J m) / (m (1 - q**m)).  (v1, r1) and (v2, r2) add; cross
-    = rho1 rho2 subtracts the same x-free sum for the neighbors' own two
+    with g_m from _series_weights.  (v1, r1) and (v2, r2) add; cross =
+    rho1 rho2 subtracts the same x-free sum for the neighbors' own two
     points, phi_cond's w(y, z, rho1 rho2) / (rho1**2 rho2**2; q).  Python
-    floats, O(M); 1 - q**m comes from expm1, which keeps its digits near
-    q = 1.
+    floats, O(M).
     """
-    a = [0.0] * (M + 1)
-    lq, qJ, odd_sign = math.log(abs(q)), q**J, q < 0
-    g, p1, p2, sm, a0 = 1.0, 1.0, 1.0, 1.0, 0.0
-    s1, t1, s2, t2 = 1.0, v1, 1.0, v2  # T_{m-1} and T_m at v1 and v2
-    for m in range(1, M + 1):
-        g *= qJ
-        d = -math.expm1(m * lq)  # 1 - |q|**m
-        c = g / (m * (2 - d if odd_sign and m & 1 else d))
-        p1, p2, sm = p1 * r1, p2 * r2, sm * cross
-        a[m] = 4 * c * (p1 * t1 + p2 * t2)
+    a, a0 = [0.0], 0.0
+    p1 = p2 = sm = s1 = s2 = 1.0
+    t1, t2, w1, w2 = v1, v2, v1 + v1, v2 + v2  # T_m, and 2 T_1, at v1 and v2
+    for c in _series_weights(q, J, M):
+        p1 *= r1
+        p2 *= r2
+        sm *= cross
+        a.append(4 * c * (p1 * t1 + p2 * t2))
         a0 -= c * (p1 * p1 + p2 * p2 + sm * (4 * t1 * t2 - sm))
-        s1, t1 = t1, 2 * v1 * t1 - s1
-        s2, t2 = t2, 2 * v2 * t2 - s2
+        s1, t1 = t1, w1 * t1 - s1
+        s2, t2 = t2, w2 * t2 - s2
     a[0] = a0
     return tuple(a)
 
@@ -604,9 +638,9 @@ def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
 def _fcn_rows(y, rho, q, policy, product=False):
     """f_CN / f_N's route (J + M, head, s, a); product forces J = K, M = 0."""
     K = _factors_needed(q, policy, _FCN_SCALE)
-    J, M = (K, 0) if product else _split(q, policy, K, _FCN_TAIL, abs(rho))
+    J, M = _split(q, policy, K, _FCN_TAIL, abs(rho), product)
     s = math.sqrt(1 - q) / 2
-    head = _head(q, J, K, ((y, rho),), None, policy, _FCN_SCALE) if J else None
+    head = _head(q, J, ((y, rho),), None) if J else None
     return J + M, head, s, _log_series(q, J, M, s * y, rho) if M else None
 
 
@@ -635,7 +669,7 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     conditions every product factor is positive for all real x, so the ratio
     is well defined even where the densities themselves vanish.  Points on
     or outside the support, where the log series need not converge, take
-    the full product, J = K.
+    the full product, J = K, whose route _rows caches beside the split one.
     """
     _check_params(q, rho, y=y)
     _check_below_one(q, "the product-form ratio")
@@ -651,7 +685,7 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     out = np.empty(xa.shape)
     out[inside] = _part_products(xa[inside], route)
     outside = ~inside
-    out[outside] = _part_products(xa[outside], _fcn_rows(y, rho, q, policy, product=True))
+    out[outside] = _part_products(xa[outside], _rows(_fcn_rows, y, rho, q, policy, True))
     return out
 
 
@@ -659,9 +693,9 @@ def _phi_rows(p, policy, product=False):
     """phi_cond / f_N's route, as _fcn_rows's; both neighbors add into one series in u."""
     q, r1, r2 = p.q, p.rho1, p.rho2
     K = _factors_needed(q, policy, _PHI_SCALE)
-    J, M = (K, 0) if product else _split(q, policy, K, _PHI_TAIL, max(abs(r1), abs(r2)))
+    J, M = _split(q, policy, K, _PHI_TAIL, max(abs(r1), abs(r2)), product)
     s = math.sqrt(1 - q) / 2
-    head = _head(q, J, K, ((p.y, r1), (p.z, r2)), r1 * r2, policy, _PHI_SCALE) if J else None
+    head = _head(q, J, ((p.y, r1), (p.z, r2)), r1 * r2) if J else None
     a = _log_series(q, J, M, s * p.y, r1, s * p.z, r2, r1 * r2) if M else None
     return J + M, head, s, a
 

@@ -17,10 +17,10 @@ from qaw.densities import phi_q0
 
 
 # md5 of the csv output of TestEvalCommand.test_density_point_values_pinned
-DENSITY_EVAL_MD5 = "03b4cee897af6ef97268d8ba2072de49"
+DENSITY_EVAL_MD5 = "6adba01f5f04184edf746af98312e72b"
 
 # md5 of (argv, exit code, stdout, stderr) over TestCliSurface's invocations
-CLI_SURFACE_MD5 = "094cdba9f7f02b0af812d58edef75bc1"
+CLI_SURFACE_MD5 = "e20574bbf38f8d78204f66b36d69fe05"
 
 
 def run(*argv):

@@ -30,7 +30,6 @@ from qaw import (
     w_factor,
 )
 from qaw.densities import (
-    _PRODUCT_FACTORS,
     _f_N_inside,
     _factors_needed,
     _fcn_rows,
@@ -38,6 +37,7 @@ from qaw.densities import (
     _phi_rows,
     _powers,
     _rows,
+    _split,
     _theta,
     _theta_product,
     _theta_series,
@@ -460,7 +460,7 @@ class TestRatioBounds:
 
 
 # md5 of _golden_feed over q = 0.5, 0.9, 0.99
-GOLDEN_DENSITY_MD5 = "ce1876ee9db1757825dc2aebeaf6afc2"
+GOLDEN_DENSITY_MD5 = "83d0d826674fe2757ae00d2d9f05c844"
 
 
 def _golden_feed(digest, q):
@@ -493,11 +493,16 @@ class TestProductRows:
         assert (f_CN(0.1, 0.2, 0.5, 0.99, policy).terms, phi_cond(0.1, p, policy).terms) == (45, 47)
         with pytest.raises(TruncationError, match="0 factors and 45 series terms"):
             f_CN(0.1, 0.2, 0.5, 0.99, TruncationPolicy(max_terms=44))
-        with pytest.raises(TruncationError, match="53 factors"):
-            f_CN(0.1, 0.2, 0.5, 0.5, TruncationPolicy(max_terms=52))
+        # at q = 0.5 the series too, J + M = 12 against K = 53 and 55 factors
+        assert f_CN(0.1, 0.2, 0.5, 0.5, TruncationPolicy(max_terms=12)).terms == 12
+        with pytest.raises(TruncationError, match="6 factors and 6 series terms"):
+            f_CN(0.1, 0.2, 0.5, 0.5, TruncationPolicy(max_terms=11))
         p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
-        with pytest.raises(TruncationError, match="55 factors"):
-            phi_cond(0.1, p, TruncationPolicy(max_terms=54))
+        with pytest.raises(TruncationError, match="6 factors and 6 series terms"):
+            phi_cond(0.1, p, TruncationPolicy(max_terms=11))
+        # near q = 0 the whole product, K = 3 factors, meets the cap itself
+        with pytest.raises(TruncationError, match="3 factors, above the cap 2"):
+            f_CN(0.1, 0.2, 0.5, 1e-6, TruncationPolicy(max_terms=2))
 
     def test_ratio_runs_where_f_N_cannot(self):
         # the ratio never needs (q; q)_inf, which is restricted to |q| <= 0.99
@@ -510,8 +515,8 @@ class TestProductRows:
         q, y, z = 0.5, 0.3, -0.4
         p = CondDensityParams(y, 0.5, z, -0.3, q)
         plain = CondDensityParams(y, 0.0, z, 0.0, q)
-        # interior point: f_N's series M, f_CN's and phi_cond's own K at q = 0.5
-        assert (f_N(0.1, q).terms, f_CN(0.1, y, 0.6, q).terms, phi_cond(0.1, p).terms) == (2, 53, 55)
+        # interior point: f_N's series M, f_CN's and phi_cond's own J + M at q = 0.5
+        assert (f_N(0.1, q).terms, f_CN(0.1, y, 0.6, q).terms, phi_cond(0.1, p).terms) == (2, 12, 12)
         # zero correlation: the f_N series alone
         assert (f_CN(0.1, y, 0.0, q).terms, phi_cond(0.1, plain).terms) == (2, 2)
         # on or off the support, and the q = 1 closed forms: no product
@@ -523,7 +528,7 @@ class TestProductRows:
     def test_cached_row_rejects_writes(self):
         K, row = _powers(0.5, DEFAULT_POLICY, 8.0)
         assert len(row) == K == 51
-        # the q**k row, f_N's head row and every cached rho-part row
+        # the q**k row, the decay rates of f_N's series and every cached rho-part row
         p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
         rows = [row, _theta(0.5, DEFAULT_POLICY)[3]]
         for _, (_, num, den, coeffs), _, _ in (
@@ -722,7 +727,7 @@ class TestRhoPartRoutes:
     # where their value is a normal float.
     @pytest.mark.parametrize(
         "q, fracs",
-        [(q, (0.0, 0.4, -0.75, 0.9, -0.99, 0.999)) for q in (0.3, 0.5, 0.9, -0.5)]
+        [(q, (0.0, 0.4, -0.75, 0.9, -0.99, 0.999)) for q in (0.3, 0.5, 0.7, 0.9, -0.3, -0.5)]
         + [(0.99, (0.4, -0.99, 0.999))],
     )
     def test_against_a_50_digit_product(self, q, fracs):
@@ -746,7 +751,7 @@ class TestRhoPartRoutes:
                     assert rel <= 1e-13 * widen, (q, rho1, frac, float(rel))
 
     @given(
-        q=st.floats(0.72, 0.99) | st.floats(-0.99, -0.72),
+        q=st.floats(0.01, 0.99) | st.floats(-0.99, -0.01),
         u=st.floats(-0.99, 0.99), v=st.floats(-0.99, 0.99), w=st.floats(-0.99, 0.99),
         rho1=st.floats(-0.95, 0.95).filter(lambda r: abs(r) > 0.01), rho2=st.floats(-0.95, 0.95),
     )
@@ -769,13 +774,21 @@ class TestRhoPartRoutes:
 
     def test_route_choice(self):
         policy = DEFAULT_POLICY
-        # the whole product at q = 0, and wherever K is at most _PRODUCT_FACTORS
-        for q in (0.0, -0.5, 0.5, 0.7):
+        # the whole product exactly where J + M would not be below K: at q = 0
+        # (K = 1) and next to it; at every other base J factors and M terms
+        routes = [(0.0, None), (1e-6, None), (0.01, (3, 2)), (0.1, (4, 3)), (0.3, (5, 4)), (0.5, (6, 6))]
+        routes += [(-q, jm) for q, jm in routes[1:]] + [(0.7, (8, 8))]
+        for q, jm in routes:
             K = _factors_needed(q, policy, 32.0)
-            route = _fcn_rows(0.2, 0.5, q, policy)
-            assert K <= _PRODUCT_FACTORS and route[0] == route[1][0] == K and route[3] is None
+            terms, head, _, a = _fcn_rows(0.2, 0.5, q, policy)
+            assert terms == f_CN(0.1, 0.2, 0.5, q).terms, q
+            if jm is None:
+                assert terms == head[0] == K and a is None, q
+                assert q == 0 or sum(_split(q, policy, 10**9, 5.0, 0.5)) >= K, q
+            else:
+                assert (head[0], len(a) - 1) == jm and sum(jm) < K, q
         assert _fcn_rows(0.2, 0.5, 0.0, policy)[0] == 1
-        # past it, J exact factors and M series terms, J + M well below K
+        # at high q, J + M well below K
         for q, J, M in ((0.99, 0, 45), (0.9, 11, 16), (-0.9, 11, 16)):
             terms, head, _, a = _fcn_rows(0.2, 0.5, q, policy)
             assert (0 if head is None else head[0], len(a) - 1) == (J, M), q
@@ -803,6 +816,10 @@ class TestRhoPartRoutes:
         half = 2 / math.sqrt(1 - q)
         xs = np.array([-1.05 * half, 0.5, half, 3 * half])
         got = cond_ratio_values(xs, y, rho, q)
+        # both routes are cached: a second call builds nothing
+        misses = _rows.cache_info().misses
+        assert np.array_equal(cond_ratio_values(xs, y, rho, q), got)
+        assert _rows.cache_info().misses == misses
         whole = _fcn_rows(y, rho, q, DEFAULT_POLICY, product=True)
         assert got[1] == _part_products(0.5, _rows(_fcn_rows, y, rho, q, DEFAULT_POLICY))
         for i in (0, 2, 3):

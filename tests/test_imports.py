@@ -221,8 +221,8 @@ def test_every_cache_is_bounded():
     unbounded = {name: lines for name, lines in found.items() if any(s is None for _, s in lines)}
     assert unbounded == {}
     # a new cache shows up here as a test change; the fourth holds the
-    # densities' x-free rho-part rows
-    assert sum(len(lines) for lines in found.values()) == 4
+    # densities' x-free rho-part rows, the fifth their log series' weights
+    assert sum(len(lines) for lines in found.values()) == 5
 
 
 _ONE_SIDED_Q = re.compile(r"(?<!-1 < )q < 1")

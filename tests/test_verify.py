@@ -271,9 +271,9 @@ class TestGoldenBytes:
         reports = run_suite()
         # `qaw verify --all --format json` writes the JSON and one newline
         as_json = report_to_json(reports) + "\n"
-        assert hashlib.md5(as_json.encode()).hexdigest() == "23168e0b9458b4cf07b20ade1a08067d"
+        assert hashlib.md5(as_json.encode()).hexdigest() == "6f5156f273ec7e0ebf8e3b755a3d3ab2"
         as_text = report_to_text(reports)
-        assert hashlib.md5(as_text.encode()).hexdigest() == "50d6d7648c60082f3bc454c069105ab1"
+        assert hashlib.md5(as_text.encode()).hexdigest() == "6cd82e569d8aca80e366edcce62fef91"
 
 
 class TestReportSerialization:
