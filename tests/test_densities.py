@@ -501,8 +501,10 @@ class TestProductRows:
         with pytest.raises(TruncationError, match="6 factors and 6 series terms"):
             phi_cond(0.1, p, TruncationPolicy(max_terms=11))
         # near q = 0 the whole product, K = 3 factors, meets the cap itself
+        # (the ratio has no f_N, whose own product would raise first)
+        cond_ratio_values([0.1], 0.2, 0.5, 1e-6, TruncationPolicy(max_terms=3))
         with pytest.raises(TruncationError, match="3 factors, above the cap 2"):
-            f_CN(0.1, 0.2, 0.5, 1e-6, TruncationPolicy(max_terms=2))
+            cond_ratio_values([0.1], 0.2, 0.5, 1e-6, TruncationPolicy(max_terms=2))
 
     def test_ratio_runs_where_f_N_cannot(self):
         # the ratio never needs (q; q)_inf, which is restricted to |q| <= 0.99
