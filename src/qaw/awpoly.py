@@ -16,10 +16,12 @@ test suite:
 * ``aw_A_mixed``      a single-sum form mixing the two conditioning points.
 
 ``aw_phi43_oracle`` evaluates the classical terminating basic hypergeometric
-series for the same polynomial in mpmath, at a precision set by n and |q|
-with no cap; it exists purely as a test oracle.  At q = 0 it runs the same
-series at base 1e-20.  ``aw_D_free`` and ``aw_A_free`` are the q = 0 closed
-forms.
+series for the same polynomial in stdlib decimal; it exists purely as a
+test oracle.  Its first pass runs at 30 + C(n,2) log10(1/|q|) digits, with
+no cap; a pass that keeps fewer than 20 digits after the cancellation it
+measures reruns at the measured loss plus 30, until the rounding noise lies
+below every float.  At q = 0 it runs the same series at base 1e-20.
+``aw_D_free`` and ``aw_A_free`` are the q = 0 closed forms.
 """
 
 from __future__ import annotations
@@ -348,6 +350,12 @@ def aw_A_free(n, x, p: CondDensityParams):
 # --- terminating basic hypergeometric oracle ---------------------------------
 
 
+def _cmul(u, v):
+    """The product of two complex numbers held as (re, im) pairs."""
+    (ur, ui), (vr, vi) = u, v
+    return ur * vr - ui * vi, ur * vi + ui * vr
+
+
 def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     """Terminating basic hypergeometric evaluation of aw_D, as a test oracle.
 
@@ -357,21 +365,35 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
         pref * sum_k ((q**-n, abcd q**(n-1), a e^{-i theta}, a e^{i theta}; q)_k
                       / (ab, ac, ad, q; q)_k) q**k
 
-    with pref = (ab, ac, ad; q)_n / (a**n (abcd q**(n-1); q)_n).  The series
-    suffers cancellation of order q**(-C(n,2)), so it runs in mpmath at
-    30 + C(n,2) log10(1/|q|) digits, with no cap.  The series form
-    degenerates at q = 0, but D_n is analytic in q there: a base with
-    |q| < 1e-20, q = 0 included, is evaluated at base +-1e-20 (+1e-20 at
-    q = 0), which moves the value by O(1e-20) and bounds the precision by
-    n alone.
+    with pref = (ab, ac, ad; q)_n / (a**n (abcd q**(n-1); q)_n).  It runs in
+    stdlib decimal, each complex number an (re, im) pair, under a fresh
+    context, so the caller's decimal context does not reach the result.
+    The pair (a e^{-i theta}, a e^{i theta}; q) enters as the real-x factors
+    1 - 2ax q**i + a**2 q**(2i), each term comes from the one before by one
+    division, and pref's products are taken in the same loop.
+
+    The series suffers cancellation of order q**(-C(n,2)), and of |a|**-n
+    at small |a|.  The first pass runs at 30 + C(n,2) log10(1/|q|) digits,
+    with no cap, and measures the digits lost: log10 of the largest term
+    over the sum.  A pass that keeps fewer than 20 digits reruns at the
+    measured loss plus 30, and so on, until 20 are kept or the rounding
+    noise, |pref| times the largest term times 10**-digits, falls below
+    1e-340, under every float.  A pass that keeps no digit measures only a
+    lower bound on the loss, so its rerun may not suffice; a sum that
+    cancels exactly, as at a root of D_n by symmetry, ends at the noise
+    floor and returns 0.0.
+
+    The series form degenerates at q = 0, but D_n is analytic in q there: a
+    base with |q| < 1e-20, q = 0 included, is evaluated at base +-1e-20
+    (+1e-20 at q = 0), which moves the value by O(1e-20) and bounds the
+    first pass's precision by n alone.
 
     Requires a != 0 and -1 < q < 1.
     """
     _check_order(n)
     if not -1 < q < 1:
         raise DomainError("the terminating series form requires -1 < q < 1")
-    a, b, c, d = params.a, params.b, params.c, params.d
-    if a == 0:
+    if params.a == 0:
         raise DomainError("the series prefactor divides by a**n; a must be nonzero")
     if abs(x) > 1 + 1e-12:
         raise DomainError(f"x must lie in [-1, 1], got {x!r}")
@@ -381,32 +403,63 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     if abs(q) < 1e-20:
         q = -1e-20 if q < 0 else 1e-20
 
-    import mpmath as mp
+    import decimal
 
-    lost = math.comb(n, 2) * -math.log10(abs(q))
-    with mp.workdps(30 + int(math.ceil(lost))):
-        qm = mp.mpf(q)
-        am, bm, cm, dm = (mp.mpc(t) for t in (a, b, c, d))
-        ab, ac, ad = am * bm, am * cm, am * dm
-        lam = am * bm * cm * dm * qm ** (n - 1)
-        theta = mp.acos(mp.mpf(x))
-        u = am * mp.exp(-1j * theta)
-        v = am * mp.exp(1j * theta)
-        qminus = qm ** (-n)
-        top = mp.mpc(1)
-        bot = mp.mpc(1)
-        total = mp.mpc(1)
-        for k in range(1, n + 1):
-            i = k - 1
-            top *= (1 - qminus * qm**i) * (1 - lam * qm**i) * (1 - u * qm**i) * (1 - v * qm**i)
-            for f in ((1 - ab * qm**i), (1 - ac * qm**i), (1 - ad * qm**i), (1 - qm**k)):
-                bot *= f
-            total += top / _check_pole(bot, "a Pochhammer denominator of the series") * qm**k
-        pref_num = mp.mpc(1)
-        pref_den = mp.mpc(1)
-        for i in range(n):
-            pref_num *= (1 - ab * qm**i) * (1 - ac * qm**i) * (1 - ad * qm**i)
-            pref_den *= 1 - lam * qm**i
-        value = pref_num / (am**n * pref_den) * total
-        re, im = float(mp.re(value)), float(mp.im(value))
-    return real_part(complex(re, im))
+    D = decimal.Decimal
+
+    def series(prec):
+        """(value as a pair of floats, spare digits, exponent of the rounding noise)."""
+        context = decimal.Context(
+            prec, decimal.ROUND_HALF_EVEN, decimal.MIN_EMIN, decimal.MAX_EMAX
+        )
+        with decimal.localcontext(context):
+            one, zero, qd = D(1), D(0), D(q)
+            a, b, c, d = (
+                (D(t.real), D(t.imag))
+                for t in map(complex, (params.a, params.b, params.c, params.d))
+            )
+            ab, ac, ad = _cmul(a, b), _cmul(a, c), _cmul(a, d)
+            abcd, q_n1 = _cmul(ab, _cmul(c, d)), qd ** (n - 1)
+            lam = (abcd[0] * q_n1, abcd[1] * q_n1)
+            q_minus_n = one / qd**n
+            two_x = 2 * D(x)
+            ax2 = (two_x * a[0], two_x * a[1])
+            a_sq = _cmul(a, a)
+            qi = one
+            term = total = num_pref = den_pref = (one, zero)
+            largest = one
+            for _ in range(n):
+                qi2 = qi * qi
+                lam_f = (one - lam[0] * qi, -lam[1] * qi)
+                pair_f = (one - ax2[0] * qi + a_sq[0] * qi2, a_sq[1] * qi2 - ax2[1] * qi)
+                top = _cmul(lam_f, pair_f)
+                scale = (one - q_minus_n * qi) * qd
+                bottom = _cmul(
+                    _cmul((one - ab[0] * qi, -ab[1] * qi), (one - ac[0] * qi, -ac[1] * qi)),
+                    (one - ad[0] * qi, -ad[1] * qi),
+                )
+                num_pref = _cmul(num_pref, bottom)
+                den_pref = _cmul(den_pref, _cmul(a, lam_f))
+                qi *= qd
+                den = (bottom[0] * (one - qi), bottom[1] * (one - qi))
+                inv = scale / _check_pole(
+                    den[0] * den[0] + den[1] * den[1],
+                    "a Pochhammer denominator of the series",
+                )
+                term = _cmul(term, _cmul(top, (den[0] * inv, -den[1] * inv)))
+                total = (total[0] + term[0], total[1] + term[1])
+                largest = max(largest, abs(term[0]), abs(term[1]))
+            size = max(abs(total[0]), abs(total[1]))
+            spare = prec - (largest.adjusted() - size.adjusted() + 1) if size else 0
+            inv = one / (den_pref[0] * den_pref[0] + den_pref[1] * den_pref[1])
+            pref = _cmul(num_pref, (den_pref[0] * inv, -den_pref[1] * inv))
+            noise = largest.adjusted() + max(abs(pref[0]), abs(pref[1])).adjusted() + 3 - prec
+            value = _cmul(pref, total)
+            return (float(value[0]), float(value[1])), spare, noise
+
+    prec = 30 + int(math.ceil(math.comb(n, 2) * -math.log10(abs(q))))
+    value, spare, noise = series(prec)
+    while spare < 20 and noise >= -340:
+        prec += min(30 - spare, noise + 341)
+        value, spare, noise = series(prec)
+    return real_part(complex(*value))

@@ -1,6 +1,8 @@
 """Askey-Wilson representations, parameter map, q=0 forms, series oracle."""
 
+import decimal
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,6 +28,29 @@ from qaw import (
 from helpers import leading_coefficient, seeded_bundles
 
 BUNDLE = CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.5)
+
+
+def _phi43_reference(n, x, prm, q):
+    """aw_D at x = cos(theta) by the plain terminating 4-phi-3, in mpmath at 1000 digits.
+
+    pref * sum_k (q**-n, abcd q**(n-1), a e^{i theta}, a e^{-i theta}; q)_k
+    / (ab, ac, ad, q; q)_k q**k, pref = (ab, ac, ad; q)_n / (a**n (abcd q**(n-1); q)_n),
+    rounded once to a float.  The largest cancellation below, log10 of the
+    largest term over the sum, is 384 digits, so 1000 leave over 600 to spare.
+    """
+    with mp.workdps(1000):
+        q = mp.mpf(q)
+        a, b, c, d = (mp.mpc(t) for t in (prm.a, prm.b, prm.c, prm.d))
+        theta = mp.acos(mp.mpf(x))
+        tops = (q**-n, a * b * c * d * q ** (n - 1), a * mp.exp(1j * theta), a * mp.exp(-1j * theta))
+        bots = (a * b, a * c, a * d, q)
+        term = total = mp.mpc(1)
+        for k in range(1, n + 1):
+            qi = q ** (k - 1)  # the k-th factor of each (t; q)_k
+            term *= mp.fprod(1 - t * qi for t in tops) / mp.fprod(1 - t * qi for t in bots) * q
+            total += term
+        pref = mp.fprod(mp.qp(t, q, n) for t in bots[:3]) / (a**n * mp.qp(tops[1], q, n))
+        return float(mp.re(pref * total))
 
 
 class TestParamMap:
@@ -267,6 +292,57 @@ class TestSeriesOracle:
         prm = map_params(CondDensityParams(0.4, 0.5, -0.6, 0.7, q))
         want = aw_D(n, 0.35, prm, q)
         assert aw_phi43_oracle(n, 0.35, prm, q) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "rho1, q, n",
+        [(0.5, 0.99, 40), (0.5, 0.9, 60), (0.5, 0.95, 30), (0.01, 0.6, 40), (0.01, 0.9, 40)],
+    )
+    def test_measured_cancellation(self, rho1, q, n):
+        # the first pass's 30 + C(n,2) log10(1/|q|) digits leave 0, 4 and
+        # 11 digits after the cancellation of the first three cases (1.746e-12
+        # for 1.2675e-12, an imaginary residue of 1.1e-11, 2e-13 relative
+        # error).  At rho1 = 0.01, |a|**-n adds to the loss: 254 and 122
+        # digits against 203 and 66, so the first pass keeps no digit and
+        # neither does the rerun at its measured loss plus 30.
+        prm = map_params(CondDensityParams(0.4, rho1, -0.6, 0.7, q))
+        assert aw_phi43_oracle(n, 0.35, prm, q) == _phi43_reference(n, 0.35, prm, q)
+
+    def test_seeded_sweep_is_correctly_rounded(self):
+        rng = random.Random(25)
+        for _ in range(60):
+            q = rng.choice((-1, 1)) * rng.uniform(0.3, 0.99)
+            half = 2 / math.sqrt(1 - q)
+            p = CondDensityParams(
+                rng.uniform(-0.95, 0.95) * half, rng.uniform(-0.9, 0.9),
+                rng.uniform(-0.95, 0.95) * half, rng.uniform(-0.9, 0.9), q,
+            )
+            n, x = rng.randint(1, 40), rng.uniform(-1, 1)
+            prm = map_params(p)
+            assert aw_phi43_oracle(n, x, prm, q) == _phi43_reference(n, x, prm, q), (p, n, x)
+
+    @pytest.mark.parametrize("q", [0.5, -0.9, 0.99, 0.0])
+    def test_root_by_symmetry_ends_at_the_noise_floor(self, q):
+        # y = z = 0 makes a, c imaginary, so D_n is odd and D_n(0) = 0 for
+        # odd n: no precision keeps a digit of the sum, and the reruns stop
+        # once the rounding noise lies below every float
+        prm = map_params(CondDensityParams(0.0, 0.5, 0.0, 0.7, q))
+        for n in (1, 3, 7):
+            assert aw_phi43_oracle(n, 0.0, prm, q) == 0.0
+
+    def test_caller_decimal_context_does_not_reach_the_result(self):
+        cases = [(BUNDLE, n, x) for n in (3, 12) for x in (0.35, -0.8)]
+        cases.append((CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.99), 40, 0.35))
+        cases.append((CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.0), 6, 0.35))
+
+        def values():
+            return [aw_phi43_oracle(n, x, map_params(p), p.q).hex() for p, n, x in cases]
+
+        want = values()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 6
+            ctx.clear_traps()
+            got = values()
+        assert got == want
 
     def test_rejects_a_zero(self):
         prm = map_params(CondDensityParams(0.4, 0.0, -0.6, 0.7, 0.5))

@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every private
 module-level name is used somewhere in the package, every exported name
-resolves, each parameter rule is written out in qcore only, and the CLI
-imports without the heavy optional modules."""
+resolves, each parameter rule is written out in qcore only, no module
+imports mpmath, and neither the CLI nor the series oracle loads the heavy
+optional modules."""
 
 import ast
 import os
@@ -342,6 +343,43 @@ def test_heavy_module_probe_sees_a_loaded_module():
 
 
 def test_cli_import_loads_no_heavy_module():
-    # mpmath serves the oracle and loads on its first call; every CLI
-    # command pays for what the import loads
+    # every CLI command pays for what the import loads; the package uses
+    # neither module, and mpmath serves only the tests' references
     assert _heavy_modules_after("import qaw.cli") == []
+
+
+def test_oracle_call_loads_no_heavy_module():
+    # the oracle imports stdlib decimal on its first call
+    call = (
+        "import qaw\n"
+        "p = qaw.CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.5)\n"
+        "qaw.aw_phi43_oracle(5, 0.35, qaw.map_params(p), p.q)"
+    )
+    assert _heavy_modules_after(call) == []
+
+
+def _imports_of(source, module):
+    """Lines of source that import module or one of its submodules, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names if alias.name.split(".")[0] == module]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == module:
+                found.append(node.lineno)
+    return found
+
+
+def test_import_scanner_flags_mpmath():
+    assert _imports_of("import mpmathx\nfrom .mpmath import f\nimport os, mpmath.libmp\n", "mpmath") == [3]
+    awpoly = (SRC / "awpoly.py").read_text()
+    copy = awpoly.replace(
+        "    import decimal\n", "    import decimal\n    import mpmath as mp\n    from mpmath import mpf\n"
+    )
+    line = awpoly[: awpoly.index("    import decimal\n")].count("\n") + 2
+    assert _imports_of(awpoly, "mpmath") == [] and _imports_of(copy, "mpmath") == [line, line + 1]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_mpmath(path):
+    assert _imports_of(path.read_text(), "mpmath") == []
