@@ -9,6 +9,15 @@ correlation rho2), the conditional moment
 is a polynomial of total degree n in (y, z).  Three routes to it live here:
 
 * ``c_n_main``      a double sum over q-Hermite products in y and z,
+                    factored as
+
+                        c_n = [n]_q! / (r1 r2; q)_n
+                              * sum_k sigma_k sum_j a_{k,j} b_{k,n-2k-j},
+                        sigma_k = (-1)**k q**C(k,2) (rho1 rho2)**(2k) / [k]_q!,
+                        a_{k,j} = (r1; q)_{k+j} rho2**j H_j(z) / [j]_q!,
+                        b_{k,i} = (r2; q)_{k+i} rho1**i H_i(y) / [i]_q!,
+
+                    with r1 = rho1**2, r2 = rho2**2,
 * ``c_n_via_P``     a single sum mixing q-Hermite and Al-Salam-Chihara
                     polynomials; shares no sub-expressions with c_n_main
                     beyond the ``qcore`` primitives, so agreement of the two
@@ -16,10 +25,11 @@ is a polynomial of total degree n in (y, z).  Three routes to it live here:
 * ``c_n_gaussian``  the q = 1 closed form via ordinary Hermite polynomials.
 
 ``c_n_seq(N, p)`` returns (c_0, ..., c_N) from one set of tables for the
-double sum (q-Hermite values, Gaussian-binomial rows, q-factorial and
-Pochhammer prefixes), each built once per call; ``c_n_main(n, p)`` reads
-the same tables built for order n alone and evaluates only that order, so
-the two agree bit for bit.  The one moment cache sits on ``c_n_seq``: it
+double sum, built once per call: six O(N) prefix lists (H(y), H(z),
+[.]_q!, (r1; q), (r2; q) and (r1 r2; q)) and, per k, the rows a_k and b_k,
+so each inner term is one multiply.  ``c_n_main(n, p)`` reads the same
+tables built for order n alone and evaluates only that order, so the two
+agree bit for bit.  The one moment cache sits on ``c_n_seq``: it
 is keyed by N, the bundle and the types of the bundle's five fields (a
 float bundle and its Fraction twin compare and hash equal), and it keeps
 only the returned tuple.  ``phi_expansion_partial`` and the suite's moment
@@ -80,16 +90,22 @@ _GENERAL_Q = "the general-q moment formulas (c_n_gaussian covers q = 1)"
 
 
 def c_n_main(n, p: CondDensityParams):
-    """Conditional moment via the double-sum form.
+    """Conditional moment via the double-sum form, factored.
 
-        c_n = (1/(r1 r2; q)_n) sum_k (-1)**k q**C(k,2) [n,2k] [2k,k] [k]!
-              (rho1 rho2)**(2k) (rho1^2; q)_k (rho2^2; q)_k *
-              sum_j [n-2k,j] (rho1^2 q^k; q)_j (rho2^2 q^k; q)_{n-2k-j}
-                    rho1**(n-2k-j) rho2**j H_j(z) H_{n-2k-j}(y)
+        c_n = [n]_q! / (r1 r2; q)_n * sum_k sigma_k sum_j a_{k,j} b_{k,n-2k-j}
 
-    with r1 = rho1**2, r2 = rho2**2.  Exact over Fraction inputs.  Only
-    order n is evaluated; c_n_seq gives every order up to N in one pass,
-    with the same bits.
+        sigma_k = (-1)**k q**C(k,2) (rho1 rho2)**(2k) / [k]_q!
+        a_{k,j} = (r1; q)_{k+j} rho2**j H_j(z) / [j]_q!
+        b_{k,i} = (r2; q)_{k+i} rho1**i H_i(y) / [i]_q!
+
+    with r1 = rho1**2, r2 = rho2**2.  The unfactored (k, j) term carries
+    [n,2k] [2k,k] [k]! [n-2k,j] (r1; q)_k (r2; q)_k (r1 q^k; q)_j
+    (r2 q^k; q)_{n-2k-j}; the identities [n,2k] [2k,k] [k]! [n-2k,j] =
+    [n]!/([k]! [j]! [n-2k-j]!) and (r; q)_k (r q^k; q)_j = (r; q)_{k+j}
+    regroup it into the three factors above.  Exact over Fraction inputs.
+    Only order n is evaluated, from the six prefix tables H(y), H(z),
+    [.]_q!, (r1; q), (r2; q) and (r1 r2; q) built for n alone; c_n_seq
+    gives every order up to N in one pass, with the same bits.
     """
     _check_order(n)
     _check_below_one(p.q, _GENERAL_Q)
@@ -114,55 +130,43 @@ def _c_n_seq(N, y, rho1, z, rho2, q):
     return tuple(c_n(n) for n in range(N + 1))
 
 
-def _c_n_orders(N, y, r1, z, r2, q):
-    """The map n -> c_n for n <= N, over the tables of the double sum.
+def _c_n_orders(N, y, rho1, z, rho2, q):
+    """The map n -> c_n for n <= N, over the tables of the factored double sum.
 
-    Every table is a prefix list (or Gaussian-binomial row) whose entries do
-    not depend on its length, so order n reads the same bits as tables
-    built for n alone, and multiplies them in c_n_main's order.
+    Six prefix lists: H(y), H(z), [.]_q!, (r1; q), (r2; q) and (r1 r2; q);
+    then the weights rho2**j H_j(z) / [j]_q! and rho1**i H_i(y) / [i]_q!, and
+    per k the rows a_k and b_k, one multiply an entry.  No entry depends on
+    the length it was built for, so order n reads the same bits as tables
+    built for n alone.  The sums run left to right in explicit loops.
     """
-    r1sq, r2sq = r1 * r1, r2 * r2
-    r12 = r1 * r2
-    top = N // 2
-    Hy = hermite_H_seq(N, y, q)
+    Hy = hermite_H_seq(N, y, q)  # the degree guard, ahead of every other table
     Hz = hermite_H_seq(N, z, q)
-    rows = [q_binomial_row(m, q) for m in range(N + 1)]
-    fact = _factorial_seq(top, q)
-    poch_r1 = q_pochhammer_seq(r1sq, q, top)
-    poch_r2 = q_pochhammer_seq(r2sq, q, top)
-    # (rho1^2 q^k; q)_j and (rho2^2 q^k; q)_j for j <= N - 2k, one pair per k
-    shifted = [
-        [q_pochhammer_seq(r * q**k, q, N - 2 * k) for r in (r1sq, r2sq)]
-        for k in range(top + 1)
-    ]
-    poch_R = q_pochhammer_seq(r1sq * r2sq, q, N)
-    pow1 = [r1**i for i in range(N + 1)]
-    pow2 = [r2**i for i in range(N + 1)]
+    r1, r2 = rho1 * rho1, rho2 * rho2
+    fact = _factorial_seq(N, q)
+    poch_r1 = q_pochhammer_seq(r1, q, N)
+    poch_r2 = q_pochhammer_seq(r2, q, N)
+    poch_R = q_pochhammer_seq(r1 * r2, q, N)
+    wz, wy = [], []
+    pow1 = pow2 = 1
+    for i in range(N + 1):
+        wz.append(pow2 * Hz[i] / fact[i])
+        wy.append(pow1 * Hy[i] / fact[i])
+        pow1, pow2 = pow1 * rho1, pow2 * rho2
+    ks = range(N // 2 + 1)
+    sigma = [(-1) ** k * q ** math.comb(k, 2) * (r1 * r2) ** k / fact[k] for k in ks]
+    a = [[poch_r1[k + j] * wz[j] for j in range(N - 2 * k + 1)] for k in ks]
+    b = [[poch_r2[k + i] * wy[i] for i in range(N - 2 * k + 1)] for k in ks]
 
     def c_n(n):
         den = _check_pole(poch_R[n], "(rho1^2 rho2^2; q)_n")
         total = 0
         for k in range(n // 2 + 1):
-            pref = (
-                (-1) ** k
-                * q ** math.comb(k, 2)
-                * rows[n][2 * k]
-                * rows[2 * k][k]
-                * fact[k]
-                * r12 ** (2 * k)
-                * poch_r1[k]
-                * poch_r2[k]
-            )
             m = n - 2 * k
-            row = rows[m]
-            poch1, poch2 = shifted[k]
             inner = 0
-            for j in range(m + 1):
-                inner = inner + (
-                    row[j] * poch1[j] * poch2[m - j] * pow1[m - j] * pow2[j] * Hz[j] * Hy[m - j]
-                )
-            total = total + pref * inner
-        return total / den
+            for left, right in zip(a[k], b[k][m::-1]):
+                inner = inner + left * right
+            total = total + sigma[k] * inner
+        return fact[n] * total / den
 
     return c_n
 
@@ -334,8 +338,8 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
     _check_below_one(q, _GENERAL_Q)
     if N < 1:
         raise DomainError("the partial sum needs at least one term")
+    c = c_n_seq(N - 1, p)  # its degree guard runs before the factorials are built
     fact = _factorial_seq(N - 1, q)
-    c = c_n_seq(N - 1, p)
     scalar = np.ndim(x) == 0
     if scalar:
         density = f_N(x, q, policy).value

@@ -20,7 +20,7 @@ from qaw.densities import phi_q0
 DENSITY_EVAL_MD5 = "6adba01f5f04184edf746af98312e72b"
 
 # md5 of (argv, exit code, stdout, stderr) over TestCliSurface's invocations
-CLI_SURFACE_MD5 = "e20574bbf38f8d78204f66b36d69fe05"
+CLI_SURFACE_MD5 = "2170509a8300cdf9e8dbf05db7be8fde"
 
 
 def run(*argv):

@@ -383,3 +383,53 @@ def test_import_scanner_flags_mpmath():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_mpmath(path):
     assert _imports_of(path.read_text(), "mpmath") == []
+
+
+_SUMMING = ("qcore", "polyfam", "awpoly", "moments", "densities")
+_MATH_SUMS = ("fsum", "sumprod")
+
+
+def _library_sums(source):
+    """Lines that call the builtin sum, math.fsum or math.sumprod.
+
+    From Python 3.12 on, sum() of floats is compensated, so a float result
+    summed by any of the three depends on the interpreter version; the
+    q-arithmetic modules add left to right in explicit loops instead.
+    """
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names
+        if alias.name in _MATH_SUMS
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and (func.id == "sum" or func.id in imported):
+            found.append(node.lineno)
+        elif isinstance(func, ast.Attribute) and func.attr in _MATH_SUMS:
+            if _name_of(func.value) == "math":
+                found.append(node.lineno)
+    return found
+
+
+def test_sum_scanner_flags_library_sums():
+    source = (
+        "import math\nfrom math import fsum as add\n"
+        "a = sum(xs)\nb = math.fsum(xs)\nc = math.sumprod(xs, ys)\nd = add(xs)\n"
+        "e = np.sum(xs)\nf = xs.sum()\ng = _series_sum(xs)\n"
+    )
+    assert _library_sums(source) == [3, 4, 5, 6]
+    moments = (SRC / "moments.py").read_text()
+    copy = moments.replace("    inner = 0\n", "    inner = sum(())\n", 1)
+    line = moments[: moments.index("    inner = 0\n")].count("\n") + 1
+    assert _library_sums(moments) == [] and _library_sums(copy) == [line]
+
+
+@pytest.mark.parametrize("name", _SUMMING)
+def test_q_arithmetic_calls_no_library_sum(name):
+    assert _library_sums((SRC / f"{name}.py").read_text()) == []

@@ -1,9 +1,11 @@
 """Conditional moments: collapses, closed forms, kernel identities, expansion."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,8 +57,12 @@ TWIN_EXACT = CondDensityParams(
 )
 
 
-def _reference_c_n(n, p):
-    """The double sum with one q_binomial per (k, j), as c_n_main was first written."""
+def _reference_c_n(n, p, size=lambda v: v):
+    """The double sum with one q_binomial per (k, j), as c_n_main was first written.
+
+    With size=abs it returns the sum of the terms' magnitudes instead: the
+    scale of the rounding error that a float evaluation of c_n can make.
+    """
     q = p.q
     r1, r2 = p.rho1, p.rho2
     r1sq, r2sq = r1 * r1, r2 * r2
@@ -65,7 +71,7 @@ def _reference_c_n(n, p):
     den = q_pochhammer(r1sq * r2sq, q, n)
     total = 0
     for k in range(n // 2 + 1):
-        pref = (
+        pref = size(
             (-1) ** k
             * q ** math.comb(k, 2)
             * q_binomial(n, 2 * k, q)
@@ -80,7 +86,7 @@ def _reference_c_n(n, p):
         poch2 = q_pochhammer_seq(r2sq * qk, q, n - 2 * k)
         inner = 0
         for j in range(n - 2 * k + 1):
-            inner = inner + (
+            inner = inner + size(
                 q_binomial(n - 2 * k, j, q)
                 * poch1[j]
                 * poch2[n - 2 * k - j]
@@ -90,7 +96,12 @@ def _reference_c_n(n, p):
                 * Hy[n - 2 * k - j]
             )
         total = total + pref * inner
-    return total / den
+    return total / size(den)
+
+
+def _exact_twin(p):
+    """The bundle with each float field replaced by its exact rational value."""
+    return CondDensityParams(*(Fraction(v) for v in (p.y, p.rho1, p.z, p.rho2, p.q)))
 
 
 def _reference_expansion(x, p, N):
@@ -173,23 +184,56 @@ class TestConditionalMoment:
 
 
 class TestMomentSequence:
-    def test_matches_one_binomial_per_term_bit_for_bit(self):
+    def test_matches_one_binomial_per_term_to_rounding(self):
         bundles = seeded_bundles(6) + [
             CondDensityParams(0.3, 0.6, -1.1, -0.4, 0.0),
             CondDensityParams(-0.8, -0.7, 1.2, 0.55, 0),
         ]
         assert any(p.q < 0 for p in bundles)
         for p in bundles:
+            exact = _exact_twin(p)
+            assert c_n_seq(6, exact) == tuple(_reference_c_n(n, exact) for n in range(7))
             seq = c_n_seq(40, p)
             assert len(seq) == 41
-            for n, c in enumerate(seq):
-                assert c == _reference_c_n(n, p)
+            # the same float inputs at 50 digits: exact Fractions take minutes at N = 40
+            with mpmath.workdps(50):
+                fields = (p.y, p.rho1, p.z, p.rho2, p.q)
+                wide = c_n_seq(40, CondDensityParams(*map(mpmath.mpf, fields)))
+                for c, want in zip(seq, wide):
+                    assert abs(c - want) <= 1e-13 * max(1, abs(want))
+
+    def test_pinned_error_where_the_terms_cancel(self):
+        # rho1 rho2 = -0.81 at q = 0.9; the unfactored seven-factor terms read 4.7e-14 here
+        p = CondDensityParams(1.5, -0.9, 1.2, 0.9, 0.9)
+        for c, want in zip(c_n_seq(24, p), c_n_seq(24, _exact_twin(p))):
+            assert abs(Fraction(c) - want) <= 3e-14 * max(1, abs(want))
+
+    @given(
+        N=st.integers(min_value=0, max_value=16),
+        u=st.integers(min_value=-999, max_value=999),
+        rho1=st.integers(min_value=-900, max_value=900),
+        v=st.integers(min_value=-999, max_value=999),
+        rho2=st.integers(min_value=-900, max_value=900),
+        q=st.integers(min_value=-900, max_value=900),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_float_error_is_rounding_on_any_bundle(self, N, u, rho1, v, rho2, q):
+        # thousandths, so that the exact twins' denominators stay near 2**53
+        q = q / 1000
+        half = 2 / math.sqrt(1 - q)
+        p = CondDensityParams(u / 1000 * half, rho1 / 1000, v / 1000 * half, rho2 / 1000, q)
+        exact = c_n_seq(N, _exact_twin(p))
+        for n, c in enumerate(c_n_seq(N, p)):
+            # scaled by the terms' magnitudes: where c_n = 0 by symmetry, as for
+            # odd n at (1.0, 0.9, 1.0, -0.9, 0.9), a float sum reads up to 2e-13
+            assert abs(Fraction(c) - exact[n]) <= 1e-13 * max(1, _reference_c_n(n, p, abs))
 
     def test_exact_bundle(self):
-        seq = c_n_seq(12, EXACT_P)
+        # the orders the moment benchmark checks exactly, against both routes
+        seq = c_n_seq(28, EXACT_P)
         for n, c in enumerate(seq):
             assert type(c) is Fraction
-            assert c == _reference_c_n(n, EXACT_P)
+            assert c == _reference_c_n(n, EXACT_P) == c_n_via_P(n, EXACT_P)
 
     def test_single_order_equals_sequence_entry(self):
         for p in seeded_bundles(3, seed=7) + [EXACT_P]:
@@ -408,6 +452,24 @@ class TestDensityExpansion:
         # in-support entries keep the bits of the scalar path
         assert on_grid[1] == phi_expansion_partial(-0.7, p, 64)
         assert on_grid[3] == phi_expansion_partial(0.3, p, 64) > 0
+
+    def test_huge_order_raises_before_any_table(self):
+        p = CondDensityParams(0.3, 0.5, -0.2, 0.4, 0.5)
+        calls = (
+            lambda: c_n_seq(10**9, p),
+            lambda: c_n_main(10**9, p),
+            lambda: c_n_via_P(10**9, p),
+            lambda: phi_expansion_partial(0.1, p, 10**9),
+        )
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(DomainError, match="exceeds the cap"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_gaussian_and_empty(self):
         with pytest.raises(DomainError):

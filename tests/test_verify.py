@@ -271,9 +271,9 @@ class TestGoldenBytes:
         reports = run_suite()
         # `qaw verify --all --format json` writes the JSON and one newline
         as_json = report_to_json(reports) + "\n"
-        assert hashlib.md5(as_json.encode()).hexdigest() == "6f5156f273ec7e0ebf8e3b755a3d3ab2"
+        assert hashlib.md5(as_json.encode()).hexdigest() == "9508dc582ca920f51634148650d06c8e"
         as_text = report_to_text(reports)
-        assert hashlib.md5(as_text.encode()).hexdigest() == "6cd82e569d8aca80e366edcce62fef91"
+        assert hashlib.md5(as_text.encode()).hexdigest() == "7979da124f20ae1e9c3000925f14d214"
 
 
 class TestReportSerialization:
