@@ -1,8 +1,8 @@
 """Every name a module imports is used in that module, every private
 module-level name is used somewhere in the package, every exported name
 resolves, each parameter rule is written out in qcore only, no module
-imports mpmath, and neither the CLI nor the series oracle loads the heavy
-optional modules."""
+imports mpmath, the q-arithmetic modules call no library sum, and neither
+the CLI nor the series oracle loads the heavy optional modules."""
 
 import ast
 import os
