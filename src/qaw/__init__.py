@@ -22,7 +22,6 @@ from .qcore import (
     q_pochhammer,
     q_pochhammer_seq,
     q_pochhammer_inf,
-    multi_pochhammer,
     s_n,
 )
 from .polyfam import (

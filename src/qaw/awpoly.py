@@ -33,6 +33,7 @@ from .qcore import (
     DomainError,
     QParam,
     _check_below_one,
+    _check_entries,
     _check_order,
     _check_pole,
     _check_rho,
@@ -176,10 +177,13 @@ def aw_D(n, x, params: AWComplexParams, q):
 
     with pref = (ab)_n (cd)_n / (abcd q**(n-1))_n.  For conjugate-pair
     parameters and real x the value is real and is returned as a float, or
-    as a float array for a float array x.  Requires -1 < q < 1.
+    as a float array for a float array x.  Requires -1 < q < 1 and, for the
+    n + 1 Gaussian-binomial rows, n <= 1412 (the table budget).
     """
     QParam(q)
     _check_below_one(q, "the Askey-Wilson representations")
+    _check_order(n)
+    _check_entries((n + 1) * (n + 2) // 2, f"the Gaussian-binomial rows of order {n}")
     if n == 0:
         return 1 + 0 * x
     a, b, c, d = params.a, params.b, params.c, params.d
@@ -216,6 +220,8 @@ def aw_A_sym_seq(nmax, x, p: CondDensityParams):
     """
     q = p.q
     _check_below_one(q, "the Askey-Wilson representations")
+    _check_order(nmax)
+    _check_entries((nmax + 1) * (nmax + 2) // 2, f"the Gaussian-binomial rows of order {nmax}")
     r1sq = p.rho1 * p.rho1
     r2sq = p.rho2 * p.rho2
     B = b_big_seq(nmax, x, q)

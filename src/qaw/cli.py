@@ -116,7 +116,8 @@ def _build_parser():
     ev.add_argument("--tol", type=_finite, default=None,
                     help="relative truncation tolerance for density products")
     ev.add_argument("--max-terms", type=int, default=None,
-                    help="truncation term cap for density products")
+                    help="term budget, 1 to 10000: the most series terms or product "
+                         "factors a density may use")
     return parser
 
 

@@ -20,15 +20,16 @@ and one private evaluator runs them all.  f_N is a theta function,
     f_N(x) = sqrt(1-q) theta_1(theta | sqrt(q)) / (2 pi q**(1/8)),
     x = 2 cos(theta) / sqrt(1-q),
 
-summed for 0 < q <= 0.99 by Jacobi's imaginary transformation: with
+summed for 0 < q < 1 by Jacobi's imaginary transformation: with
 L = -ln(q) / 2 it is a wrapped Gaussian whose n-th term is smaller than
-the first by about e**(-n**2 pi**2 / L), so M = 1 term serves at q = 0.9
-and 0.99, 2 at q = 0.1 and 0.5, 3 at q = 0.01.  For q <= 0, and for
-0 < q below about 2e-4, where the series is the longer, f_N is its
-product.  Products are cut after K factors where K is chosen so the
-dropped tail perturbs the value by less than the policy's relative
-tolerance: each factor is 1 + O(C q**k), so K solves
-C |q|**K / (1 - |q|) <= rel_tol with a conservative per-density constant C.
+the first by about e**(-n**2 pi**2 / L), so M = 1 term serves from q = 0.9
+up, 2 at q = 0.1 and 0.5, 3 at q = 0.01.  For q <= 0, and for 0 < q
+below about 2e-4, where the series is the longer, f_N is its product.
+Products are cut after K factors where K is chosen so the dropped tail
+perturbs the value by less than the policy's relative tolerance: each
+factor is 1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= rel_tol with
+a conservative per-density constant C; past max_terms factors (from
+|q| of about 0.997) a product raises TruncationError.
 
 A rho-part multiplies the factors (1 - rho**2 q**k) / w_k(x, y), one per
 neighbor y (phi_cond's also carry w_k(y, z) / (1 - rho1**2 rho2**2 q**k)).
@@ -44,7 +45,10 @@ M terms, summed by Clenshaw, with (J, M) chosen per parameter set to make
 J + M least at every base (J = 0 and M = 45 at q = 0.99, rho = 0.5; J = 11
 and M = 16 at q = 0.9; J = 6 and M = 6 at q = 0.5), where K would be 4011,
 361 and 53.  The whole product, J = K, runs only where J + M would not be
-below K, at q = 0 and at some |q| below about 1e-5.  Head rows are built
+below K, at q = 0 and at some |q| below about 1e-5.  The series runs at
+every 0 < q < 1 (372 terms for phi_cond at q = 0.999999), but its weights
+reach 1 / (1 - q), so its rounding grows like eps / (1 - q): 3.8e-13 for
+f_CN / f_N at q = 0.999 against a 50-digit product.  Head rows are built
 in Python floats, and the series' weights come from a cache of 32 rows
 per (q, J, M) (``_series_weights``).  f_N's product and the ratio bounds
 read their row q**k from one cache of 32 read-only rows (``_powers``),
@@ -91,7 +95,6 @@ from .qcore import (
     TruncationPolicy,
     _check_below_one,
     _check_finite,
-    _check_product_base,
     _check_rho,
     q_pochhammer_inf,
 )
@@ -206,14 +209,13 @@ def _powers(q, policy, scale):
 
 
 def _theta_series(q, policy):
-    """(coef, M, (s, L), rates) of f_N's wrapped-Gaussian series at 0 < q <= 0.99.
+    """(coef, M, (s, L), rates) of f_N's wrapped-Gaussian series at 0 < q < 1.
 
     s = sqrt(1-q) / 2, L = -ln(q) / 2, coef = sqrt(1-q) sqrt(pi/L) /
     (2 pi q**(1/8)) and rates[n] = 2 pi (2n + 1) / L; M is the smallest n with
     (2n + 1) e**(-n**2 pi**2 / L) below the relative tolerance, which bounds
     the first dropped term against the n = 0 one.
     """
-    _check_product_base(q)  # f_N keeps the product's domain for now
     L = -math.log(q) / 2
     M = 1
     while (2 * M + 1) * math.exp(-M * M * math.pi * math.pi / L) > policy.rel_tol:

@@ -44,6 +44,7 @@ run over a generic scalar field, so Fraction inputs give exact rationals.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -54,12 +55,14 @@ from .qcore import (
     TruncationError,
     TruncationPolicy,
     _check_below_one,
+    _check_entries,
     _check_finite,
     _check_order,
     _check_pole,
     _check_real,
     _check_rho,
     _factorial_seq,
+    _finite,
     _sn_series,
     q_binomial,
     q_binomial_row,
@@ -137,12 +140,20 @@ def _c_n_orders(N, y, rho1, z, rho2, q):
     then the weights rho2**j H_j(z) / [j]_q! and rho1**i H_i(y) / [i]_q!, and
     per k the rows a_k and b_k, one multiply an entry.  No entry depends on
     the length it was built for, so order n reads the same bits as tables
-    built for n alone.  The sums run left to right in explicit loops.
+    built for n alone.  The sums run left to right in explicit loops.  The
+    rows hold about N**2/2 entries, so N <= 1412 (the table budget).  A
+    float [N]_q! out of the normal floats (overflow from N = 315 at q = 0.9,
+    underflow from N = 1101 at q = -0.9) or c_n out of range raises
+    TruncationError, the first before any table is built.
     """
-    Hy = hermite_H_seq(N, y, q)  # the degree guard, ahead of every other table
+    _check_entries((N + 1) * (N + 2) // 2, f"the c_n tables of order {N}")
+    fact = _factorial_seq(N, q)
+    # no bracket [i]_q vanishes for -1 < q < 1, so a subnormal is an underflow
+    if isinstance(fact[N], float) and not sys.float_info.min <= abs(fact[N]) < math.inf:
+        raise TruncationError(f"[{N}]_q! left the float range (got {fact[N]!r})")
+    Hy = hermite_H_seq(N, y, q)
     Hz = hermite_H_seq(N, z, q)
     r1, r2 = rho1 * rho1, rho2 * rho2
-    fact = _factorial_seq(N, q)
     poch_r1 = q_pochhammer_seq(r1, q, N)
     poch_r2 = q_pochhammer_seq(r2, q, N)
     poch_R = q_pochhammer_seq(r1 * r2, q, N)
@@ -166,7 +177,10 @@ def _c_n_orders(N, y, rho1, z, rho2, q):
             for left, right in zip(a[k], b[k][m::-1]):
                 inner = inner + left * right
             total = total + sigma[k] * inner
-        return fact[n] * total / den
+        value = fact[n] * total / den
+        if not _finite(value):
+            raise TruncationError(f"c_{n} left the float range (got {value!r})")
+        return value
 
     return c_n
 
@@ -332,13 +346,17 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
     numpy array of points (array result, through f_N_values).  Where f_N is
     0, off the open support, the result is 0.0 and H_i(x), which can
     overflow there, is not evaluated.  Converges to phi_cond(x, p) as N
-    grows; the rate is geometric in max(|rho1|, |rho2|).
+    grows; the rate is geometric in max(|rho1|, |rho2|).  N above
+    policy.max_terms, N - 1 above c_n_seq's table budget (1412), or a
+    [i]_q!, c_i or H_i(x) beyond the floats raises TruncationError.
     """
     q = p.q
     _check_below_one(q, _GENERAL_Q)
     if N < 1:
         raise DomainError("the partial sum needs at least one term")
-    c = c_n_seq(N - 1, p)  # its degree guard runs before the factorials are built
+    if N > policy.max_terms:
+        raise TruncationError(f"{N} expansion terms exceed the term budget {policy.max_terms}")
+    c = c_n_seq(N - 1, p)  # its guards run first, and check [N - 1]_q! for the fact below
     fact = _factorial_seq(N - 1, q)
     scalar = np.ndim(x) == 0
     if scalar:

@@ -10,11 +10,13 @@ two scalings is exercised by the test suite.
 
 All seven families run one forward loop, ``_forward``, on the recurrence
 p_{k+1} = (alpha[k] x + beta[k]) p_k - gamma[k] p_{k-1} from p_{-1} = 0,
-p_0 = 1.  Each family checks its degree against DEGREE_CAP and its base,
-parameters and x finite in one call, then builds its three coefficient
-lists once; gamma[0] multiplies p_{-1} and is never read, so gamma lists
-start at k = 1 behind a placeholder.  Closed forms are used only as
-cross-checks.  Like the rest of the package, everything is generic over
+p_0 = 1.  Each family checks its degree against the term budget before
+any list is built (``qcore._check_order``), and its base, parameters and
+x finite in one call, then builds its three coefficient lists once;
+gamma[0] multiplies p_{-1} and is never read, so gamma lists start at
+k = 1 behind a placeholder.  A float iterate may overflow to +-inf, which
+is kept as a value; a nan raises TruncationError.  Closed forms are used
+only as cross-checks.  Like the rest of the package, everything is generic over
 the scalar field, so Fraction inputs give exact values.
 """
 
@@ -26,17 +28,18 @@ import numpy as np
 
 from .qcore import (
     DomainError,
+    TruncationError,
     _bracket_seq,
     _check_finite,
     _check_order,
     _check_pole,
     _factorial_seq,
+    _finite,
     q_binomial_row,
     q_factorial,
 )
 
 __all__ = [
-    "DEGREE_CAP",
     "hermite_h", "hermite_h_seq",
     "hermite_H", "hermite_H_seq",
     "asc_Q", "asc_Q_seq",
@@ -52,31 +55,23 @@ __all__ = [
     "connection_H_from_P",
 ]
 
-# Forward recurrences hold exactly for any degree, but in floating point the
-# iterates lose digits slowly; beyond this cap we refuse rather than degrade.
-DEGREE_CAP = 64
-
-
-def _check_degree(n):
-    _check_order(n)
-    if n > DEGREE_CAP:
-        raise DomainError(
-            f"degree {n} exceeds the cap {DEGREE_CAP}; floating recurrences "
-            "are not validated past it"
-        )
-
-
 def _forward(n, x, alpha, beta, gamma):
     """[p_0(x), ..., p_n(x)] for p_{k+1} = (alpha[k] x + beta[k]) p_k - gamma[k] p_{k-1}.
 
     p_{-1} = 0 and p_0 = 1, so gamma[0] is never read; that keeps a
     q**(k-1) factor from being formed at q = 0.  x is a scalar or an array,
-    checked finite by the family together with its parameters.
+    checked finite by the family together with its parameters.  A nan
+    propagates to every later entry, so the last one alone is tested:
+    TruncationError names the first degree that was not finite.
     """
     out = [1 + 0 * x]
     for k in range(n):
         nxt = (alpha[k] * x + beta[k]) * out[k]
         out.append(nxt - gamma[k] * out[k - 1] if k else nxt)
+    last = out[-1]
+    if np.count_nonzero(last != last) if isinstance(last, np.ndarray) else last != last:
+        first = next(k for k, value in enumerate(out) if not _finite(value))
+        raise TruncationError(f"the degree-{n} recurrence left the float range at degree {first}")
     return out
 
 
@@ -87,7 +82,7 @@ def hermite_h_seq(n, x, q):
     so the recurrence can be run formally (for instance at base 1/q, which
     the b_small inversion identity needs).
     """
-    _check_degree(n)
+    _check_order(n)
     _check_finite(q, x)
     return _forward(n, x, [2] * n, [0] * n, [None] + [1 - q**k for k in range(1, n)])
 
@@ -103,7 +98,7 @@ def hermite_H_seq(n, x, q):
     At q = 1 the bracket is k and these are the monic (probabilistic)
     Hermite polynomials.
     """
-    _check_degree(n)
+    _check_order(n)
     _check_finite(q, x)
     return _forward(n, x, [1] * n, [0] * n, _bracket_seq(n, q))
 
@@ -120,7 +115,7 @@ def asc_Q_seq(n, x, a, b, q):
     Complex parameter pairs are evaluated in complex arithmetic; see asc_Q
     for the conjugate-pair collapse to real values.
     """
-    _check_degree(n)
+    _check_order(n)
     _check_finite(a, b, q, x)
     beta = [-(a + b) * q**k for k in range(n)]
     gamma = [None] + [(1 - a * b * q ** (k - 1)) * (1 - q**k) for k in range(1, n)]
@@ -147,7 +142,7 @@ def asc_P_seq(n, x, y, rho, q):
     At q = 1 this family is (1-rho^2)^{n/2} H_n((x - rho y)/sqrt(1-rho^2)),
     the conditional-normal Hermite polynomials.
     """
-    _check_degree(n)
+    _check_order(n)
     _check_finite(q, y, rho, x)
     brackets = _bracket_seq(n, q)
     beta = [-rho * y * q**k for k in range(n)]
@@ -167,7 +162,7 @@ def b_big_seq(n, y, q):
     explicit sign and power of q, q^{-1}-Hermite polynomials; they appear as
     connection coefficients between the P and H families.
     """
-    _check_degree(n)
+    _check_order(n)
     _check_finite(q, y)
     brackets = _bracket_seq(n, q)
     gamma = [None] + [-(q ** (k - 1)) * brackets[k] for k in range(1, n)]
@@ -185,7 +180,7 @@ def b_small_seq(n, y, q):
     b_{k+1} = -2 q**k y b_k + q**(k-1) (1 - q**k) b_{k-1}, so that
     (-1)**n q**(-C(n,2)) b_n(y | q) = h_n(y | 1/q).
     """
-    _check_degree(n)
+    _check_order(n)
     _check_finite(q, y)
     gamma = [None] + [-(q ** (k - 1)) * (1 - q**k) for k in range(1, n)]
     return _forward(n, y, [-2 * q**k for k in range(n)], [0] * n, gamma)
@@ -198,7 +193,7 @@ def b_small(n, y, q):
 
 def chebyshev_U_seq(n, x):
     """Chebyshev polynomials of the second kind, U_{k+1} = 2x U_k - U_{k-1}."""
-    _check_degree(n)
+    _check_order(n)
     _check_finite(x)
     return _forward(n, x, [2] * n, [0] * n, [1] * n)
 
@@ -250,8 +245,8 @@ def linearize_HH(n, m, q):
     Returns [c_0, ..., c_min(n,m)] with
     H_n H_m = sum_j c_j H_{n+m-2j} and c_j = [m,j]_q [n,j]_q [j]_q!.
     """
-    _check_degree(n)
-    _check_degree(m)
+    _check_order(n)
+    _check_order(m)
     row_m = q_binomial_row(m, q)
     row_n = q_binomial_row(n, q)
     fact = _factorial_seq(min(n, m), q)
@@ -280,8 +275,8 @@ def product_HB(m, n, q):
     [2]_q = 0) the product still exists, but this quotient cannot reach it:
     PoleError.
     """
-    _check_degree(n)
-    _check_degree(m)
+    _check_order(n)
+    _check_order(m)
     sign = (-1) ** n
     top = min(n, (n + m) // 2)
     row = q_binomial_row(n, q)
@@ -301,8 +296,8 @@ def I_nm(n, m, x, q):
     Evaluates sum_i [n,i]_q B_{n-i}(x) H_{i+m}(x) directly from the defining
     sum; the closed form lives in i_nm_closed so the two stay independent.
     """
-    _check_degree(n)
-    _check_degree(m)
+    _check_order(n)
+    _check_order(m)
     B = b_big_seq(n, x, q)
     H = hermite_H_seq(n + m, x, q)
     row = q_binomial_row(n, q)
@@ -319,8 +314,8 @@ def i_nm_closed(n, m, x, q):
     PoleError where [m-n]_q! vanishes (q = -1, m - n >= 2), although the
     falling product [m]_q ... [m-n+1]_q exists there.
     """
-    _check_degree(n)
-    _check_degree(m)
+    _check_order(n)
+    _check_order(m)
     if n > m:
         return 0
     ratio = q_factorial(m, q) / _check_pole(q_factorial(m - n, q), "[m-n]_q!")
@@ -333,7 +328,7 @@ def connection_P_from_BH(n, x, y, rho, q):
     Evaluates sum_j [n,j]_q rho**(n-j) B_{n-j}(y) H_j(x), which must agree
     with asc_P pointwise.
     """
-    _check_degree(n)
+    _check_order(n)
     _check_finite(rho)
     B = b_big_seq(n, y, q)
     H = hermite_H_seq(n, x, q)
@@ -349,7 +344,7 @@ def connection_H_from_P(n, x, y, rho, q):
 
     Evaluates sum_j [n,j]_q rho**(n-j) H_{n-j}(y) P_j(x | y, rho, q).
     """
-    _check_degree(n)
+    _check_order(n)
     H = hermite_H_seq(n, y, q)
     P = asc_P_seq(n, x, y, rho, q)
     row = q_binomial_row(n, q)

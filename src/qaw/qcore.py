@@ -16,12 +16,16 @@ the Rogers-Szego recurrence) cost O(n); ``_sn_series`` yields the one s_n
 series that both the suite's sn_series check and the expansion budget sum.
 
 Each parameter rule of the package has its one private helper here:
+``_check_order`` (a nonnegative integer within the term budget of 10 000)
+and ``_check_entries`` (a table that grows faster than its order holds at
+most 10**6 entries), both checked before anything is allocated,
 ``_check_finite`` (scalars and numpy arrays; a plain float takes a
 ``math.isfinite`` fast path), ``_check_real`` (finite and not complex),
-``_check_rho`` (|rho| < 1), ``_check_below_one`` (q < 1, where q = 1 needs
-its own closed form) and ``_check_product_base`` (|q| <= 0.99 for an
-infinite product).  The one pole rule is
-``_check_pole``: a denominator raises PoleError only when it is exactly 0.
+``_check_rho`` (|rho| < 1) and ``_check_below_one`` (q < 1, where q = 1
+needs its own closed form).  The one pole rule is ``_check_pole``: a
+denominator raises PoleError only when it is exactly 0.  Size is refused
+by these budgets alone: an order or table past them, or a product or
+series past its policy's ``max_terms``, raises TruncationError.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
     "q_pochhammer",
     "q_pochhammer_seq",
     "q_pochhammer_inf",
-    "multi_pochhammer",
     "s_n",
 ]
 
@@ -63,7 +66,7 @@ class PoleError(ArithmeticError):
 
 
 class TruncationError(RuntimeError):
-    """A series or product could not reach its tolerance within the term cap."""
+    """A computation needs more terms than its budget, or its floats left their range."""
 
 
 @dataclass(frozen=True)
@@ -85,49 +88,73 @@ class QParam:
             raise DomainError(f"base must satisfy -1 < q <= 1, got {self.q!r}")
 
 
+_TERM_BUDGET = 10_000  # the highest order, and the most terms a policy may allow
+_TABLE_BUDGET = 100 * _TERM_BUDGET  # entries, about 32 MB of Python floats
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls truncation of infinite products and series.
 
-    rel_tol bounds the relative size of the neglected tail; max_terms is a
-    hard cap after which :class:`TruncationError` is raised instead of
-    silently returning a bad value.
+    rel_tol bounds the relative size of the neglected tail; max_terms, at
+    most the term budget 10 000 that also bounds every order, caps the
+    terms: a product or series that needs more raises
+    :class:`TruncationError` instead of silently returning a bad value.
     """
 
     rel_tol: float = 1e-14
-    max_terms: int = 10_000
+    max_terms: int = _TERM_BUDGET
 
     def __post_init__(self):
         if not 0 < self.rel_tol < 1:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be positive, got {self.max_terms!r}")
+        if not 1 <= self.max_terms <= _TERM_BUDGET:
+            raise DomainError(f"max_terms must lie in [1, {_TERM_BUDGET}], got {self.max_terms!r}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
 
 
 def _check_order(n):
+    """DomainError unless n is a nonnegative integer; TruncationError past the term budget."""
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"order must be a nonnegative integer, got {n!r}")
+    if n > _TERM_BUDGET:
+        raise TruncationError(f"order {n} exceeds the term budget {_TERM_BUDGET}")
+
+
+def _check_entries(entries, what):
+    """TruncationError when what, a table about to be built, would exceed the table budget."""
+    if entries > _TABLE_BUDGET:
+        raise TruncationError(
+            f"{what} need {entries} entries, above the table budget {_TABLE_BUDGET}"
+        )
+
+
+def _finite(v):
+    """True unless the scalar or numpy array v holds a nan or an infinity.
+
+    Rationals are exact, hence finite, and skipped: cmath would overflow on
+    a Fraction beyond float range.  A complex value needs both parts finite.
+    """
+    if type(v) is float:
+        return math.isfinite(v)  # the common case, without the Rational ABC test
+    if isinstance(v, np.ndarray):
+        # count_nonzero, not .all(): a process's first bool reduction costs ~30 us
+        return np.count_nonzero(np.isfinite(v)) == v.size
+    return isinstance(v, Rational) or cmath.isfinite(v)
 
 
 def _check_finite(*values):
-    """DomainError unless every scalar or numpy array in values is finite.
+    """DomainError unless every scalar or numpy array in values is _finite.
 
     Finiteness only: the q-arithmetic runs formally outside -1 < q <= 1 on
-    purpose.  Rationals are exact, hence finite, and are skipped, since
-    cmath would overflow on a Fraction beyond float range; a complex value
-    passes when both of its parts are finite.
+    purpose.
     """
     for v in values:
-        if type(v) is float and math.isfinite(v):
-            continue  # the common case, without the Rational ABC test
-        if isinstance(v, np.ndarray):
-            # count_nonzero, not .all(): a process's first bool reduction costs ~30 us
-            if np.count_nonzero(np.isfinite(v)) < v.size:
+        if not _finite(v):
+            if isinstance(v, np.ndarray):
                 raise DomainError("values must be finite, got an array holding nan or inf")
-        elif not isinstance(v, Rational) and not cmath.isfinite(v):
             raise DomainError(f"parameters must be finite, got {v!r}")
 
 
@@ -154,14 +181,6 @@ def _check_below_one(q, what):
     """DomainError at q = 1, where what has no meaning; QParam or a |q| test bounds q above."""
     if q == 1:
         raise DomainError(f"q < 1 is required by {what}")
-
-
-def _check_product_base(q):
-    """DomainError if |q| > 0.99, where an infinite product's factor count explodes."""
-    if abs(q) > 0.99:
-        raise DomainError(
-            f"(a; q)_inf restricted to |q| <= 0.99; term count explodes beyond (got q={q!r})"
-        )
 
 
 def _check_pole(value, what):
@@ -267,12 +286,13 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     of the inputs.
 
     Floating point only.  q = 1 is rejected (the product has no meaning
-    there) and so is |q| > 0.99, where the term count explodes; so is a
-    nan or infinite a or q.
+    there), and so is a nan or infinite a or q.  Near |q| = 1 the count
+    grows like 1 / (1 - |q|): a product that needs more than max_terms
+    factors (from |q| of about 0.997 at the default policy) raises
+    TruncationError.
     """
     _check_finite(a, q)
     _check_below_one(q, "(a; q)_inf")
-    _check_product_base(q)
     threshold = policy.rel_tol * (1 - abs(q))
     total = 1 + 0 * a
     factor = a
@@ -285,23 +305,6 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
         total = total * (1 - factor)
         factor = factor * q
         count += 1
-    return total
-
-
-def multi_pochhammer(values, q, n, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Product of (a; q)_n over every a in values; n may be math.inf."""
-    values = tuple(values)
-    if not values:
-        raise DomainError("multi_pochhammer needs at least one argument")
-    if n == math.inf:
-        total = 1
-        for a in values:
-            total = total * q_pochhammer_inf(a, q, policy)
-        return total
-    _check_order(n)
-    total = 1
-    for a in values:
-        total = total * q_pochhammer(a, q, n)
     return total
 
 

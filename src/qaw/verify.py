@@ -28,7 +28,9 @@ from .qcore import (
     DomainError,
     QParam,
     TruncationError,
+    _check_entries,
     _check_finite,
+    _check_order,
     _sn_series,
     q_binomial_row,
     q_factorial,
@@ -103,9 +105,16 @@ def _quadrature(name, q, tol, integrand, rows):
     """Integrate a stacked integrand once; one report per (params, target) row.
 
     Component i of the integrand is held to the target of rows[i]; the
-    integral runs at a twentieth of the check tolerance.
+    integral runs at a twentieth of the check tolerance.  A level of points
+    x whose stacked values, one a row and point, would pass the table budget
+    raises TruncationError before the integrand runs.
     """
-    value = integrate_on_S(integrand, q, tol / 20).value
+
+    def level(x):
+        _check_entries(len(rows) * np.size(x), f"the {name} values of {np.size(x)} points")
+        return integrand(x)
+
+    value = integrate_on_S(level, q, tol / 20).value
     return [
         _report(name, params, abs(v - target), tol)
         for v, (params, target) in zip(np.atleast_1d(value), rows, strict=True)
@@ -188,6 +197,8 @@ def check_normalization(p: CondDensityParams, tol):
 
 
 def _pair_indices(nmax):
+    _check_order(nmax)  # then the first quadrature level's 31 points a pair, before the pairs
+    _check_entries(31 * (nmax + 1) * (nmax + 2) // 2, f"31 points of each order pair up to {nmax}")
     return [(n, m) for n in range(nmax + 1) for m in range(n, nmax + 1)]
 
 
@@ -277,7 +288,7 @@ def check_sn_series(t, q, tol):
 
 def check_aw_orthogonality(nmax, p: CondDensityParams, tol):
     """Askey-Wilson orthogonality against the two-sided conditional density."""
-    pairs = [(n, m) for n in range(nmax + 1) for m in range(n + 1, nmax + 1)]
+    pairs = [(n, m) for n, m in _pair_indices(nmax) if m > n]
 
     def integrand(x):
         A = aw_A_sym_seq(nmax, x, p)

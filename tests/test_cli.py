@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -139,6 +140,28 @@ class TestEvalCommand:
         for argv in bad:
             code, _ = run(*argv)
             assert code == 2, argv
+
+    def test_budgets_refuse_with_a_message(self, capsys):
+        # each is refused before its O(n**2) table is built, with exit code 2
+        cases = (
+            (("eval", "C", "--n", "10000", "--q", "0"), "above the table budget 1000000"),
+            (("eval", "D", "--n", "5000", "--q", "0.5", "--rho1", "0.3", "--rho2", "0.4",
+              "--x", "0.1"), "above the table budget"),
+            (("expand", "phi", "--n", "10000", "--q", "0.5", "--x", "0.1"),
+             "above the table budget"),
+            (("verify", "--check", "orthogonality_H", "--nmax", "10000"),
+             "above the table budget"),
+            (("eval", "H", "--n", "10001", "--q", "0.5", "--x", "0.1"),
+             "exceeds the term budget 10000"),
+            (("eval", "f_N", "--q", "0.5", "--x", "0.1", "--max-terms", "10001"),
+             r"max_terms must lie in \[1, 10000\]"),
+            # [606]_q! underflows to 0 at q = -0.999
+            (("eval", "C", "--n", "606", "--q", "-0.999"), r"\[606\]_q! left the float range"),
+        )
+        for argv, message in cases:
+            code, text = run(*argv)
+            assert (code, text) == (2, ""), argv
+            assert re.search(message, capsys.readouterr().err), argv
 
     def test_repeat_runs_are_byte_identical(self):
         argv = ("eval", "phi", "--q", "0.5", "--y", "0.4", "--rho1", "0.5",

@@ -507,11 +507,14 @@ class TestProductRows:
             cond_ratio_values([0.1], 0.2, 0.5, 1e-6, TruncationPolicy(max_terms=2))
 
     def test_ratio_runs_where_f_N_cannot(self):
-        # the ratio never needs (q; q)_inf, which is restricted to |q| <= 0.99
-        ratio = cond_ratio_values(np.linspace(-1, 1, 5), 0.2, 0.5, 0.995)
+        # the ratio's log series needs no (q; q)_inf, while f_N's product at
+        # q = -0.997 needs more than the 10000 factors of the term budget
+        ratio = cond_ratio_values(np.linspace(-1, 1, 5), 0.2, 0.5, -0.997)
         assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
-        with pytest.raises(DomainError):
-            f_N(0.1, 0.995)
+        with pytest.raises(TruncationError, match="more than 10000 factors"):
+            f_N(0.1, -0.997)
+        # above q = 0.99 no rule refuses f_N: its theta series runs one term
+        assert f_N(0.1, 0.995).terms == 1
 
     def test_terms_report_the_product_used(self):
         q, y, z = 0.5, 0.3, -0.4
@@ -622,12 +625,15 @@ class TestPointCallProperty:
             assert point(near).value > 0, (name, near)
 
 
-def _f_N_oracle(x, q):
-    """f_N at the float x by its product, summed in 60-digit arithmetic."""
+def _f_N_oracle(x, q, stop=62):
+    """f_N at the float x by its product, summed in 60-digit arithmetic.
+
+    The product stops where |q**k| < 10**-stop.
+    """
     with mpmath.workdps(60):
         x, q = mpmath.mpf(x), mpmath.mpf(q)
         t = (1 - q) * x * x
-        total, qk, tiny = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(10) ** -62
+        total, qk, tiny = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(10) ** -stop
         while abs(qk) > tiny:
             # the k-th theta factor times the k-th factor of (q; q)_inf
             total *= ((1 + qk) ** 2 - t * qk) * (1 - qk * q)
@@ -659,6 +665,25 @@ class TestThetaRoutes:
             widen = max(1, math.log(peak / got) / 100)
             assert rel <= (1e-13 if abs(frac) <= 0.9 else 2e-12) * widen, (q, frac, rel)
 
+    # Past |q| = 0.99 rounding grows like 1 / (1 - |q|): the bound is
+    # C 1e-16 / (1 - |q|) with C = 10, which is the 1e-13 above at q = 0.99,
+    # widened as above.  The theta series still runs one term; q = -0.995
+    # runs the product, 7903 factors.  The oracle stops at |q**k| < 1e-20,
+    # a tail below 1e-19 / (1 - |q|), to stay within a second per point.
+    @pytest.mark.parametrize(
+        "q, fracs", [(0.995, (0.0, 0.4, -0.8)), (0.999, (0.0, 0.4)), (-0.995, (0.0, -0.8))]
+    )
+    def test_past_099_against_a_60_digit_product(self, q, fracs):
+        half = 2 / math.sqrt(1 - q)
+        peak = f_N(0.0, q).value
+        for frac in fracs:
+            x = frac * half
+            got = f_N(x, q).value
+            want = _f_N_oracle(x, q, stop=20)
+            rel = float(abs(got - want) / want)
+            widen = max(1, math.log(peak / got) / 100)
+            assert rel <= 10e-16 / (1 - abs(q)) * widen, (q, frac, rel)
+
     @given(q=st.floats(0.01, 0.99), u=st.floats(-0.9, 0.9))
     @settings(max_examples=60, deadline=None)
     def test_series_and_product_agree(self, q, u):
@@ -686,13 +711,13 @@ class TestThetaRoutes:
             f_N(0.1, 0.5, TruncationPolicy(max_terms=1))
 
 
-def _rho_part_oracle(x, pairs, q, cross=None):
+def _rho_part_oracle(x, pairs, q, cross=None, stop=40):
     """The rho-part at the float x by its product, in 50-digit decimal arithmetic.
 
     Each (y, rho) of pairs contributes (1 - rho**2 q**k) / w_k(x, y) and
     cross = (y, z, rho1 rho2) contributes w_k(y, z) / (1 - (rho1 rho2)**2 q**k);
-    the product stops where |q**k| < 1e-40.  libmpdec runs it about ten times
-    faster than mpmath's pure-Python backend.
+    the product stops where |q**k| < 10**-stop.  libmpdec runs it about ten
+    times faster than mpmath's pure-Python backend.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 50
@@ -708,7 +733,8 @@ def _rho_part_oracle(x, pairs, q, cross=None):
         if cross is not None:
             factors.append((*map(D, cross), False))
         num = den = qk = D(1)
-        while abs(qk) > D("1e-40"):
+        tiny = D(10) ** -stop
+        while abs(qk) > tiny:
             for a, b, rho, over_w in factors:
                 r = rho * qk
                 if over_w:
@@ -752,6 +778,37 @@ class TestRhoPartRoutes:
                     rel = abs(decimal.Decimal(float(got)) / want - 1)
                     widen = max(1, abs(math.log(float(want))) / 100)
                     assert rel <= 1e-13 * widen, (q, rho1, frac, float(rel))
+
+    # The log series' weights reach 1 / (1 - q), so its rounding grows like
+    # that past q = 0.99: the bound is C 1e-16 / (1 - q) with C = 10, which
+    # is the 1e-13 above at q = 0.99, widened as above.  One point per
+    # correlation pair, all points within 0.2 half-widths of 0,
+    # and an oracle that stops at |q**k| < 1e-20 keep this near a second.
+    @pytest.mark.parametrize("q", [0.995, 0.999])
+    def test_past_099_against_a_50_digit_product(self, q):
+        half = 2 / math.sqrt(1 - q)
+        y, z = 0.15 * half, -0.2 * half
+        for rho1, rho2, frac in ((0.6, -0.3, 0.2), (-0.9, 0.5, -0.2)):
+            p = CondDensityParams(y, rho1, z, rho2, q)
+            x = frac * half
+            fn = f_N(x, q).value
+            fcn = _rho_part_oracle(x, [(y, rho1)], q, stop=20)
+            phi = _rho_part_oracle(x, [(y, rho1), (z, rho2)], q, (y, z, rho1 * rho2), stop=20)
+            checks = [
+                (cond_ratio_values([x], y, rho1, q)[0], fcn),
+                (f_CN(x, y, rho1, q).value / fn, fcn),
+                (phi_cond(x, p).value / fn, phi),
+            ]
+            for got, want in checks:
+                rel = abs(decimal.Decimal(float(got)) / want - 1)
+                widen = max(1, abs(math.log(float(want))) / 100)
+                assert rel <= 10e-16 / (1 - q) * widen, (q, rho1, float(rel))
+
+    def test_runs_close_to_q_one(self):
+        # no rule refuses q near 1: J + M = 372 at q = 0.999999, rho1 = 0.9
+        p = CondDensityParams(0.3, 0.9, -0.2, 0.6, 0.999999)
+        ev = phi_cond(0.1, p)
+        assert ev.terms == 372 and 0 < ev.value < 1
 
     @given(
         q=st.floats(0.01, 0.99) | st.floats(-0.99, -0.01),

@@ -1,5 +1,6 @@
 """Conditional moments: collapses, closed forms, kernel identities, expansion."""
 
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -12,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qaw.moments
+from qaw import awpoly, cli, densities, polyfam, qcore, verify
 from qaw import (
     CondDensityParams,
     DomainError,
     PoleError,
+    TruncationError,
     TruncationPolicy,
     alpha_coeff,
     alsalam_identity_residual,
@@ -413,6 +416,89 @@ class TestExpansionCoefficients:
             alpha_coeff(2, 0, 0, 1, 1, 0.5)
 
 
+# Every exported callable with an order parameter, called with that order
+# at 10**9: the term budget refuses each before any table is built.
+_HUGE_P = CondDensityParams(0.3, 0.5, -0.2, 0.4, 0.5)
+_HUGE_AW = awpoly.map_params(_HUGE_P)
+HUGE_ORDER_CALLS = {
+    "q_bracket": lambda n: qcore.q_bracket(n, 0.5),
+    "q_bracket_seq": lambda n: qcore.q_bracket_seq(n, 0.5),
+    "q_factorial": lambda n: qcore.q_factorial(n, 0.5),
+    "q_binomial": lambda n: qcore.q_binomial(n, 1, 0.5),
+    "q_binomial_row": lambda n: qcore.q_binomial_row(n, 0.5),
+    "q_pochhammer": lambda n: qcore.q_pochhammer(0.3, 0.5, n),
+    "q_pochhammer_seq": lambda n: qcore.q_pochhammer_seq(0.3, 0.5, n),
+    "s_n": lambda n: qcore.s_n(n, 0.5),
+    "hermite_h": lambda n: polyfam.hermite_h(n, 0.5, 0.5),
+    "hermite_h_seq": lambda n: polyfam.hermite_h_seq(n, 0.5, 0.5),
+    "hermite_H": lambda n: polyfam.hermite_H(n, 0.5, 0.5),
+    "hermite_H_seq": lambda n: polyfam.hermite_H_seq(n, 0.5, 0.5),
+    "asc_Q": lambda n: polyfam.asc_Q(n, 0.5, 0.3, 0.4, 0.5),
+    "asc_Q_seq": lambda n: polyfam.asc_Q_seq(n, 0.5, 0.3, 0.4, 0.5),
+    "asc_P": lambda n: polyfam.asc_P(n, 0.5, 0.3, 0.4, 0.5),
+    "asc_P_seq": lambda n: polyfam.asc_P_seq(n, 0.5, 0.3, 0.4, 0.5),
+    "b_big": lambda n: polyfam.b_big(n, 0.5, 0.5),
+    "b_big_seq": lambda n: polyfam.b_big_seq(n, 0.5, 0.5),
+    "b_small": lambda n: polyfam.b_small(n, 0.5, 0.5),
+    "b_small_seq": lambda n: polyfam.b_small_seq(n, 0.5, 0.5),
+    "chebyshev_U": lambda n: polyfam.chebyshev_U(n, 0.5),
+    "chebyshev_U_seq": lambda n: polyfam.chebyshev_U_seq(n, 0.5),
+    "linearize_HH": lambda n: polyfam.linearize_HH(n, 1, 0.5),
+    "bh_expand_B": lambda n: polyfam.bh_expand_B(n, 0.5),
+    "product_HB": lambda n: polyfam.product_HB(1, n, 0.5),
+    "I_nm": lambda n: polyfam.I_nm(n, 1, 0.5, 0.5),
+    "i_nm_closed": lambda n: polyfam.i_nm_closed(n, 1, 0.5, 0.5),
+    "connection_P_from_BH": lambda n: polyfam.connection_P_from_BH(n, 0.5, 0.3, 0.4, 0.5),
+    "connection_H_from_P": lambda n: polyfam.connection_H_from_P(n, 0.5, 0.3, 0.4, 0.5),
+    "aw_prefactor": lambda n: awpoly.aw_prefactor(n, 0.5, 0.4, 0.5),
+    "aw_D": lambda n: awpoly.aw_D(n, 0.3, _HUGE_AW, 0.5),
+    "aw_A_sym": lambda n: awpoly.aw_A_sym(n, 0.3, _HUGE_P),
+    "aw_A_sym_seq": lambda n: awpoly.aw_A_sym_seq(n, 0.3, _HUGE_P),
+    "aw_A_mixed": lambda n: awpoly.aw_A_mixed(n, 0.3, _HUGE_P),
+    "aw_D_free": lambda n: awpoly.aw_D_free(n, 0.3, _HUGE_AW.a, _HUGE_AW.b, _HUGE_AW.c, _HUGE_AW.d),
+    "aw_A_free": lambda n: awpoly.aw_A_free(n, 0.3, _HUGE_P),
+    "aw_phi43_oracle": lambda n: awpoly.aw_phi43_oracle(n, 0.3, _HUGE_AW, 0.5),
+    "c_n_main": lambda n: c_n_main(n, _HUGE_P),
+    "c_n_seq": lambda n: c_n_seq(n, _HUGE_P),
+    "c_n_via_P": lambda n: c_n_via_P(n, _HUGE_P),
+    "c_n_gaussian": lambda n: c_n_gaussian(n, 0.3, -0.2, 0.5, 0.4),
+    "gamma_mk_partial": lambda n: gamma_mk_partial(0, 0, 0.5, 0.3, 0.4, 0.5, n),
+    "gamma_ratio_closed": lambda n: gamma_ratio_closed(n, 0, 0.5, 0.3, 0.4, 0.5),
+    "alsalam_identity_residual": lambda n: alsalam_identity_residual(n, 0.5, 0.3, 0.4, 0.5),
+    "alpha_coeff": lambda n: alpha_coeff(n, 0, 0, 0.5, 0.4, 0.5),
+    "phi_expansion_partial": lambda n: phi_expansion_partial(0.1, _HUGE_P, n),
+    "check_orthogonality_H": lambda n: verify.check_orthogonality_H(n, 0.5, 1e-8),
+    "check_cond_expectation": lambda n: verify.check_cond_expectation(n, 0.3, 0.5, 0.5, 1e-8),
+    "check_orthogonality_P": lambda n: verify.check_orthogonality_P(n, 0.3, 0.5, 0.5, 1e-8),
+    "check_aw_orthogonality": lambda n: verify.check_aw_orthogonality(n, _HUGE_P, 1e-7),
+    "check_moments": lambda n: verify.check_moments(n, _HUGE_P, 1e-7),
+    "check_vnm": lambda n: verify.check_vnm(n, 1, 0.3, -0.2, 0.5, 0.4, 0.5, 1e-8),
+    "SuiteConfig": lambda n: verify.run_suite(verify.SuiteConfig(("orthogonality_H",), nmax=n)),
+}
+# w_factor's k picks one factor of a product, at a cost that does not grow with k
+CONSTANT_COST_ORDERS = {"w_factor": lambda k: densities.w_factor(0.1, 0.2, 0.5, 0.5, k)}
+
+
+def _order_callables():
+    """Every callable a module exports in its __all__ with a parameter n, N, nmax, m or k."""
+    found = set()
+    for module in (qcore, polyfam, awpoly, densities, qaw.moments, verify, cli):
+        for name in module.__all__:
+            try:
+                params = inspect.signature(getattr(module, name)).parameters
+            except (TypeError, ValueError):  # not callable, or an exception class
+                continue
+            if {"n", "N", "nmax", "m", "k"} & set(params):
+                found.add(name)
+    return found
+
+
+def test_every_order_parameter_meets_the_budget():
+    # a new entry point with an order parameter has to join the table, so
+    # that test_huge_order_raises_before_any_table holds it to the budget
+    assert _order_callables() == set(HUGE_ORDER_CALLS) | set(CONSTANT_COST_ORDERS)
+
+
 class TestDensityExpansion:
     def test_uncorrelated_collapses_to_marginal(self):
         p = CondDensityParams(0.4, 0.0, -0.6, 0.0, 0.5)
@@ -454,22 +540,99 @@ class TestDensityExpansion:
         assert on_grid[3] == phi_expansion_partial(0.3, p, 64) > 0
 
     def test_huge_order_raises_before_any_table(self):
-        p = CondDensityParams(0.3, 0.5, -0.2, 0.4, 0.5)
-        calls = (
-            lambda: c_n_seq(10**9, p),
-            lambda: c_n_main(10**9, p),
-            lambda: c_n_via_P(10**9, p),
-            lambda: phi_expansion_partial(0.1, p, 10**9),
-        )
         tracemalloc.start()
         try:
-            for call in calls:
-                with pytest.raises(DomainError, match="exceeds the cap"):
+            for call in HUGE_ORDER_CALLS.values():
+                with pytest.raises(TruncationError, match="exceeds? the term budget 10000"):
+                    call(10**9)
+            for call in CONSTANT_COST_ORDERS.values():
+                assert math.isfinite(call(10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_long_expansion_matches_the_density(self):
+        # the a priori length at q = 0.5 and t = 0.9 is 366 terms
+        p = CondDensityParams(0.3, 0.9, -0.2, 0.6, 0.5)
+        N = expansion_terms_needed(p, 1e-10)
+        assert N == 366
+        xs = np.array([-1.9, 0.1, 1.2])
+        on_grid = phi_expansion_partial(xs, p, N)
+        for x, from_grid in zip(xs.tolist(), on_grid.tolist()):
+            phi = phi_cond(x, p).value
+            assert from_grid == phi_expansion_partial(x, p, N)
+            assert abs(from_grid - phi) <= 1e-10 * max(1, phi), x
+
+    def test_leaving_the_float_range_raises(self):
+        # at q = 0.9 the budget asks for N = 729; [n]_q! overflows from n = 315
+        p = CondDensityParams(0.3, 0.9, -0.2, 0.6, 0.9)
+        N = expansion_terms_needed(p, 1e-10)
+        assert N == 729
+        with pytest.raises(TruncationError, match=r"\[728\]_q! left the float range"):
+            phi_expansion_partial(0.1, p, N)
+        q09 = CondDensityParams(0.0, 0.9, 0.0, 0.9, 0.9)
+        assert math.isfinite(c_n_main(314, q09))
+        with pytest.raises(TruncationError, match=r"\[315\]_q! left the float range"):
+            c_n_seq(315, q09)
+        q99 = CondDensityParams(0.0, 0.9, 0.0, 0.9, 0.99)
+        assert math.isfinite(c_n_main(185, q99))
+        with pytest.raises(TruncationError, match=r"\[186\]_q! left the float range"):
+            c_n_seq(186, q99)
+        with pytest.raises(TruncationError, match=r"\[300\]_q! left the float range"):
+            c_n_main(300, q99)
+        with pytest.raises(TruncationError, match="at degree 344"):
+            gamma_mk_partial(0, 0, 0.5, 0.3, 0.9, 0.99, 1004)
+        # N is held to the policy's budget, as expansion_terms_needed is
+        with pytest.raises(TruncationError, match="65 expansion terms exceed the term budget 64"):
+            phi_expansion_partial(0.1, p, 65, TruncationPolicy(max_terms=64))
+
+    def test_below_the_normal_floats_raises(self):
+        # for q < 0, [n]_q! decays; a subnormal or zero one is refused before
+        # the tables are built, where dividing by it raised ZeroDivisionError
+        q = CondDensityParams(0.0, 0.9, 0.0, 0.9, -0.9)
+        assert math.isfinite(c_n_main(1100, q))
+        for call in (lambda: c_n_main(1101, q), lambda: phi_expansion_partial(0.1, q, 1102)):
+            with pytest.raises(TruncationError, match=r"\[1101\]_q! left the float range"):
+                call()
+        with pytest.raises(TruncationError, match=r"\[606\]_q! left the float range \(got 0.0\)"):
+            c_n_main(606, CondDensityParams(0.0, 0.9, 0.0, 0.9, -0.999))
+
+    def test_quadratic_tables_are_refused_before_they_are_built(self):
+        # orders within the term budget whose tables grow like n**2 are held to
+        # the table budget of 10**6 entries: n <= 1412, and 31 quadrature
+        # points of each order pair up to 252
+        p = CondDensityParams(0.3, 0.5, -0.2, 0.4, 0.0)
+        calls = {
+            "the c_n tables of order 10000": lambda: c_n_main(10_000, p),
+            "the c_n tables of order 5000": lambda: c_n_seq(5000, p),
+            "the c_n tables of order 1413": lambda: phi_expansion_partial(0.1, p, 1414),
+            "the Gaussian-binomial rows of order 5000": lambda: awpoly.aw_D(5000, 0.3, _HUGE_AW, 0.5),
+            "the Gaussian-binomial rows of order 1413": lambda: awpoly.aw_A_sym(1413, 0.3, p),
+            "31 points of each order pair up to 253": lambda: verify.check_orthogonality_H(253, 0.5, 1e-8),
+            "31 points of each order pair up to 300": lambda: verify.run_suite(
+                verify.SuiteConfig(("orthogonality_P",), nmax=300)
+            ),
+        }
+        tracemalloc.start()
+        try:
+            for what, call in calls.items():
+                with pytest.raises(TruncationError, match=f"{what} need .* above the table budget 1000000"):
                     call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert verify._pair_indices(252)[-1] == (252, 252)
+
+    def test_each_quadrature_level_is_held_to_the_table_budget(self):
+        # nmax = 150 passes the pair guard, and its 11476 pairs fit at the first
+        # levels; the level of 128 new points would stack 1468928 values
+        with pytest.raises(TruncationError, match="orthogonality_H values of 128 points need 1468928"):
+            verify.check_orthogonality_H(150, 0.5, 1e-8)
+        # H_n is bounded at q = 0, so only the 10001 values a point stop this one
+        with pytest.raises(TruncationError, match="cond_expectation values of 128 points"):
+            verify.check_cond_expectation(10_000, 0.3, 0.5, 0.0, 1e-8)
 
     def test_rejects_gaussian_and_empty(self):
         with pytest.raises(DomainError):

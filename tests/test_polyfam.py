@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaw import (
+    DEFAULT_POLICY,
     DomainError,
     PoleError,
+    TruncationError,
     asc_P,
     asc_P_seq,
     asc_Q,
@@ -35,7 +37,6 @@ from qaw import (
     s_n,
 )
 from qaw.polyfam import (
-    DEGREE_CAP,
     I_nm,
     bh_expand_B,
     connection_H_from_P,
@@ -99,8 +100,23 @@ class TestHermiteH:
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_degree_cap(self):
-        with pytest.raises(DomainError):
-            hermite_H(DEGREE_CAP + 1, 0.5, 0.5)
+        # the term budget, not a fixed degree, caps the order
+        assert math.isfinite(hermite_H(65, 0.5, 0.5))
+        with pytest.raises(TruncationError, match="order 10001 exceeds the term budget 10000"):
+            hermite_H(DEFAULT_POLICY.max_terms + 1, 0.5, 0.5)
+
+    def test_nan_raises_where_inf_stays_a_value(self):
+        # x**3 overflows to inf at x = 1e200; one step later inf - inf is nan
+        assert hermite_H(3, 1e200, 0.5) == math.inf
+        with pytest.raises(TruncationError, match="degree-4 recurrence left the float range at degree 2"):
+            hermite_H(4, 1e200, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TruncationError, match="at degree 2"):
+            hermite_H_seq(4, np.array([0.5, 1e200]), 0.5)
+        # (1-q)**(-n/2) = 10**n outgrows the floats at q = 0.99
+        with pytest.raises(TruncationError, match="degree-1000 recurrence left the float range at degree 344"):
+            hermite_H(1000, 0.5, 0.99)
+        with pytest.raises(TruncationError, match="at degree 349"):
+            asc_P(1000, 0.5, 0.3, 0.5, 0.99)
 
     def test_array_input_matches_scalar(self):
         xs = np.array([-1.0, 0.0, 0.25, 2.0])
@@ -127,20 +143,35 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("n", [-1, 2.5, DEGREE_CAP + 1])
+@pytest.mark.parametrize("n", [-1, 2.5, 65])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_family_guards_its_degree(name, n):
     # the guard runs before any coefficient list is built: [2] * 2.5 would
-    # raise TypeError and a huge n would allocate first
-    with pytest.raises(DomainError):
-        FAMILIES[name](n)
+    # raise TypeError
+    if n != 65:
+        with pytest.raises(DomainError):
+            FAMILIES[name](n)
+        return
+    # 65 lies within the term budget and runs; one past the budget is
+    # refused before any list is built
+    FAMILIES[name](n)
+    with pytest.raises(TruncationError, match="order 10001 exceeds the term budget 10000"):
+        FAMILIES[name](DEFAULT_POLICY.max_terms + 1)
 
 
 def test_every_family_reaches_the_cap():
+    # at the budget itself every family runs: hermite_H and asc_P grow like
+    # (1-q)**(-n/2) at x = 0.5 and leave the float range at degree 2052,
+    # the others stay finite
+    n = DEFAULT_POLICY.max_terms
     for name, call in FAMILIES.items():
-        value = call(DEGREE_CAP)
+        if name.startswith(("hermite_H", "asc_P")):
+            with pytest.raises(TruncationError, match="at degree 2052"):
+                call(n)
+            continue
+        value = call(n)
         if name.endswith("_seq"):
-            assert len(value) == DEGREE_CAP + 1
+            assert len(value) == n + 1 and all(math.isfinite(v) for v in value)
         else:
             assert math.isfinite(value)
 

@@ -1,5 +1,6 @@
 """q-arithmetic primitives: pinned values, exact identities, domain guards."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ from qaw import (
     DEFAULT_POLICY,
     DomainError,
     QParam,
+    TruncationError,
     TruncationPolicy,
     hermite_h,
-    multi_pochhammer,
     q_binomial,
     q_binomial_row,
     q_bracket,
@@ -249,8 +250,18 @@ class TestQPochhammerInf:
             assert abs(u - v) <= 1e-9 * abs(v)
 
     def test_rejects_q_near_one(self):
-        with pytest.raises(DomainError):
-            q_pochhammer_inf(0.5, 0.995)
+        # the factor count alone refuses: at q = 0.995 the product runs its
+        # 7400 or so factors, whose rounding sets the bound, against a
+        # 40-digit product; at q = 0.997 it would need more than 10000
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            want, factor, q = decimal.Decimal(1), decimal.Decimal(0.5), decimal.Decimal(0.995)
+            while factor > decimal.Decimal("1e-30"):
+                want, factor = want * (1 - factor), factor * q
+            rel = abs(decimal.Decimal(q_pochhammer_inf(0.5, 0.995)) / want - 1)
+        assert rel <= 1e-13
+        with pytest.raises(TruncationError, match="needed more than 10000 factors"):
+            q_pochhammer_inf(0.5, 0.997)
 
     @pytest.mark.parametrize(
         "a, q",
@@ -267,29 +278,6 @@ class TestQPochhammerInf:
         # (ia; q)_inf (-ia; q)_inf = (-a^2; q^2)_inf
         pair = q_pochhammer_inf(0.5j, 0.5) * q_pochhammer_inf(-0.5j, 0.5)
         assert pair == pytest.approx(q_pochhammer_inf(-0.25, 0.25), rel=1e-12)
-
-
-class TestMultiPochhammer:
-    def test_empty(self):
-        assert multi_pochhammer([0.2, 0.3], 0.5, 0) == 1
-
-    def test_square(self):
-        assert multi_pochhammer([0.5, 0.5], 0.5, 3) == pytest.approx(0.107666015625)
-
-    def test_infinite_order_rejects_non_finite_q(self):
-        with pytest.raises(DomainError):
-            multi_pochhammer([0.2, 0.3], math.nan, math.inf)
-
-    def test_infinite_zero_base(self):
-        assert multi_pochhammer([0], 0.4, math.inf) == 1
-
-    def test_matches_product_of_singles(self):
-        aa = (0.3, -0.2, 0.5)
-        got = multi_pochhammer(aa, 0.4, 5)
-        want = 1.0
-        for a in aa:
-            want *= q_pochhammer(a, 0.4, 5)
-        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestSn:
@@ -343,3 +331,11 @@ class TestParamGuards:
     def test_policy_validates(self):
         with pytest.raises(DomainError):
             TruncationPolicy(rel_tol=0, max_terms=10)
+
+    def test_policy_stays_within_the_term_budget(self):
+        # one budget: a policy cannot allow a length that the orders refuse
+        assert TruncationPolicy(max_terms=1).max_terms == 1
+        assert TruncationPolicy(max_terms=10_000) == DEFAULT_POLICY
+        for bad in (0, 10_001):
+            with pytest.raises(DomainError, match=r"max_terms must lie in \[1, 10000\]"):
+                TruncationPolicy(max_terms=bad)
