@@ -17,10 +17,11 @@ test suite:
 
 ``aw_phi43_oracle`` evaluates the classical terminating basic hypergeometric
 series for the same polynomial in stdlib decimal; it exists purely as a
-test oracle.  Its first pass runs at 30 + C(n,2) log10(1/|q|) digits, with
-no cap; a pass that keeps fewer than 20 digits after the cancellation it
-measures reruns at the measured loss plus 30, until the rounding noise lies
-below every float.  At q = 0 it runs the same series at base 1e-20.
+test oracle.  Its first pass runs at 30 + C(n,2) log10(1/|q|) digits; a
+pass that keeps fewer than 20 digits after the cancellation it measures
+reruns at the measured loss plus 30, until the rounding noise lies below
+every float, each pass held to the table budget.  At q = 0 it runs the
+same series at base 1e-20.
 ``aw_D_free`` and ``aw_A_free`` are the q = 0 closed forms.
 """
 
@@ -379,15 +380,16 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     division, and pref's products are taken in the same loop.
 
     The series suffers cancellation of order q**(-C(n,2)), and of |a|**-n
-    at small |a|.  The first pass runs at 30 + C(n,2) log10(1/|q|) digits,
-    with no cap, and measures the digits lost: log10 of the largest term
-    over the sum.  A pass that keeps fewer than 20 digits reruns at the
-    measured loss plus 30, and so on, until 20 are kept or the rounding
-    noise, |pref| times the largest term times 10**-digits, falls below
-    1e-340, under every float.  A pass that keeps no digit measures only a
-    lower bound on the loss, so its rerun may not suffice; a sum that
-    cancels exactly, as at a root of D_n by symmetry, ends at the noise
-    floor and returns 0.0.
+    at small |a|.  The first pass runs at 30 + C(n,2) log10(1/|q|) digits
+    and measures the digits lost: log10 of the largest term over the sum.
+    A pass that keeps fewer than 20 digits reruns at the measured loss plus
+    30, and so on, until 20 are kept or the rounding noise, |pref| times
+    the largest term times 10**-digits, falls below 1e-340, under every
+    float.  A pass that keeps no digit measures only a lower bound on the
+    loss, so its rerun may not suffice; a sum that cancels exactly, as at a
+    root of D_n by symmetry, ends at the noise floor and returns 0.0.
+    Before each pass, the passes' total of n times digits is held to the
+    table budget of 10**6 (q = 0.9, n = 400 asks 1.5e6 at once).
 
     The series form degenerates at q = 0, but D_n is analytic in q there: a
     base with |q| < 1e-20, q = 0 included, is evaluated at base +-1e-20
@@ -463,9 +465,11 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
             value = _cmul(pref, total)
             return (float(value[0]), float(value[1])), spare, noise
 
-    prec = 30 + int(math.ceil(math.comb(n, 2) * -math.log10(abs(q))))
-    value, spare, noise = series(prec)
-    while spare < 20 and noise >= -340:
-        prec += min(30 - spare, noise + 341)
+    prec, load = 30 + int(math.ceil(math.comb(n, 2) * -math.log10(abs(q)))), 0
+    while True:
+        load += n * prec
+        _check_entries(load, f"the 4phi3 passes of order {n} (terms times digits)")
         value, spare, noise = series(prec)
-    return real_part(complex(*value))
+        if spare >= 20 or noise < -340:
+            return real_part(complex(*value))
+        prec += min(30 - spare, noise + 341)

@@ -115,9 +115,6 @@ def _build_parser():
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     ev.add_argument("--tol", type=_finite, default=None,
                     help="relative truncation tolerance for density products")
-    ev.add_argument("--max-terms", type=int, default=None,
-                    help="term budget, 1 to 10000: the most series terms or product "
-                         "factors a density may use")
     return parser
 
 
@@ -144,12 +141,6 @@ def _points(args):
     if args.x is not None:
         return [args.x]
     raise DomainError("an evaluation point is required: pass --x or --grid")
-
-
-def _policy(args):
-    rel_tol = DEFAULT_POLICY.rel_tol if args.tol is None else args.tol
-    max_terms = DEFAULT_POLICY.max_terms if args.max_terms is None else args.max_terms
-    return TruncationPolicy(rel_tol=rel_tol, max_terms=max_terms)
 
 
 def _emit(rows, fmt, out):
@@ -188,7 +179,7 @@ def _cmd_eval(args, out):
         return 0
 
     points = _points(args)
-    policy = _policy(args)
+    policy = DEFAULT_POLICY if args.tol is None else TruncationPolicy(rel_tol=args.tol)
     if sel in ("h", "H", "B", "b", "U"):
         fn = {"h": hermite_h, "H": hermite_H, "B": b_big, "b": b_small}.get(sel)
         head, at = {}, lambda x: chebyshev_U(n, x) if sel == "U" else fn(n, x, q)

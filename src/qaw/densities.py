@@ -28,8 +28,8 @@ below about 2e-4, where the series is the longer, f_N is its product.
 Products are cut after K factors where K is chosen so the dropped tail
 perturbs the value by less than the policy's relative tolerance: each
 factor is 1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= rel_tol with
-a conservative per-density constant C; past max_terms factors (from
-|q| of about 0.997) a product raises TruncationError.
+a conservative per-density constant C; past the term budget of 10 000
+factors (from |q| of about 0.997) a product raises TruncationError.
 
 A rho-part multiplies the factors (1 - rho**2 q**k) / w_k(x, y), one per
 neighbor y (phi_cond's also carry w_k(y, z) / (1 - rho1**2 rho2**2 q**k)).
@@ -91,11 +91,11 @@ from .qcore import (
     DEFAULT_POLICY,
     DomainError,
     QParam,
-    TruncationError,
     TruncationPolicy,
     _check_below_one,
     _check_finite,
     _check_rho,
+    _check_terms,
     q_pochhammer_inf,
 )
 from .awpoly import CondDensityParams
@@ -188,12 +188,6 @@ def _factors_needed(q, policy, scale):
     return max(1, math.ceil(math.log(target) / math.log(aq)))
 
 
-def _check_cap(needed, policy, what, *args):
-    """TruncationError naming what.format(*args) if needed terms exceed the policy's term cap."""
-    if needed > policy.max_terms:
-        raise TruncationError(f"{what.format(*args)}, above the cap {policy.max_terms}")
-
-
 # C per product: f_N, fcn_ratio_bounds' lower bound, f_CN / f_N, phi_cond / f_N
 _FN_SCALE, _BOUND_SCALE, _FCN_SCALE, _PHI_SCALE = 8.0, 16.0, 32.0, 96.0
 
@@ -202,7 +196,7 @@ _FN_SCALE, _BOUND_SCALE, _FCN_SCALE, _PHI_SCALE = 8.0, 16.0, 32.0, 96.0
 def _powers(q, policy, scale):
     """(K, the read-only row q**k for k < K) of the product with constant scale."""
     K = _factors_needed(q, policy, scale)
-    _check_cap(K, policy, "density product needs {} factors", K)
+    _check_terms(K, "the density product")
     qk = np.power(float(q), np.arange(K))
     qk.flags.writeable = False
     return K, qk
@@ -241,13 +235,12 @@ def _theta(q, policy):
 
     The series for q > 0 wherever it needs fewer terms than the product
     needs factors (M = 1 to 4 from q = 0.99 down to about 2e-4); the
-    product for q <= 0 and near 0.  Only the chosen count meets the cap.
+    product for q <= 0 and near 0.  Only the product meets the term
+    budget: the series is chosen only below the product's count.
     """
     if q > 0:
         series = _theta_series(q, policy)
-        M = series[1]
-        if M < _factors_needed(q, policy, _FN_SCALE):
-            _check_cap(M, policy, "the theta series needs {} terms", M)
+        if series[1] < _factors_needed(q, policy, _FN_SCALE):
             return series
     return _theta_product(q, policy)
 
@@ -378,8 +371,8 @@ def _split(q, policy, K, scale, r, product=False):
     so J + M is least at J* = (sqrt(A lam) - B) / lam, clipped at 0, and
     it is about 2 sqrt(A / lam), well below K ~ A / lam.  The whole
     product, J = K and M = 0, where J + M is not below K (only for |q|
-    below about 1e-5; at q = 0, K = 1) or when product asks for it.  Only
-    the chosen count meets the cap.
+    below about 1e-5; at q = 0, K = 1) or when product asks for it.  M is
+    counted only while J + M is below K and within the term budget.
     """
     J, M = K, 0
     if K > 1 and not product:
@@ -390,14 +383,12 @@ def _split(q, policy, K, scale, r, product=False):
         rJ = r * aq**j
         target = policy.rel_tol * (1 - rJ) / scale
         m, tail, qm = 1, rJ * rJ, aq * aq
-        while tail > target * (m + 1) * (1 - qm):
+        while j + m < K and tail > target * (m + 1) * (1 - qm):
             m, tail, qm = m + 1, tail * rJ, qm * aq
+            _check_terms(j + m, "the rho-part")
         if j + m < K:
             J, M = j, m
-    if M:
-        _check_cap(J + M, policy, "the rho-part needs {} factors and {} series terms", J, M)
-    else:
-        _check_cap(K, policy, "density product needs {} factors", K)
+    _check_terms(J + M, "the rho-part")
     return J, M
 
 

@@ -44,7 +44,6 @@ run over a generic scalar field, so Fraction inputs give exact rationals.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +55,7 @@ from .qcore import (
     TruncationPolicy,
     _check_below_one,
     _check_entries,
+    _check_factorial,
     _check_finite,
     _check_order,
     _check_pole,
@@ -148,9 +148,7 @@ def _c_n_orders(N, y, rho1, z, rho2, q):
     """
     _check_entries((N + 1) * (N + 2) // 2, f"the c_n tables of order {N}")
     fact = _factorial_seq(N, q)
-    # no bracket [i]_q vanishes for -1 < q < 1, so a subnormal is an underflow
-    if isinstance(fact[N], float) and not sys.float_info.min <= abs(fact[N]) < math.inf:
-        raise TruncationError(f"[{N}]_q! left the float range (got {fact[N]!r})")
+    _check_factorial(fact[N], N, q)
     Hy = hermite_H_seq(N, y, q)
     Hz = hermite_H_seq(N, z, q)
     r1, r2 = rho1 * rho1, rho2 * rho2
@@ -346,16 +344,14 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
     numpy array of points (array result, through f_N_values).  Where f_N is
     0, off the open support, the result is 0.0 and H_i(x), which can
     overflow there, is not evaluated.  Converges to phi_cond(x, p) as N
-    grows; the rate is geometric in max(|rho1|, |rho2|).  N above
-    policy.max_terms, N - 1 above c_n_seq's table budget (1412), or a
+    grows; the rate is geometric in max(|rho1|, |rho2|).  N - 1 above
+    c_n_seq's term budget (10 000) or its table budget (1412), or a
     [i]_q!, c_i or H_i(x) beyond the floats raises TruncationError.
     """
     q = p.q
     _check_below_one(q, _GENERAL_Q)
     if N < 1:
         raise DomainError("the partial sum needs at least one term")
-    if N > policy.max_terms:
-        raise TruncationError(f"{N} expansion terms exceed the term budget {policy.max_terms}")
     c = c_n_seq(N - 1, p)  # its guards run first, and check [N - 1]_q! for the fact below
     fact = _factorial_seq(N - 1, q)
     scalar = np.ndim(x) == 0
@@ -377,20 +373,19 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
     return out
 
 
-def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8, policy: TruncationPolicy = DEFAULT_POLICY):
+def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8):
     """A priori series length for phi_expansion_partial.
 
     Uses the bounds |H_i| <= s_i(q) (1-q)**(-i/2) on the support and
     |c_i| <= s_i(q) (1-q)**(-i/2) t**i, t = max(|rho1|, |rho2|): term i is
     at most s_i(q)**2 t**i / (q; q)_i, term i of the second sn_series sum.
-    Returns the first i where that is below rel_tol, which lies in (0, 1).
+    Returns the first i where that is below rel_tol, which lies in (0, 1);
+    a bound that needs more terms than the series' term budget raises
+    TruncationError.
     """
     TruncationPolicy(rel_tol)  # validates it by the policy's own rule
     _check_below_one(p.q, _GENERAL_Q)
     t = float(max(abs(p.rho1), abs(p.rho2)))
-    for i, (s, weight) in zip(range(policy.max_terms), _sn_series(t, float(p.q))):
+    for i, (s, weight) in enumerate(_sn_series(t, float(p.q))):
         if s * s * weight < rel_tol:  # never at i = 0, where the bound is 1
             return i
-    raise TruncationError(
-        f"expansion bound did not drop below {rel_tol!r} within {policy.max_terms} terms"
-    )

@@ -30,13 +30,13 @@ from .qcore import (
     DomainError,
     TruncationError,
     _bracket_seq,
+    _check_factorial,
     _check_finite,
     _check_order,
     _check_pole,
     _factorial_seq,
     _finite,
     q_binomial_row,
-    q_factorial,
 )
 
 __all__ = [
@@ -244,12 +244,14 @@ def linearize_HH(n, m, q):
 
     Returns [c_0, ..., c_min(n,m)] with
     H_n H_m = sum_j c_j H_{n+m-2j} and c_j = [m,j]_q [n,j]_q [j]_q!.
+    A float [min(n,m)]_q! out of the normal floats: TruncationError.
     """
     _check_order(n)
     _check_order(m)
     row_m = q_binomial_row(m, q)
     row_n = q_binomial_row(n, q)
     fact = _factorial_seq(min(n, m), q)
+    _check_factorial(fact[-1], min(n, m), q)
     return [row_m[j] * row_n[j] * fact[j] for j in range(min(n, m) + 1)]
 
 
@@ -273,7 +275,7 @@ def product_HB(m, n, q):
     [n+m-i,i]_q [i]_q! = [n+m-i]_q! / [n+m-2i]_q!.  The q exponent is
     nonnegative, so q = 0 is safe.  Where a divisor [k]_q! vanishes (q = -1,
     [2]_q = 0) the product still exists, but this quotient cannot reach it:
-    PoleError.
+    PoleError.  A float [n+m]_q! out of the normal floats: TruncationError.
     """
     _check_order(n)
     _check_order(m)
@@ -281,7 +283,8 @@ def product_HB(m, n, q):
     top = min(n, (n + m) // 2)
     row = q_binomial_row(n, q)
     fact = _factorial_seq(n + m, q)
-    # the i = 0 divisor [n+m]_q! is the last of the prefix, so it vanishes if any does
+    # the i = 0 divisor [n+m]_q! is the last of the prefix: the extreme, and 0 if any is
+    _check_factorial(fact[n + m], n + m, q)
     _check_pole(fact[n + m], "[n+m]_q!")
     out = [
         sign * row[i] * fact[n + m - i] / fact[n + m - 2 * i] * q ** (math.comb(n, 2) - i * (n - i))
@@ -312,13 +315,16 @@ def i_nm_closed(n, m, x, q):
 
     Zero when n > m; otherwise (-1)**n q**C(n,2) [m]_q!/[m-n]_q! H_{m-n}(x).
     PoleError where [m-n]_q! vanishes (q = -1, m - n >= 2), although the
-    falling product [m]_q ... [m-n+1]_q exists there.
+    falling product [m]_q ... [m-n+1]_q exists there.  A float [m]_q! out
+    of the normal floats: TruncationError.
     """
     _check_order(n)
     _check_order(m)
     if n > m:
         return 0
-    ratio = q_factorial(m, q) / _check_pole(q_factorial(m - n, q), "[m-n]_q!")
+    fact = _factorial_seq(m, q)
+    _check_factorial(fact[m], m, q)
+    ratio = fact[m] / _check_pole(fact[m - n], "[m-n]_q!")
     return (-1) ** n * q ** math.comb(n, 2) * ratio * hermite_H(m - n, x, q)
 
 

@@ -16,16 +16,16 @@ the Rogers-Szego recurrence) cost O(n); ``_sn_series`` yields the one s_n
 series that both the suite's sn_series check and the expansion budget sum.
 
 Each parameter rule of the package has its one private helper here:
-``_check_order`` (a nonnegative integer within the term budget of 10 000)
-and ``_check_entries`` (a table that grows faster than its order holds at
-most 10**6 entries), both checked before anything is allocated,
-``_check_finite`` (scalars and numpy arrays; a plain float takes a
-``math.isfinite`` fast path), ``_check_real`` (finite and not complex),
-``_check_rho`` (|rho| < 1) and ``_check_below_one`` (q < 1, where q = 1
-needs its own closed form).  The one pole rule is ``_check_pole``: a
-denominator raises PoleError only when it is exactly 0.  Size is refused
-by these budgets alone: an order or table past them, or a product or
-series past its policy's ``max_terms``, raises TruncationError.
+``_check_order`` and ``_check_terms`` (an order, or the terms of a product
+or series, within the term budget of 10 000) and ``_check_entries`` (a
+table that grows faster than its order holds at most 10**6 entries), all
+checked before anything is allocated, ``_check_finite`` (scalars and numpy
+arrays; a plain float takes a ``math.isfinite`` fast path),
+``_check_real`` (finite and not complex), ``_check_rho`` (|rho| < 1) and
+``_check_below_one`` (q < 1, where q = 1 needs its own closed form).  The
+one pole rule is ``_check_pole``: a denominator raises PoleError only when
+it is exactly 0; ``_check_factorial`` refuses a float [n]_q! out of the
+normal floats.  Past either budget, or out of range, TruncationError.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Rational
 
@@ -88,7 +89,7 @@ class QParam:
             raise DomainError(f"base must satisfy -1 < q <= 1, got {self.q!r}")
 
 
-_TERM_BUDGET = 10_000  # the highest order, and the most terms a policy may allow
+_TERM_BUDGET = 10_000  # the highest order, and the most terms a product or series may take
 _TABLE_BUDGET = 100 * _TERM_BUDGET  # entries, about 32 MB of Python floats
 
 
@@ -96,20 +97,16 @@ _TABLE_BUDGET = 100 * _TERM_BUDGET  # entries, about 32 MB of Python floats
 class TruncationPolicy:
     """Controls truncation of infinite products and series.
 
-    rel_tol bounds the relative size of the neglected tail; max_terms, at
-    most the term budget 10 000 that also bounds every order, caps the
-    terms: a product or series that needs more raises
+    rel_tol bounds the relative size of the neglected tail.  A product or
+    series that needs more terms than the term budget of 10 000 raises
     :class:`TruncationError` instead of silently returning a bad value.
     """
 
     rel_tol: float = 1e-14
-    max_terms: int = _TERM_BUDGET
 
     def __post_init__(self):
         if not 0 < self.rel_tol < 1:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if not 1 <= self.max_terms <= _TERM_BUDGET:
-            raise DomainError(f"max_terms must lie in [1, {_TERM_BUDGET}], got {self.max_terms!r}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -123,12 +120,28 @@ def _check_order(n):
         raise TruncationError(f"order {n} exceeds the term budget {_TERM_BUDGET}")
 
 
+def _check_terms(count, what):
+    """TruncationError when what needs count terms, past the term budget; count may stop there."""
+    if count > _TERM_BUDGET:
+        raise TruncationError(f"{what} needs more than {_TERM_BUDGET} terms, the term budget")
+
+
 def _check_entries(entries, what):
     """TruncationError when what, a table about to be built, would exceed the table budget."""
     if entries > _TABLE_BUDGET:
         raise TruncationError(
             f"{what} need {entries} entries, above the table budget {_TABLE_BUDGET}"
         )
+
+
+def _check_factorial(value, n, q):
+    """TruncationError when the float value = [n]_q! lies outside the normal floats.
+
+    For -1 < q < 1 it is the extreme of [0]_q! .. [n]_q!, and no bracket
+    vanishes, so a 0.0 is an underflow; at q = -1 it is a pole, left to _check_pole.
+    """
+    if isinstance(value, float) and q != -1 and not sys.float_info.min <= abs(value) < math.inf:
+        raise TruncationError(f"[{n}]_q! left the float range (got {value!r})")
 
 
 def _finite(v):
@@ -287,8 +300,8 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
 
     Floating point only.  q = 1 is rejected (the product has no meaning
     there), and so is a nan or infinite a or q.  Near |q| = 1 the count
-    grows like 1 / (1 - |q|): a product that needs more than max_terms
-    factors (from |q| of about 0.997 at the default policy) raises
+    grows like 1 / (1 - |q|): a product that needs more factors than the
+    term budget (from |q| of about 0.997 at the default tolerance) raises
     TruncationError.
     """
     _check_finite(a, q)
@@ -297,14 +310,11 @@ def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     total = 1 + 0 * a
     factor = a
     count = 0
-    while abs(factor) >= threshold:
-        if count >= policy.max_terms:
-            raise TruncationError(
-                f"(a; q)_inf needed more than {policy.max_terms} factors at a={a!r}, q={q!r}"
-            )
+    while abs(factor) >= threshold and count <= _TERM_BUDGET:
         total = total * (1 - factor)
         factor = factor * q
         count += 1
+    _check_terms(count, "(a; q)_inf")
     return total
 
 
@@ -329,8 +339,10 @@ def _rogers_szego(q):
 
 
 def _sn_series(t, q):
-    """(s_i(q), t**i / (q; q)_i) for i = 0, 1, ...: the terms of both s_n generating functions."""
+    """(s_i(q), t**i / (q; q)_i) for i = 0, 1, ...: the terms of both s_n generating functions,
+    at most the term budget of them; asking for one more raises TruncationError."""
     weight = 1 + 0 * t
-    for s, power in _rogers_szego(q):
+    for s, power in itertools.islice(_rogers_szego(q), _TERM_BUDGET):
         yield s, weight
         weight = weight * t / (1 - power * q)
+    _check_terms(_TERM_BUDGET + 1, "the s_n series")

@@ -273,7 +273,7 @@ def check_sn_series(t, q, tol):
     if not -1 < q < 1:
         raise DomainError(f"the series identities need |q| < 1, got {q!r}")
     S1 = S2 = 0.0
-    for i, (s, weight) in zip(range(500), _sn_series(float(t), float(q))):
+    for i, (s, weight) in enumerate(_sn_series(float(t), float(q))):
         term1, term2 = s * weight, s * s * weight
         S1 += term1
         S2 += term2

@@ -14,6 +14,7 @@ from qaw import (
     CondDensityParams,
     DomainError,
     PoleError,
+    TruncationError,
     asc_P,
     aw_A_free,
     aw_A_mixed,
@@ -306,6 +307,15 @@ class TestSeriesOracle:
         # neither does the rerun at its measured loss plus 30.
         prm = map_params(CondDensityParams(0.4, rho1, -0.6, 0.7, q))
         assert aw_phi43_oracle(n, 0.35, prm, q) == _phi43_reference(n, 0.35, prm, q)
+
+    def test_passes_are_held_to_the_table_budget(self):
+        # a pass costs about n terms times its digits, and the running total
+        # is checked before each pass: q = 0.9, n = 400 asks 3682 digits at
+        # once, and q = 0.99, n = 400 is refused before its sixth pass
+        for q, n, load in ((0.9, 400, 1472800), (0.99, 400, 1092400)):
+            prm = map_params(CondDensityParams(0.4, 0.5, -0.6, 0.7, q))
+            with pytest.raises(TruncationError, match=f"order {n} .* need {load} entries, above the table budget"):
+                aw_phi43_oracle(n, 0.35, prm, q)
 
     def test_seeded_sweep_is_correctly_rounded(self):
         rng = random.Random(25)

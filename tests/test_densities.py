@@ -3,6 +3,7 @@
 import decimal
 import hashlib
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from qaw import (
     phi_cond,
     phi_cond_via_ratio,
     TruncationError,
-    TruncationPolicy,
     q_pochhammer_inf,
     w_factor,
 )
@@ -482,37 +482,30 @@ def _golden_feed(digest, q):
 
 
 class TestProductRows:
-    """Each product keeps its own length K and cap; the q**k row is shared and read-only."""
+    """Each product keeps its own length K; the q**k row is shared and read-only."""
 
-    def test_each_product_keeps_its_own_cap(self):
-        policy = TruncationPolicy(max_terms=4000)
-        assert f_N(0.1, 0.99, policy).terms == 1
-        assert f_CN(0.1, 0.2, 0.0, 0.99, policy).terms == 1
-        # K = 4011 and 4120 factors: the log series runs within the cap
+    def test_each_product_keeps_its_own_count(self):
+        assert f_N(0.1, 0.99).terms == 1
+        assert f_CN(0.1, 0.2, 0.0, 0.99).terms == 1
+        # K = 4011 and 4120 factors: the log series runs 45 and 47 terms
         p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.99)
-        assert (f_CN(0.1, 0.2, 0.5, 0.99, policy).terms, phi_cond(0.1, p, policy).terms) == (45, 47)
-        with pytest.raises(TruncationError, match="0 factors and 45 series terms"):
-            f_CN(0.1, 0.2, 0.5, 0.99, TruncationPolicy(max_terms=44))
+        assert (f_CN(0.1, 0.2, 0.5, 0.99).terms, phi_cond(0.1, p).terms) == (45, 47)
         # at q = 0.5 the series too, J + M = 12 against K = 53 and 55 factors
-        assert f_CN(0.1, 0.2, 0.5, 0.5, TruncationPolicy(max_terms=12)).terms == 12
-        with pytest.raises(TruncationError, match="6 factors and 6 series terms"):
-            f_CN(0.1, 0.2, 0.5, 0.5, TruncationPolicy(max_terms=11))
+        assert f_CN(0.1, 0.2, 0.5, 0.5).terms == 12
         p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
-        with pytest.raises(TruncationError, match="6 factors and 6 series terms"):
-            phi_cond(0.1, p, TruncationPolicy(max_terms=11))
-        # near q = 0 the whole product, K = 3 factors, meets the cap itself
-        # (the ratio has no f_N, whose own product would raise first)
-        cond_ratio_values([0.1], 0.2, 0.5, 1e-6, TruncationPolicy(max_terms=3))
-        with pytest.raises(TruncationError, match="3 factors, above the cap 2"):
-            cond_ratio_values([0.1], 0.2, 0.5, 1e-6, TruncationPolicy(max_terms=2))
+        assert phi_cond(0.1, p).terms == 12
+        # near q = 0 the whole product, K = 3 factors (the ratio has no f_N)
+        assert _fcn_rows(0.2, 0.5, 1e-6, DEFAULT_POLICY)[0] == 3
+        assert np.all(cond_ratio_values([0.1], 0.2, 0.5, 1e-6) > 0)
 
     def test_ratio_runs_where_f_N_cannot(self):
         # the ratio's log series needs no (q; q)_inf, while f_N's product at
         # q = -0.997 needs more than the 10000 factors of the term budget
         ratio = cond_ratio_values(np.linspace(-1, 1, 5), 0.2, 0.5, -0.997)
         assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
-        with pytest.raises(TruncationError, match="more than 10000 factors"):
-            f_N(0.1, -0.997)
+        for q in (-0.997, -0.998):  # about 12 700 and 19 200 factors
+            with pytest.raises(TruncationError, match="more than 10000 terms, the term budget"):
+                f_N(0.1, q)
         # above q = 0.99 no rule refuses f_N: its theta series runs one term
         assert f_N(0.1, 0.995).terms == 1
 
@@ -706,9 +699,6 @@ class TestThetaRoutes:
             assert K == _powers(q, DEFAULT_POLICY, 8.0)[0] == f_N(0.1, q).terms, q
             assert np.array_equal(head, (1 + qk) ** 2)
         assert _theta_series(1e-12, DEFAULT_POLICY)[1] > _theta(1e-12, DEFAULT_POLICY)[1]
-        # the chosen count meets the policy's cap, whichever route it is
-        with pytest.raises(TruncationError, match="2 terms"):
-            f_N(0.1, 0.5, TruncationPolicy(max_terms=1))
 
 
 def _rho_part_oracle(x, pairs, q, cross=None, stop=40):
@@ -853,10 +843,15 @@ class TestRhoPartRoutes:
             terms, head, _, a = _fcn_rows(0.2, 0.5, q, policy)
             assert (0 if head is None else head[0], len(a) - 1) == (J, M), q
             assert terms == J + M == f_CN(0.1, 0.2, 0.5, q).terms < _factors_needed(q, policy, 32.0)
-        # J + M meets the cap through _check_cap
-        f_CN(0.1, 0.2, 0.5, 0.9, TruncationPolicy(max_terms=27))
-        with pytest.raises(TruncationError, match="11 factors and 16 series terms, above the cap 26"):
-            f_CN(0.1, 0.2, 0.5, 0.9, TruncationPolicy(max_terms=26))
+
+    def test_split_near_q_one_is_refused_at_once(self):
+        # J and M each run into the millions here; the split must stop
+        # counting once J + M passes the term budget, not count them all
+        for rho, q in ((1 - 1e-7, 1 - 1e-12), (1 - 1e-8, 1 - 1e-13)):
+            start = time.perf_counter()
+            with pytest.raises(TruncationError, match="rho-part needs more than 10000 terms"):
+                f_CN(0.1, 0.2, rho, q)
+            assert time.perf_counter() - start < 0.1, (rho, q)
 
     def test_cached_entry_holds_no_long_row_at_high_q(self):
         q = 0.99

@@ -1,7 +1,7 @@
 """Every name a module imports is used in that module, every private
 module-level name is used somewhere in the package, every exported name
-resolves, each parameter rule is written out in qcore only, no module
-imports mpmath, the q-arithmetic modules call no library sum, and neither
+resolves, each parameter rule and size budget is written out in qcore
+only, no module imports mpmath, the q-arithmetic modules call no library sum, and neither
 the CLI nor the series oracle loads the heavy optional modules."""
 
 import ast
@@ -279,6 +279,72 @@ def test_rule_scanner_flags_a_copied_rule():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)
 def test_parameter_rules_live_in_qcore(path):
     assert _rule_copies(path.read_text()) == []
+
+
+_BUDGET_NAMES = ("max_terms", "_TERM_BUDGET", "_TABLE_BUDGET")
+_BUDGET_WORDS = re.compile(r"\b(budget|cap)\b")
+
+
+def _budget_copies(source):
+    """(line, what) for every size budget a module keeps itself.
+
+    A module keeps one when it names max_terms, _TERM_BUDGET or
+    _TABLE_BUDGET (as a variable, attribute, import, keyword or parameter),
+    or when it raises a TruncationError whose text says "budget" or "cap".
+    qcore holds the one term budget, the one table budget and their
+    refusals (``_check_order``, ``_check_terms``, ``_check_entries``).
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        named = {getattr(node, field, None) for field in ("id", "attr", "arg", "name")}
+        found += [(node.lineno, name) for name in _BUDGET_NAMES if name in named]
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            if _name_of(call.func if call else node.exc) != "TruncationError":
+                continue
+            texts = [
+                c.value for c in ast.walk(node.exc)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            ]
+            found += [(node.lineno, "budget text") for t in texts if _BUDGET_WORDS.search(t)]
+    return sorted(found)
+
+
+def test_budget_scanner_flags_a_copied_budget():
+    source = (
+        "from .qcore import _TERM_BUDGET, TruncationError\n"
+        "def f(n, policy=None, max_terms=3):\n"
+        "    if n > policy.max_terms:\n        raise TruncationError(f'{n} terms, above the cap')\n"
+        "    if n > _TABLE_BUDGET:\n        raise TruncationError('past the table budget')\n"
+        "    if n < 0:\n        raise TruncationError('escape: no capacity left')\n"
+        "    return g(max_terms=n)\n"
+    )
+    assert _budget_copies(source) == [
+        (1, "_TERM_BUDGET"), (2, "max_terms"), (3, "max_terms"), (4, "budget text"),
+        (5, "_TABLE_BUDGET"), (6, "budget text"), (9, "max_terms"),
+    ]
+    qcore = (SRC / "qcore.py").read_text()
+    assert {what for _, what in _budget_copies(qcore)} == {"_TERM_BUDGET", "_TABLE_BUDGET", "budget text"}
+    # the refusal densities kept before qcore's _check_terms
+    densities = (SRC / "densities.py").read_text()
+    copy = densities.replace(
+        "def _factors_needed(",
+        "def _check_cap(needed, policy):\n"
+        "    if needed > policy.max_terms:\n"
+        "        raise TruncationError(f'{needed} terms, above the cap {policy.max_terms}')\n\n\n"
+        "def _factors_needed(",
+        1,
+    )
+    line = densities[: densities.index("def _factors_needed(")].count("\n") + 2
+    assert _budget_copies(densities) == []
+    assert _budget_copies(copy) == [
+        (line, "max_terms"), (line + 1, "budget text"), (line + 1, "max_terms")
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)
+def test_size_budgets_live_in_qcore(path):
+    assert _budget_copies(path.read_text()) == []
 
 
 def _hand_rolled_pochhammers(source):

@@ -19,7 +19,6 @@ from qaw import (
     DomainError,
     PoleError,
     TruncationError,
-    TruncationPolicy,
     alpha_coeff,
     alsalam_identity_residual,
     c_n_gaussian,
@@ -230,6 +229,26 @@ class TestMomentSequence:
             # scaled by the terms' magnitudes: where c_n = 0 by symmetry, as for
             # odd n at (1.0, 0.9, 1.0, -0.9, 0.9), a float sum reads up to 2e-13
             assert abs(Fraction(c) - exact[n]) <= 1e-13 * max(1, _reference_c_n(n, p, abs))
+
+    @given(
+        N=st.integers(min_value=65, max_value=160),
+        u=st.floats(min_value=-0.99, max_value=0.99),
+        rho1=st.floats(min_value=-0.95, max_value=0.95),
+        v=st.floats(min_value=-0.99, max_value=0.99),
+        rho2=st.floats(min_value=-0.95, max_value=0.95),
+        q=st.floats(min_value=-0.95, max_value=0.95),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_long_sequences_are_finite_or_refused(self, N, u, rho1, v, rho2, q):
+        # past order 64 a float c_n may leave the float range, and then
+        # raises TruncationError; every value returned is finite
+        half = 2 / math.sqrt(1 - q)
+        p = CondDensityParams(u * half, rho1, v * half, rho2, q)
+        try:
+            seq = c_n_seq(N, p)
+        except TruncationError:
+            return
+        assert len(seq) == N + 1 and all(math.isfinite(c) for c in seq)
 
     def test_exact_bundle(self):
         # the orders the moment benchmark checks exactly, against both routes
@@ -583,9 +602,9 @@ class TestDensityExpansion:
             c_n_main(300, q99)
         with pytest.raises(TruncationError, match="at degree 344"):
             gamma_mk_partial(0, 0, 0.5, 0.3, 0.9, 0.99, 1004)
-        # N is held to the policy's budget, as expansion_terms_needed is
-        with pytest.raises(TruncationError, match="65 expansion terms exceed the term budget 64"):
-            phi_expansion_partial(0.1, p, 65, TruncationPolicy(max_terms=64))
+        # N - 1 is an order of c_n_seq, held to the term budget
+        with pytest.raises(TruncationError, match="order 10001 exceeds the term budget 10000"):
+            phi_expansion_partial(0.1, p, 10_002)
 
     def test_below_the_normal_floats_raises(self):
         # for q < 0, [n]_q! decays; a subnormal or zero one is refused before
@@ -652,18 +671,21 @@ class TestTermBudget:
         assert 1 <= loose < tight
 
     def test_rejects_tolerance_outside_unit_interval(self):
-        # a small cap, so a missing check fails fast instead of running the loop out
-        policy = TruncationPolicy(max_terms=50)
         p = CondDensityParams(0.4, 0.5, -0.6, 0.5, 0.5)
         for rel_tol in (0.0, -1e-8, 1.0, 2.0, math.nan):
             with pytest.raises(DomainError):
-                expansion_terms_needed(p, rel_tol=rel_tol, policy=policy)
+                expansion_terms_needed(p, rel_tol=rel_tol)
 
     def test_budget_near_q_one_is_reached(self):
         # the product-form s_n overflowed from order 618 at q = 0.9, so the
-        # bound never dropped and the loop ran into the term cap
+        # bound never dropped and the loop ran into the term budget
         p = CondDensityParams(0.1, 0.95, 0.2, 0.1, 0.9)
-        assert expansion_terms_needed(p, 1e-13, TruncationPolicy(max_terms=2000)) == 1665
+        assert expansion_terms_needed(p, 1e-13) == 1665
+        # at t = 0.9999 the bound needs about 10**5 terms: the s_n series
+        # stops at the term budget
+        p = CondDensityParams(0.1, 0.9999, 0.2, 0.1, 0.5)
+        with pytest.raises(TruncationError, match="the s_n series needs more than 10000 terms"):
+            expansion_terms_needed(p, 1e-8)
 
     def test_budget_is_sufficient(self):
         p = CondDensityParams(0.4, 0.3, -0.6, 0.25, 0.5)

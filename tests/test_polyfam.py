@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaw import (
-    DEFAULT_POLICY,
     DomainError,
     PoleError,
     TruncationError,
@@ -103,7 +102,7 @@ class TestHermiteH:
         # the term budget, not a fixed degree, caps the order
         assert math.isfinite(hermite_H(65, 0.5, 0.5))
         with pytest.raises(TruncationError, match="order 10001 exceeds the term budget 10000"):
-            hermite_H(DEFAULT_POLICY.max_terms + 1, 0.5, 0.5)
+            hermite_H(10_001, 0.5, 0.5)
 
     def test_nan_raises_where_inf_stays_a_value(self):
         # x**3 overflows to inf at x = 1e200; one step later inf - inf is nan
@@ -156,14 +155,14 @@ def test_every_family_guards_its_degree(name, n):
     # refused before any list is built
     FAMILIES[name](n)
     with pytest.raises(TruncationError, match="order 10001 exceeds the term budget 10000"):
-        FAMILIES[name](DEFAULT_POLICY.max_terms + 1)
+        FAMILIES[name](10_001)
 
 
 def test_every_family_reaches_the_cap():
     # at the budget itself every family runs: hermite_H and asc_P grow like
     # (1-q)**(-n/2) at x = 0.5 and leave the float range at degree 2052,
     # the others stay finite
-    n = DEFAULT_POLICY.max_terms
+    n = 10_000
     for name, call in FAMILIES.items():
         if name.startswith(("hermite_H", "asc_P")):
             with pytest.raises(TruncationError, match="at degree 2052"):
@@ -174,6 +173,64 @@ def test_every_family_reaches_the_cap():
             assert len(value) == n + 1 and all(math.isfinite(v) for v in value)
         else:
             assert math.isfinite(value)
+
+
+# |q| < 0.999, where the float-range refusals are the only size limit below the term budget
+long_qs = st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True)
+
+
+def _no_nan(value):
+    """True unless the float or list value holds a nan; +-inf counts as a value."""
+    return not any(math.isnan(v) for v in (value if isinstance(value, list) else [value]))
+
+
+@given(
+    n=st.integers(min_value=0, max_value=1000),
+    q=long_qs,
+    x=st.floats(min_value=-1e10, max_value=1e10),
+    a=st.floats(min_value=-0.99, max_value=0.99),
+    b=st.floats(min_value=-0.99, max_value=0.99),
+)
+@settings(max_examples=40, deadline=None)
+def test_long_families_give_a_value_or_refuse(n, q, x, a, b):
+    # the only allowed error is TruncationError, for a nan on the way
+    for call in (
+        lambda: hermite_h(n, x, q),
+        lambda: hermite_H(n, x, q),
+        lambda: asc_Q(n, x, a, b, q),
+        lambda: asc_P(n, x, a, b, q),
+        lambda: b_big(n, x, q),
+        lambda: b_small(n, x, q),
+        lambda: chebyshev_U(n, x),
+    ):
+        try:
+            value = call()
+        except TruncationError:
+            continue
+        assert _no_nan(value)
+
+
+@given(
+    n=st.integers(min_value=0, max_value=1200),
+    m=st.integers(min_value=0, max_value=1200),
+    q=long_qs,
+    u=st.floats(min_value=-0.99, max_value=0.99),
+)
+@settings(max_examples=60, deadline=None)
+def test_long_identity_helpers_give_a_value_or_refuse(n, m, q, u):
+    # [n]_q! overflows for q > 0 and underflows for q < 0 long before the
+    # term budget; that, not nan, PoleError or ZeroDivisionError, is the refusal
+    x = u * 2 / math.sqrt(1 - q)
+    for call in (
+        lambda: product_HB(m, n, q),
+        lambda: i_nm_closed(n, m, x, q),
+        lambda: linearize_HH(n, m, q),
+    ):
+        try:
+            value = call()
+        except TruncationError:
+            continue
+        assert _no_nan(value)
 
 
 def test_signed_zeros_of_the_first_step():
@@ -453,6 +510,24 @@ def test_vanishing_bracket_at_q_minus_one_is_a_pole(call):
     # [2]_q = 0 at q = -1: the values exist ([4, 2]_{-1} = 2), but the ratio
     # and quotient rules divide by zero on the way
     with pytest.raises(PoleError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, n",
+    [
+        (lambda: product_HB(0, 200, 0.99), 200),
+        (lambda: product_HB(0, 606, -0.999), 606),
+        (lambda: i_nm_closed(1, 700, 0.3, -0.999), 700),
+        (lambda: linearize_HH(700, 700, -0.999), 700),
+    ],
+    ids=["HB_overflow", "HB_underflow", "i_nm_closed", "linearize_HH"],
+)
+def test_factorial_outside_the_floats_is_refused(call, n):
+    # unchecked, inf / inf gives product_HB a nan, a 0.0 [n]_q! looks like
+    # a pole to the quotients and zeroes linearize_HH's last coefficient;
+    # for -1 < q < 1 no bracket vanishes, so each is a float-range refusal
+    with pytest.raises(TruncationError, match=rf"\[{n}\]_q! left the float range"):
         call()
 
 

@@ -26,6 +26,7 @@ from qaw import (
     q_pochhammer_seq,
     s_n,
 )
+from qaw.qcore import _sn_series
 from helpers import RATIONAL_QS
 
 small_fractions = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=16)
@@ -242,8 +243,8 @@ class TestQPochhammerInf:
         assert q_pochhammer_inf(1, 0.9) == 0
 
     def test_policy_consistency(self):
-        loose = TruncationPolicy(rel_tol=1e-10, max_terms=DEFAULT_POLICY.max_terms)
-        tight = TruncationPolicy(rel_tol=1e-14, max_terms=DEFAULT_POLICY.max_terms)
+        loose = TruncationPolicy(rel_tol=1e-10)
+        tight = TruncationPolicy(rel_tol=1e-14)
         for a, q in ((0.5, 0.5), (-0.7, 0.8), (0.3, -0.9)):
             u = q_pochhammer_inf(a, q, loose)
             v = q_pochhammer_inf(a, q, tight)
@@ -260,7 +261,7 @@ class TestQPochhammerInf:
                 want, factor = want * (1 - factor), factor * q
             rel = abs(decimal.Decimal(q_pochhammer_inf(0.5, 0.995)) / want - 1)
         assert rel <= 1e-13
-        with pytest.raises(TruncationError, match="needed more than 10000 factors"):
+        with pytest.raises(TruncationError, match="needs more than 10000 terms, the term budget"):
             q_pochhammer_inf(0.5, 0.997)
 
     @pytest.mark.parametrize(
@@ -330,12 +331,13 @@ class TestParamGuards:
 
     def test_policy_validates(self):
         with pytest.raises(DomainError):
-            TruncationPolicy(rel_tol=0, max_terms=10)
+            TruncationPolicy(rel_tol=0)
 
-    def test_policy_stays_within_the_term_budget(self):
-        # one budget: a policy cannot allow a length that the orders refuse
-        assert TruncationPolicy(max_terms=1).max_terms == 1
-        assert TruncationPolicy(max_terms=10_000) == DEFAULT_POLICY
-        for bad in (0, 10_001):
-            with pytest.raises(DomainError, match=r"max_terms must lie in \[1, 10000\]"):
-                TruncationPolicy(max_terms=bad)
+    def test_sn_series_stops_at_the_term_budget(self):
+        # at t = 0.9999 the terms shrink too slowly for any stop rule; the
+        # series yields the budget's 10000 terms, then refuses the next
+        count = 0
+        with pytest.raises(TruncationError, match="the s_n series needs more than 10000 terms"):
+            for _ in _sn_series(0.9999, 0.5):
+                count += 1
+        assert count == 10_000
