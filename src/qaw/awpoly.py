@@ -386,8 +386,9 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     30, and so on, until 20 are kept or the rounding noise, |pref| times
     the largest term times 10**-digits, falls below 1e-340, under every
     float.  A pass that keeps no digit measures only a lower bound on the
-    loss, so its rerun may not suffice; a sum that cancels exactly, as at a
-    root of D_n by symmetry, ends at the noise floor and returns 0.0.
+    loss, so its rerun at least doubles the digits; a sum that cancels
+    exactly, as at a root of D_n by symmetry, ends at the noise floor and
+    returns 0.0.
     Before each pass, the passes' total of n times digits is held to the
     table budget of 10**6 (q = 0.9, n = 400 asks 1.5e6 at once).
 
@@ -472,4 +473,5 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
         value, spare, noise = series(prec)
         if spare >= 20 or noise < -340:
             return real_part(complex(*value))
-        prec += min(30 - spare, noise + 341)
+        step = 30 - spare if spare > 0 else max(30 - spare, prec)
+        prec += min(step, noise + 341)

@@ -27,7 +27,6 @@ import numpy as np
 from .qcore import (
     DomainError,
     QParam,
-    TruncationError,
     _check_entries,
     _check_finite,
     _check_order,
@@ -77,7 +76,6 @@ __all__ = [
 ]
 
 _GAUSSIAN_CUTOFF = 12.0
-_MAX_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,15 @@ def integrate_on_S(f, q, target_tol=1e-10):
     |x| <= 12, where the Gaussian tails are below exp(-72).  f is evaluated
     at interior nodes only.
 
-    Starting from 32 intervals, the rule doubles, reusing every earlier
-    point, until two levels differ by at most target_tol or by a roundoff
-    floor growing like sqrt(N); target_tol <= 0 asks for the floor.
-    DomainError on a non-finite target_tol; TruncationError when
-    _MAX_POINTS intervals have not converged.
+    The first call of f takes the 63 interior nodes of 64 intervals: the
+    odd-indexed ones are the 31 of 32 intervals, the even-indexed ones
+    their midpoints, so both levels come from one call.  From there the
+    rule doubles, one call a level for its new midpoints, until two levels
+    differ by at most target_tol or by a roundoff floor growing like
+    sqrt(N); target_tol <= 0 asks for the floor.  Each later level's new
+    points are held to the table budget before f runs, so N = 2**20 is
+    the last level.  DomainError on a non-finite target_tol;
+    TruncationError past the last level.
     """
     QParam(q)
     _check_finite(target_tol)
@@ -153,18 +155,20 @@ def integrate_on_S(f, q, target_tol=1e-10):
             return np.asarray(f(half * np.cos(t)), dtype=float) * (half * np.sin(t))
 
     n, h = 32, width / 32
-    total = g(lo + h * np.arange(1, n)).sum(axis=-1)
+    nodes = g(lo + (h / 2) * np.arange(1, 2 * n))  # the 63 interior nodes of 64 intervals
+    total = nodes[..., 1::2].sum(axis=-1)
     value = h * total
+    new = nodes[..., 0::2]
     while True:
-        total = total + g(lo + h * (np.arange(n) + 0.5)).sum(axis=-1)
+        total = total + new.sum(axis=-1)
         n, h = 2 * n, h / 2
         coarse, value = value, h * total
         delta = float(np.max(np.abs(value - coarse)))
         scale = 1.0 + float(np.max(np.abs(value)))
         if delta <= max(target_tol, 4e-16 * scale * math.sqrt(n)):
             break
-        if n >= _MAX_POINTS:
-            raise TruncationError(f"quadrature did not converge within {_MAX_POINTS} points")
+        _check_entries(n, f"the new points of {2 * n} trapezoid intervals")
+        new = g(lo + h * (np.arange(n) + 0.5))
     return QuadratureEstimate(float(value) if value.ndim == 0 else value, delta, n - 1)
 
 
@@ -197,8 +201,8 @@ def check_normalization(p: CondDensityParams, tol):
 
 
 def _pair_indices(nmax):
-    _check_order(nmax)  # then the first quadrature level's 31 points a pair, before the pairs
-    _check_entries(31 * (nmax + 1) * (nmax + 2) // 2, f"31 points of each order pair up to {nmax}")
+    _check_order(nmax)  # then the first quadrature call's 63 points a pair, before the pairs
+    _check_entries(63 * (nmax + 1) * (nmax + 2) // 2, f"63 points of each order pair up to {nmax}")
     return [(n, m) for n in range(nmax + 1) for m in range(n, nmax + 1)]
 
 

@@ -24,6 +24,7 @@ from qaw import (
     aw_D_free,
     aw_phi43_oracle,
     aw_prefactor,
+    awpoly,
     map_params,
 )
 from helpers import leading_coefficient, seeded_bundles
@@ -37,7 +38,8 @@ def _phi43_reference(n, x, prm, q):
     pref * sum_k (q**-n, abcd q**(n-1), a e^{i theta}, a e^{-i theta}; q)_k
     / (ab, ac, ad, q; q)_k q**k, pref = (ab, ac, ad; q)_n / (a**n (abcd q**(n-1); q)_n),
     rounded once to a float.  The largest cancellation below, log10 of the
-    largest term over the sum, is 384 digits, so 1000 leave over 600 to spare.
+    largest term over the sum, is 539 digits (q = 0.99, n = 400), so 1000
+    leave over 450 to spare.
     """
     with mp.workdps(1000):
         q = mp.mpf(q)
@@ -310,12 +312,27 @@ class TestSeriesOracle:
 
     def test_passes_are_held_to_the_table_budget(self):
         # a pass costs about n terms times its digits, and the running total
-        # is checked before each pass: q = 0.9, n = 400 asks 3682 digits at
-        # once, and q = 0.99, n = 400 is refused before its sixth pass
-        for q, n, load in ((0.9, 400, 1472800), (0.99, 400, 1092400)):
-            prm = map_params(CondDensityParams(0.4, 0.5, -0.6, 0.7, q))
-            with pytest.raises(TruncationError, match=f"order {n} .* need {load} entries, above the table budget"):
-                aw_phi43_oracle(n, 0.35, prm, q)
+        # is checked before each pass: q = 0.9, n = 400 asks 3682 digits at once
+        prm = map_params(CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.9))
+        with pytest.raises(TruncationError, match="order 400 .* need 1472800 entries, above the table budget"):
+            aw_phi43_oracle(400, 0.35, prm, 0.9)
+
+    @pytest.mark.parametrize("n, loads", [(300, [67800, 203400]), (400, [151600, 454800])])
+    def test_a_pass_that_keeps_no_digit_doubles_the_digits(self, monkeypatch, n, loads):
+        # at q = 0.99 the first pass (226 and 379 digits) keeps none of the sum,
+        # so the rerun steps by its whole precision: two passes, where adding
+        # 30 digits a rerun took six for n = 300 and was refused for n = 400
+        seen = []
+
+        def spy(load, what):
+            seen.append(load)
+            return check(load, what)
+
+        check = awpoly._check_entries
+        monkeypatch.setattr(awpoly, "_check_entries", spy)
+        prm = map_params(CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.99))
+        assert aw_phi43_oracle(n, 0.35, prm, 0.99) == _phi43_reference(n, 0.35, prm, 0.99)
+        assert seen == loads
 
     def test_seeded_sweep_is_correctly_rounded(self):
         rng = random.Random(25)

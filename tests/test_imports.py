@@ -283,6 +283,7 @@ def test_parameter_rules_live_in_qcore(path):
 
 _BUDGET_NAMES = ("max_terms", "_TERM_BUDGET", "_TABLE_BUDGET")
 _BUDGET_WORDS = re.compile(r"\b(budget|cap)\b")
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _budget_copies(source):
@@ -290,7 +291,8 @@ def _budget_copies(source):
 
     A module keeps one when it names max_terms, _TERM_BUDGET or
     _TABLE_BUDGET (as a variable, attribute, import, keyword or parameter),
-    or when it raises a TruncationError whose text says "budget" or "cap".
+    or when it raises a TruncationError whose text says "budget" or "cap"
+    or reads an upper-case constant of its own, a limit kept outside qcore.
     qcore holds the one term budget, the one table budget and their
     refusals (``_check_order``, ``_check_terms``, ``_check_entries``).
     """
@@ -307,6 +309,10 @@ def _budget_copies(source):
                 if isinstance(c, ast.Constant) and isinstance(c.value, str)
             ]
             found += [(node.lineno, "budget text") for t in texts if _BUDGET_WORDS.search(t)]
+            found += [
+                (node.lineno, "limit constant") for c in ast.walk(node.exc)
+                if isinstance(c, ast.Name) and _CONSTANT.fullmatch(c.id) and c.id not in _BUDGET_NAMES
+            ]
     return sorted(found)
 
 
@@ -340,6 +346,22 @@ def test_budget_scanner_flags_a_copied_budget():
     assert _budget_copies(copy) == [
         (line, "max_terms"), (line + 1, "budget text"), (line + 1, "max_terms")
     ]
+
+
+def test_budget_scanner_flags_the_old_quadrature_limit():
+    # the point limit and refusal verify.integrate_on_S kept before the table budget
+    verify = (SRC / "verify.py").read_text()
+    level = '        _check_entries(n, f"the new points of {2 * n} trapezoid intervals")\n'
+    copy = verify.replace("_GAUSSIAN_CUTOFF = 12.0\n", "_GAUSSIAN_CUTOFF = 12.0\n_MAX_POINTS = 2**16\n", 1)
+    copy = copy.replace(
+        level,
+        "        if n >= _MAX_POINTS:\n"
+        '            raise TruncationError(f"quadrature did not converge within {_MAX_POINTS} points")\n',
+        1,
+    )
+    line = copy[: copy.index("raise TruncationError(f\"quadrature")].count("\n") + 1
+    assert level in verify and _budget_copies(verify) == []
+    assert _budget_copies(copy) == [(line, "limit constant")]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)

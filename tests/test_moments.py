@@ -619,8 +619,8 @@ class TestDensityExpansion:
 
     def test_quadratic_tables_are_refused_before_they_are_built(self):
         # orders within the term budget whose tables grow like n**2 are held to
-        # the table budget of 10**6 entries: n <= 1412, and 31 quadrature
-        # points of each order pair up to 252
+        # the table budget of 10**6 entries: n <= 1412, and the first
+        # quadrature call's 63 points of each order pair up to 176
         p = CondDensityParams(0.3, 0.5, -0.2, 0.4, 0.0)
         calls = {
             "the c_n tables of order 10000": lambda: c_n_main(10_000, p),
@@ -628,8 +628,9 @@ class TestDensityExpansion:
             "the c_n tables of order 1413": lambda: phi_expansion_partial(0.1, p, 1414),
             "the Gaussian-binomial rows of order 5000": lambda: awpoly.aw_D(5000, 0.3, _HUGE_AW, 0.5),
             "the Gaussian-binomial rows of order 1413": lambda: awpoly.aw_A_sym(1413, 0.3, p),
-            "31 points of each order pair up to 253": lambda: verify.check_orthogonality_H(253, 0.5, 1e-8),
-            "31 points of each order pair up to 300": lambda: verify.run_suite(
+            "63 points of each order pair up to 177": lambda: verify.check_orthogonality_H(177, 0.5, 1e-8),
+            "63 points of each order pair up to 252": lambda: verify.check_aw_orthogonality(252, p, 1e-7),
+            "63 points of each order pair up to 300": lambda: verify.run_suite(
                 verify.SuiteConfig(("orthogonality_P",), nmax=300)
             ),
         }
@@ -642,11 +643,19 @@ class TestDensityExpansion:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert verify._pair_indices(252)[-1] == (252, 252)
+        assert verify._pair_indices(176)[-1] == (176, 176)
+        # the guard refuses exactly the nmax whose first call would not fit
+        for nmax in range(160, 260):
+            pairs = (nmax + 1) * (nmax + 2) // 2
+            if 63 * pairs > 10**6:
+                with pytest.raises(TruncationError, match=f"up to {nmax} need {63 * pairs} entries"):
+                    verify._pair_indices(nmax)
+            else:
+                assert len(verify._pair_indices(nmax)) == pairs
 
     def test_each_quadrature_level_is_held_to_the_table_budget(self):
-        # nmax = 150 passes the pair guard, and its 11476 pairs fit at the first
-        # levels; the level of 128 new points would stack 1468928 values
+        # nmax = 150 passes the pair guard, and its 11476 pairs fit in the first
+        # call's 63 points; the level of 128 new points would stack 1468928 values
         with pytest.raises(TruncationError, match="orthogonality_H values of 128 points need 1468928"):
             verify.check_orthogonality_H(150, 0.5, 1e-8)
         # H_n is bounded at q = 0, so only the 10001 values a point stop this one

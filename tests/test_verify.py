@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qaw import (
     report_to_text,
     run_suite,
 )
-from qaw.densities import f_N_values
+from qaw.densities import f_CN_values, f_N_values
 from qaw.verify import (
     CHECK_NAMES,
     DEFAULT_TOLERANCES,
@@ -69,7 +70,8 @@ class TestIntegrateOnS:
     def test_estimate_fields(self):
         est = integrate_on_S(lambda x: f_N_values(x, 0.0), 0.0)
         assert est.abs_error_estimate >= 0
-        # interior nodes of a doubled trapezoid rule on N >= 64 intervals
+        # interior nodes of a doubled trapezoid rule on N >= 64 intervals;
+        # the first call of f already takes the 63 of 64 intervals
         n = est.evaluations + 1
         assert n >= 64 and n & (n - 1) == 0
 
@@ -84,10 +86,73 @@ class TestIntegrateOnS:
             integrate_on_S(lambda x: x, 1.5)
 
     def test_panel_budget_exhaustion(self):
-        # a jump keeps the two-level difference O(h) at every level
+        # a jump keeps the two-level difference O(h) at every level; the new
+        # points of 2**21 intervals are the first level past the table budget
         step = lambda x: np.where(x > 0.1, 1.0, 0.0)
-        with pytest.raises(TruncationError):
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="1048576 entries, above the table budget"):
             integrate_on_S(step, 0.0, target_tol=1e-12)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "f, q, sizes",
+        [
+            (lambda x: f_N_values(x, 0.0), 0.0, [63]),
+            (lambda x: f_CN_values(x, 0.5, 0.6, 0.9), 0.9, [63, 64]),
+            (lambda x: f_CN_values(x, 0.5, 0.9, 0.9), 0.9, [63, 64, 128]),
+        ],
+        ids=["64 intervals", "128 intervals", "256 intervals"],
+    )
+    def test_one_call_for_the_first_two_levels(self, f, q, sizes):
+        seen = []
+
+        def spy(x):
+            seen.append(np.size(x))
+            return f(x)
+
+        est = integrate_on_S(spy, q)
+        assert seen == sizes
+        assert est.evaluations == sum(sizes)
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, -0.9, 1])
+    def test_first_nodes_are_the_two_levels_interleaved(self, q):
+        # the nodes of 32 intervals at the odd places, their midpoints at the even
+        seen = []
+
+        def spy(x):
+            seen.append(np.array(x))
+            return 0 * x
+
+        integrate_on_S(spy, q)
+        lo, width = (-12.0, 24.0) if q == 1 else (0.0, math.pi)
+        h = width / 32
+        t_nodes, t_mids = lo + h * np.arange(1, 32), lo + h * (np.arange(32) + 0.5)
+        if q == 1:
+            nodes, mids = t_nodes, t_mids
+        else:
+            half = 2 / math.sqrt(1 - q)
+            nodes, mids = half * np.cos(t_nodes), half * np.cos(t_mids)
+        assert seen[0][1::2].tobytes() == nodes.tobytes()
+        assert seen[0][0::2].tobytes() == mids.tobytes()
+
+    @pytest.mark.parametrize("q, rho, levels", [(0.5, 0.6, 1), (0.9, 0.6, 2), (0.9, 0.9, 3)])
+    def test_vector_value_equals_one_call_a_level(self, q, rho, levels):
+        # the rule with one call for the 31 nodes of 32 intervals and one for
+        # each level's midpoints, written out: the same bits
+        def f(x):
+            fcn = f_CN_values(x, 0.5, rho, q)
+            return np.stack([fcn, x * fcn, x * x * fcn])
+
+        half = 2 / math.sqrt(1 - q)
+        g = lambda t: f(half * np.cos(t)) * (half * np.sin(t))
+        n, h = 32, math.pi / 32
+        total = g(h * np.arange(1, n)).sum(axis=-1)
+        for _ in range(levels):
+            total = total + g(h * (np.arange(n) + 0.5)).sum(axis=-1)
+            n, h = 2 * n, h / 2
+        est = integrate_on_S(f, q)
+        assert est.evaluations == n - 1
+        assert est.value.tobytes() == (h * total).tobytes()
 
     def test_rejects_non_finite_tolerance(self):
         f = lambda x: f_N_values(x, 0.3)
