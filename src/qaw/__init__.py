@@ -8,12 +8,10 @@ verification from the command line.
 """
 
 from .qcore import (
-    DEFAULT_POLICY,
     DomainError,
     PoleError,
     QParam,
     TruncationError,
-    TruncationPolicy,
     q_binomial,
     q_binomial_row,
     q_bracket,

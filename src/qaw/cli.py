@@ -27,13 +27,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .qcore import (
-    DEFAULT_POLICY,
-    DomainError,
-    PoleError,
-    TruncationError,
-    TruncationPolicy,
-)
+from .qcore import DomainError, PoleError, TruncationError
 from .polyfam import (
     asc_P,
     asc_Q,
@@ -113,8 +107,6 @@ def _build_parser():
         cmd.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:COUNT",
                          help="inclusive evaluation grid")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-    ev.add_argument("--tol", type=_finite, default=None,
-                    help="relative truncation tolerance for density products")
     return parser
 
 
@@ -179,7 +171,6 @@ def _cmd_eval(args, out):
         return 0
 
     points = _points(args)
-    policy = DEFAULT_POLICY if args.tol is None else TruncationPolicy(rel_tol=args.tol)
     if sel in ("h", "H", "B", "b", "U"):
         fn = {"h": hermite_h, "H": hermite_H, "B": b_big, "b": b_small}.get(sel)
         head, at = {}, lambda x: chebyshev_U(n, x) if sel == "U" else fn(n, x, q)
@@ -195,12 +186,12 @@ def _cmd_eval(args, out):
         p = CondDensityParams(args.y, args.rho1, args.z, args.rho2, q)
         head, at = two, lambda x: aw_A_sym(n, x, p)
     elif sel == "f_N":
-        head, at = {}, lambda x: f_N(x, q, policy)
+        head, at = {}, lambda x: f_N(x, q)
     elif sel == "f_CN":
-        head, at = one, lambda x: f_CN(x, args.y, args.rho1, q, policy)
+        head, at = one, lambda x: f_CN(x, args.y, args.rho1, q)
     else:  # phi
         p = CondDensityParams(args.y, args.rho1, args.z, args.rho2, q)
-        head, at = two, lambda x: phi_cond(x, p, policy)
+        head, at = two, lambda x: phi_cond(x, p)
     if sel in ("f_N", "f_CN", "phi"):
         rows = _table({"q": q, **head}, points, lambda x: asdict(at(x)))  # value, terms
     else:

@@ -26,9 +26,9 @@ the first by about e**(-n**2 pi**2 / L), so M = 1 term serves from q = 0.9
 up, 2 at q = 0.1 and 0.5, 3 at q = 0.01.  For q <= 0, and for 0 < q
 below about 2e-4, where the series is the longer, f_N is its product.
 Products are cut after K factors where K is chosen so the dropped tail
-perturbs the value by less than the policy's relative tolerance: each
-factor is 1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= rel_tol with
-a conservative per-density constant C; past the term budget of 10 000
+perturbs the value by less than the relative tolerance _REL_TOL = 1e-14:
+each factor is 1 + O(C q**k), so K solves C |q|**K / (1 - |q|) <= _REL_TOL
+with a conservative per-density constant C; past the term budget of 10 000
 factors (from |q| of about 0.997) a product raises TruncationError.
 
 A rho-part multiplies the factors (1 - rho**2 q**k) / w_k(x, y), one per
@@ -88,10 +88,9 @@ from numbers import Integral, Rational, Real
 import numpy as np
 
 from .qcore import (
-    DEFAULT_POLICY,
     DomainError,
     QParam,
-    TruncationPolicy,
+    _REL_TOL,
     _check_below_one,
     _check_finite,
     _check_rho,
@@ -177,12 +176,12 @@ def w_factor(x, y, rho, q, k=0):
     return (1 - rsq) ** 2 - (1 - q) * r * (1 + rsq) * x * y + (1 - q) * rsq * (x * x + y * y)
 
 
-def _factors_needed(q, policy, scale):
+def _factors_needed(q, scale):
     """Smallest K with scale * |q|**K / (1 - |q|) below the relative tolerance."""
     aq = abs(q)
     if aq == 0:
         return 1
-    target = policy.rel_tol * (1 - aq) / scale
+    target = _REL_TOL * (1 - aq) / scale
     if target >= 1:
         return 1
     return max(1, math.ceil(math.log(target) / math.log(aq)))
@@ -193,16 +192,16 @@ _FN_SCALE, _BOUND_SCALE, _FCN_SCALE, _PHI_SCALE = 8.0, 16.0, 32.0, 96.0
 
 
 @lru_cache(maxsize=32)
-def _powers(q, policy, scale):
+def _powers(q, scale):
     """(K, the read-only row q**k for k < K) of the product with constant scale."""
-    K = _factors_needed(q, policy, scale)
+    K = _factors_needed(q, scale)
     _check_terms(K, "the density product")
     qk = np.power(float(q), np.arange(K))
     qk.flags.writeable = False
     return K, qk
 
 
-def _theta_series(q, policy):
+def _theta_series(q):
     """(coef, M, (s, L), rates) of f_N's wrapped-Gaussian series at 0 < q < 1.
 
     s = sqrt(1-q) / 2, L = -ln(q) / 2, coef = sqrt(1-q) sqrt(pi/L) /
@@ -212,7 +211,7 @@ def _theta_series(q, policy):
     """
     L = -math.log(q) / 2
     M = 1
-    while (2 * M + 1) * math.exp(-M * M * math.pi * math.pi / L) > policy.rel_tol:
+    while (2 * M + 1) * math.exp(-M * M * math.pi * math.pi / L) > _REL_TOL:
         M += 1
     coef = math.sqrt(1 - q) * math.sqrt(math.pi / L) / (_TWO_PI * q**0.125)
     rates = _TWO_PI * (2 * np.arange(M) + 1) / L
@@ -220,17 +219,17 @@ def _theta_series(q, policy):
     return coef, M, (math.sqrt(1 - q) / 2, L), rates
 
 
-def _theta_product(q, policy):
+def _theta_product(q):
     """(coef, K, qk, head) of f_N's product: its constant, K, q**k and (1 + q**k)**2 for 0 < k < K."""
-    coef = math.sqrt(1 - q) * q_pochhammer_inf(q, q, policy) / _TWO_PI
-    K, qk = _powers(q, policy, _FN_SCALE)
+    coef = math.sqrt(1 - q) * q_pochhammer_inf(q, q) / _TWO_PI
+    K, qk = _powers(q, _FN_SCALE)
     head = (1 + qk[1:]) ** 2
     head.flags.writeable = False
     return coef, K, qk[1:], head
 
 
 @lru_cache(maxsize=32)
-def _theta(q, policy):
+def _theta(q):
     """f_N's route at q < 1, read by _f_N_inside: its series or its product.
 
     The series for q > 0 wherever it needs fewer terms than the product
@@ -239,10 +238,10 @@ def _theta(q, policy):
     budget: the series is chosen only below the product's count.
     """
     if q > 0:
-        series = _theta_series(q, policy)
-        if series[1] < _factors_needed(q, policy, _FN_SCALE):
+        series = _theta_series(q)
+        if series[1] < _factors_needed(q, _FN_SCALE):
             return series
-    return _theta_product(q, policy)
+    return _theta_product(q)
 
 
 # Elements per (points, K) buffer, 128 KB of float64: the fastest, or tied
@@ -328,7 +327,7 @@ def _finite_points(x):
 
 @lru_cache(maxsize=4, typed=True)
 def _rows(build, *key):
-    """build(*key), a rho-part's route; key is (y, rho, q, policy) or (bundle, policy).
+    """build(*key), a rho-part's route; key is (y, rho, q) or (bundle,).
 
     cond_ratio_values appends True to f_CN's key for the whole product it
     takes off the support, so that route is cached beside the split one.
@@ -361,13 +360,13 @@ def _series_weights(q, J, M):
     return tuple(weights)
 
 
-def _split(q, policy, K, scale, r, product=False):
+def _split(q, K, scale, r, product=False):
     """(J, M): J exact factors, then M log-series terms, of a rho-part; (K, 0) for the product.
 
     After M terms the series' tail is at most scale r'**(M+1) /
     ((M+1) (1 - |q|**(M+1)) (1 - r')), r' = r |q|**J, and M is the smallest
     count that puts it below the relative tolerance.  With A = ln(scale /
-    rel_tol), B = ln(1/r) and lam = ln(1/|q|), M is about A / (B + lam J),
+    _REL_TOL), B = ln(1/r) and lam = ln(1/|q|), M is about A / (B + lam J),
     so J + M is least at J* = (sqrt(A lam) - B) / lam, clipped at 0, and
     it is about 2 sqrt(A / lam), well below K ~ A / lam.  The whole
     product, J = K and M = 0, where J + M is not below K (only for |q|
@@ -378,10 +377,10 @@ def _split(q, policy, K, scale, r, product=False):
     if K > 1 and not product:
         aq = abs(q)
         lam = -math.log(aq)
-        A = math.log(scale / policy.rel_tol)
+        A = math.log(scale / _REL_TOL)
         j = max(0, round((math.sqrt(A * lam) + math.log(r)) / lam))
         rJ = r * aq**j
-        target = policy.rel_tol * (1 - rJ) / scale
+        target = _REL_TOL * (1 - rJ) / scale
         m, tail, qm = 1, rJ * rJ, aq * aq
         while j + m < K and tail > target * (m + 1) * (1 - qm):
             m, tail, qm = m + 1, tail * rJ, qm * aq
@@ -581,7 +580,7 @@ def _f_N_inside(xs, q, theta):
     return value * _point_products(factors, xs, terms - 1, 1)
 
 
-def _density(x, q, policy, mu, var, part=None):
+def _density(x, q, mu, var, part=None):
     """(value, terms) of a density at x, a Python float or a float array.
 
     N(mu, var) at q = 1; else f_N times the product of the rho-part whose
@@ -591,7 +590,7 @@ def _density(x, q, policy, mu, var, part=None):
     """
     if q == 1:
         return np.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(_TWO_PI * var), 0
-    theta = _theta(q, policy)
+    theta = _theta(q)
     half = _half_width(q)
 
     def inside(xs):
@@ -612,50 +611,50 @@ def _density(x, q, policy, mu, var, part=None):
     return out, terms
 
 
-def f_N_values(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def f_N_values(x, q):
     """Stationary density on a numpy array of points."""
     _check_params(q)
-    return _density(_finite_points(x), q, policy, 0, 1)[0]
+    return _density(_finite_points(x), q, 0, 1)[0]
 
 
-def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
+def f_N(x, q) -> DensityEval:
     """Stationary density at a single point."""
     _check_params(q)
     x = _point(x)
     if q == 1:
         return DensityEval(math.exp(-0.5 * x * x) / math.sqrt(_TWO_PI), 0)
-    value, terms = _density(x, q, policy, 0, 1)
+    value, terms = _density(x, q, 0, 1)
     return DensityEval(float(value), terms)
 
 
-def _fcn_rows(y, rho, q, policy, product=False):
+def _fcn_rows(y, rho, q, product=False):
     """f_CN / f_N's route (J + M, head, s, a); product forces J = K, M = 0."""
-    K = _factors_needed(q, policy, _FCN_SCALE)
-    J, M = _split(q, policy, K, _FCN_TAIL, abs(rho), product)
+    K = _factors_needed(q, _FCN_SCALE)
+    J, M = _split(q, K, _FCN_TAIL, abs(rho), product)
     s = math.sqrt(1 - q) / 2
     head = _head(q, J, ((y, rho),), None) if J else None
     return J + M, head, s, _log_series(q, J, M, s * y, rho) if M else None
 
 
-def _fcn_plan(y, rho, q, policy):
+def _fcn_plan(y, rho, q):
     """f_CN's mean and variance at q = 1 and its rho-part's _rows key, None at rho = 0."""
-    return rho * y, 1 - rho * rho, None if rho == 0 else (_fcn_rows, y, rho, q, policy)
+    return rho * y, 1 - rho * rho, None if rho == 0 else (_fcn_rows, y, rho, q)
 
 
-def f_CN_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def f_CN_values(x, y, rho, q):
     """Conditional density given a neighbor value y, on a numpy array of points."""
     _check_params(q, rho, y=y)
-    return _density(_finite_points(x), q, policy, *_fcn_plan(y, rho, q, policy))[0]
+    return _density(_finite_points(x), q, *_fcn_plan(y, rho, q))[0]
 
 
-def f_CN(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
+def f_CN(x, y, rho, q) -> DensityEval:
     """Conditional density at a single point given neighbor value y."""
     _check_params(q, rho, y=y)
-    value, terms = _density(_point(x), q, policy, *_fcn_plan(y, rho, q, policy))
+    value, terms = _density(_point(x), q, *_fcn_plan(y, rho, q))
     return DensityEval(float(value), terms)
 
 
-def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def cond_ratio_values(x, y, rho, q):
     """Vectorized ratio f_CN(x | y, rho, q) / f_N(x), symmetric in x and y.
 
     Requires q < 1 and a strictly interior conditioning point y; under those
@@ -669,7 +668,7 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     xa = _finite_points(x)
     if rho == 0:
         return np.ones_like(xa)
-    route = _rows(_fcn_rows, y, rho, q, policy)
+    route = _rows(_fcn_rows, y, rho, q)
     if route[3] is None:
         return _part_products(xa, route)
     inside = np.abs(xa) < _half_width(q)
@@ -678,31 +677,31 @@ def cond_ratio_values(x, y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
     out = np.empty(xa.shape)
     out[inside] = _part_products(xa[inside], route)
     outside = ~inside
-    out[outside] = _part_products(xa[outside], _rows(_fcn_rows, y, rho, q, policy, True))
+    out[outside] = _part_products(xa[outside], _rows(_fcn_rows, y, rho, q, True))
     return out
 
 
-def _phi_rows(p, policy, product=False):
+def _phi_rows(p, product=False):
     """phi_cond / f_N's route, as _fcn_rows's; both neighbors add into one series in u."""
     q, r1, r2 = p.q, p.rho1, p.rho2
-    K = _factors_needed(q, policy, _PHI_SCALE)
-    J, M = _split(q, policy, K, _PHI_TAIL, max(abs(r1), abs(r2)), product)
+    K = _factors_needed(q, _PHI_SCALE)
+    J, M = _split(q, K, _PHI_TAIL, max(abs(r1), abs(r2)), product)
     s = math.sqrt(1 - q) / 2
     head = _head(q, J, ((p.y, r1), (p.z, r2)), r1 * r2) if J else None
     a = _log_series(q, J, M, s * p.y, r1, s * p.z, r2, r1 * r2) if M else None
     return J + M, head, s, a
 
 
-def _phi_plan(p, policy):
+def _phi_plan(p):
     """phi_cond's mean and variance at q = 1 and its rho-part's _rows key, None if uncorrelated."""
     r1sq, r2sq = p.rho1 * p.rho1, p.rho2 * p.rho2
     den = 1 - r1sq * r2sq
     mu = (p.y * p.rho1 * (1 - r2sq) + p.z * p.rho2 * (1 - r1sq)) / den
-    rows = None if p.rho1 == 0 and p.rho2 == 0 else (_phi_rows, p, policy)
+    rows = None if p.rho1 == 0 and p.rho2 == 0 else (_phi_rows, p)
     return mu, (1 - r1sq) * (1 - r2sq) / den, rows
 
 
-def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY):
+def phi_cond_values(x, p: CondDensityParams):
     """Two-sided conditional density on a numpy array of points.
 
     The law of a coordinate given neighbor values y (correlation rho1) and
@@ -710,17 +709,17 @@ def phi_cond_values(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_
     Askey-Wilson family built by ``map_params`` from the same bundle.
     """
     _check_params(p.q, p.rho1, p.rho2, y=p.y, z=p.z)
-    return _density(_finite_points(x), p.q, policy, *_phi_plan(p, policy))[0]
+    return _density(_finite_points(x), p.q, *_phi_plan(p))[0]
 
 
-def phi_cond(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:
+def phi_cond(x, p: CondDensityParams) -> DensityEval:
     """Two-sided conditional density at a single point."""
     _check_params(p.q, p.rho1, p.rho2, y=p.y, z=p.z)
-    value, terms = _density(_point(x), p.q, policy, *_phi_plan(p, policy))
+    value, terms = _density(_point(x), p.q, *_phi_plan(p))
     return DensityEval(float(value), terms)
 
 
-def phi_cond_via_ratio(x, p: CondDensityParams, policy: TruncationPolicy = DEFAULT_POLICY):
+def phi_cond_via_ratio(x, p: CondDensityParams):
     """phi_cond through its Markov factorization, as an independent cross-check.
 
     phi(x | y, z) = f_CN(x | y, rho1) f_CN(z | x, rho2) / f_CN(z | y, rho1 rho2).
@@ -732,9 +731,9 @@ def phi_cond_via_ratio(x, p: CondDensityParams, policy: TruncationPolicy = DEFAU
     x = _point(x)
     if not SupportInterval.for_q(q).strictly_contains(x):
         return 0.0
-    num1 = f_CN(x, p.y, p.rho1, q, policy).value
-    num2 = f_CN(p.z, x, p.rho2, q, policy).value
-    den = f_CN(p.z, p.y, p.rho1 * p.rho2, q, policy).value
+    num1 = f_CN(x, p.y, p.rho1, q).value
+    num2 = f_CN(p.z, x, p.rho2, q).value
+    den = f_CN(p.z, p.y, p.rho1 * p.rho2, q).value
     # num1 * num2 can underflow where the quotient is still a normal float
     return num1 * (num2 / den)
 
@@ -775,7 +774,7 @@ def phi_q0(x, p: CondDensityParams):
     )
 
 
-def fcn_ratio_bounds(y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def fcn_ratio_bounds(y, rho, q):
     """Uniform-in-x bounds (lower, upper) for the ratio f_CN(x|y,rho,q) / f_N(x).
 
     The upper bound (rho**2; q)_inf / (|rho|; q)_inf**4 comes from the
@@ -787,15 +786,15 @@ def fcn_ratio_bounds(y, rho, q, policy: TruncationPolicy = DEFAULT_POLICY):
         ((1 + rho**2 q**(2k)) + sqrt(1-q) |rho q**k y|)**2.
 
     Both bounds hold for every x strictly inside the support, up to the
-    truncation tolerance of the policy.
+    truncation tolerance _REL_TOL.
     """
     _check_params(q, rho, y=y)
     _check_below_one(q, "the ratio bounds")
     if rho == 0:
         return 1.0, 1.0
-    num = q_pochhammer_inf(rho * rho, q, policy)
-    upper = num / q_pochhammer_inf(abs(rho), q, policy) ** 4
-    rk = rho * _powers(q, policy, _BOUND_SCALE)[1]
+    num = q_pochhammer_inf(rho * rho, q)
+    upper = num / q_pochhammer_inf(abs(rho), q) ** 4
+    rk = rho * _powers(q, _BOUND_SCALE)[1]
     den = ((1 + rk * rk) + math.sqrt(1 - q) * np.abs(rk) * abs(y)) ** 2
     lower = num / float(np.prod(den))
     return float(lower), float(upper)

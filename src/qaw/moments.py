@@ -49,10 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from .qcore import (
-    DEFAULT_POLICY,
     DomainError,
     TruncationError,
-    TruncationPolicy,
     _check_below_one,
     _check_entries,
     _check_factorial,
@@ -335,7 +333,7 @@ def alpha_coeff(n, j, m, rho1, rho2, q):
     )
 
 
-def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy = DEFAULT_POLICY):
+def phi_expansion_partial(x, p: CondDensityParams, N):
     """N-term partial sum of the q-Hermite expansion of phi_cond.
 
         phi(x | y, z) = f_N(x) sum_{i >= 0} H_i(x) c_i(y, z) / [i]_q!
@@ -356,11 +354,11 @@ def phi_expansion_partial(x, p: CondDensityParams, N, policy: TruncationPolicy =
     fact = _factorial_seq(N - 1, q)
     scalar = np.ndim(x) == 0
     if scalar:
-        density = f_N(x, q, policy).value
+        density = f_N(x, q).value
         if density == 0:
             return 0.0
     else:
-        out = f_N_values(x, q, policy)
+        out = f_N_values(x, q)
         inside = out != 0
         density, x = out[inside], np.asarray(x, dtype=float)[inside]
     Hx = hermite_H_seq(N - 1, x, q)
@@ -383,7 +381,8 @@ def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8):
     a bound that needs more terms than the series' term budget raises
     TruncationError.
     """
-    TruncationPolicy(rel_tol)  # validates it by the policy's own rule
+    if not 0 < rel_tol < 1:
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     _check_below_one(p.q, _GENERAL_Q)
     t = float(max(abs(p.rho1), abs(p.rho2)))
     for i, (s, weight) in enumerate(_sn_series(t, float(p.q))):

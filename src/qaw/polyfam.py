@@ -214,25 +214,28 @@ def _is_complex(v):
     return isinstance(v, complex) or isinstance(v, np.ndarray) and v.dtype.kind == "c"
 
 
-def real_part(value, rel_tol=1e-12):
+_IMAG_TOL = 1e-12  # real_part's bound on an imaginary residue, relative to 1 + |value|
+
+
+def real_part(value):
     """Collapse a complex value, or a complex array, that must be real analytically.
 
     The imaginary part has to be roundoff noise: anything above
-    rel_tol * (1 + |value|) raises DomainError instead of being dropped.
+    _IMAG_TOL * (1 + |value|) raises DomainError instead of being dropped.
     An array is held to the rule entry by entry and collapses to a float
     array.
     """
     if isinstance(value, np.ndarray):
         if value.dtype.kind != "c":
             return value
-        if np.count_nonzero(np.abs(value.imag) > rel_tol * (1 + np.abs(value))):
+        if np.count_nonzero(np.abs(value.imag) > _IMAG_TOL * (1 + np.abs(value))):
             raise DomainError(
                 f"values expected to be real have imaginary residues {value.imag!r}"
             )
         return value.real.copy()
     if not isinstance(value, complex):
         return value
-    if abs(value.imag) > rel_tol * (1 + abs(value)):
+    if abs(value.imag) > _IMAG_TOL * (1 + abs(value)):
         raise DomainError(
             f"value expected to be real has imaginary residue {value.imag!r}"
         )

@@ -7,9 +7,9 @@ identities this way, with residuals that are exactly zero), or complex
 numbers where a product over complex arguments is required.
 
 The one exception is the infinite product ``q_pochhammer_inf``, which is
-inherently approximate: it truncates under an explicit tail bound controlled
-by a :class:`TruncationPolicy` and therefore only makes sense in floating
-point.
+inherently approximate: it truncates where the relative tail falls below
+``_REL_TOL`` (1e-14), the one truncation tolerance of the package, and
+therefore only makes sense in floating point.
 
 Gaussian-binomial rows (by a ratio rule on ``q_bracket_seq``) and s_n (by
 the Rogers-Szego recurrence) cost O(n); ``_sn_series`` yields the one s_n
@@ -44,8 +44,6 @@ __all__ = [
     "PoleError",
     "TruncationError",
     "QParam",
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
     "q_bracket",
     "q_bracket_seq",
     "q_factorial",
@@ -91,25 +89,7 @@ class QParam:
 
 _TERM_BUDGET = 10_000  # the highest order, and the most terms a product or series may take
 _TABLE_BUDGET = 100 * _TERM_BUDGET  # entries, about 32 MB of Python floats
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Controls truncation of infinite products and series.
-
-    rel_tol bounds the relative size of the neglected tail.  A product or
-    series that needs more terms than the term budget of 10 000 raises
-    :class:`TruncationError` instead of silently returning a bad value.
-    """
-
-    rel_tol: float = 1e-14
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol < 1:
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+_REL_TOL = 1e-14  # the relative tail at which every infinite product and series is cut
 
 
 def _check_order(n):
@@ -290,23 +270,22 @@ def q_pochhammer_seq(a, q, n):
     return out
 
 
-def q_pochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def q_pochhammer_inf(a, q):
     """Infinite q-Pochhammer symbol (a; q)_inf, truncated.
 
-    Factors are multiplied until |a| |q|**k < rel_tol * (1 - |q|); the log of
-    the neglected tail is then bounded by rel_tol, so the result is accurate
-    to about rel_tol relatively.  The term count is a deterministic function
-    of the inputs.
+    Factors are multiplied until |a| |q|**k < _REL_TOL * (1 - |q|); the log
+    of the neglected tail is then bounded by _REL_TOL = 1e-14, so the result
+    is accurate to about that relatively.  The term count is a deterministic
+    function of the inputs.
 
     Floating point only.  q = 1 is rejected (the product has no meaning
     there), and so is a nan or infinite a or q.  Near |q| = 1 the count
     grows like 1 / (1 - |q|): a product that needs more factors than the
-    term budget (from |q| of about 0.997 at the default tolerance) raises
-    TruncationError.
+    term budget (from |q| of about 0.997) raises TruncationError.
     """
     _check_finite(a, q)
     _check_below_one(q, "(a; q)_inf")
-    threshold = policy.rel_tol * (1 - abs(q))
+    threshold = _REL_TOL * (1 - abs(q))
     total = 1 + 0 * a
     factor = a
     count = 0

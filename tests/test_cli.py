@@ -21,7 +21,7 @@ from qaw.densities import phi_q0
 DENSITY_EVAL_MD5 = "6adba01f5f04184edf746af98312e72b"
 
 # md5 of (argv, exit code, stdout, stderr) over TestCliSurface's invocations
-CLI_SURFACE_MD5 = "96f58bdc7445ed397929516937d7f97e"
+CLI_SURFACE_MD5 = "130f491abf9d17a19a28e5c8304d5431"
 
 
 def run(*argv):
@@ -135,6 +135,7 @@ class TestEvalCommand:
             ("eval", "H", "--q", "0.5", "--grid", "0:inf:3"),
             ("eval", "H", "--q", "0.5", "--grid", "nan:1:3"),
             ("eval", "f_CN", "--q", "0.5", "--y", "nan", "--rho1", "0.3", "--x", "0.1"),
+            # eval takes no --tol: products and series are cut at one fixed tolerance
             ("eval", "f_N", "--q", "0.5", "--x", "0.1", "--tol", "nan"),
         )
         for argv in bad:
@@ -348,7 +349,7 @@ def _surface_invocations():
         ("eval", "H", "--q", "0.5", "--x", "inf", "--n", "3"),
         ("eval", "H", "--q", "2", "--x", "1", "--n", "2"),
         ("eval", "nosuch", "--q", "0.5", "--x", "1"),
-        ("eval", "f_N", "--q", "0.5", "--x", "0.1", "--tol", "nan"),
+        ("eval", "f_N", "--q", "0.5", "--x", "0.1", "--tol", "nan"),  # unrecognized argument
         ("eval", "f_CN", "--q", "0.5", "--y", "9", "--rho1", "0.3", "--x", "0.1"),
         ("expand", "fcn", "--n", "5", "--q", "0.3", "--grid", "-inf:1:3"),
         ("expand", "fcn", "--n", "5", "--q", "0.3", "--rho2", "inf", "--x", "0.1"),

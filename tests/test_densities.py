@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaw import (
-    DEFAULT_POLICY,
     CondDensityParams,
     DensityEval,
     DomainError,
@@ -495,7 +494,7 @@ class TestProductRows:
         p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
         assert phi_cond(0.1, p).terms == 12
         # near q = 0 the whole product, K = 3 factors (the ratio has no f_N)
-        assert _fcn_rows(0.2, 0.5, 1e-6, DEFAULT_POLICY)[0] == 3
+        assert _fcn_rows(0.2, 0.5, 1e-6)[0] == 3
         assert np.all(cond_ratio_values([0.1], 0.2, 0.5, 1e-6) > 0)
 
     def test_ratio_runs_where_f_N_cannot(self):
@@ -524,14 +523,14 @@ class TestProductRows:
         assert (f_N(0.1, 1).terms, f_CN(0.1, y, 0.6, 1).terms, phi_cond(0.1, p1).terms) == (0, 0, 0)
 
     def test_cached_row_rejects_writes(self):
-        K, row = _powers(0.5, DEFAULT_POLICY, 8.0)
+        K, row = _powers(0.5, 8.0)
         assert len(row) == K == 51
         # the q**k row, the decay rates of f_N's series and every cached rho-part row
         p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
-        rows = [row, _theta(0.5, DEFAULT_POLICY)[3]]
+        rows = [row, _theta(0.5)[3]]
         for _, (_, num, den, coeffs), _, _ in (
-            _rows(_fcn_rows, 0.2, 0.5, 0.5, DEFAULT_POLICY),
-            _rows(_phi_rows, p, DEFAULT_POLICY),
+            _rows(_fcn_rows, 0.2, 0.5, 0.5),
+            _rows(_phi_rows, p),
         ):
             rows += [num] + ([] if den is None else [den]) + [c for w in coeffs for c in w]
         assert len(rows) == 2 + 4 + 8
@@ -682,8 +681,8 @@ class TestThetaRoutes:
     def test_series_and_product_agree(self, q, u):
         # the product's own error, up to 1.6e-13 near q = 0.99, sets the bound
         x = u * 2 / math.sqrt(1 - q)
-        product_route = _theta_product(q, DEFAULT_POLICY)
-        series = _f_N_inside(x, q, _theta_series(q, DEFAULT_POLICY))
+        product_route = _theta_product(q)
+        series = _f_N_inside(x, q, _theta_series(q))
         product = _f_N_inside(x, q, product_route)
         widen = max(1, math.log(_f_N_inside(0.0, q, product_route) / product) / 100)
         assert abs(series - product) <= 3e-13 * widen * product, (q, x)
@@ -691,14 +690,14 @@ class TestThetaRoutes:
     def test_route_choice(self):
         # the series where it needs fewer terms than the product has factors
         for q, M in ((0.01, 3), (0.1, 2), (0.5, 2), (0.9, 1), (0.99, 1)):
-            assert isinstance(_theta(q, DEFAULT_POLICY)[2], tuple)
+            assert isinstance(_theta(q)[2], tuple)
             assert f_N(0.1, q).terms == M, q
         # q <= 0 has no series, and near q = 0 the product is the shorter
         for q in (-0.9, -0.5, 0.0, 1e-12):
-            coef, K, qk, head = _theta(q, DEFAULT_POLICY)
-            assert K == _powers(q, DEFAULT_POLICY, 8.0)[0] == f_N(0.1, q).terms, q
+            coef, K, qk, head = _theta(q)
+            assert K == _powers(q, 8.0)[0] == f_N(0.1, q).terms, q
             assert np.array_equal(head, (1 + qk) ** 2)
-        assert _theta_series(1e-12, DEFAULT_POLICY)[1] > _theta(1e-12, DEFAULT_POLICY)[1]
+        assert _theta_series(1e-12)[1] > _theta(1e-12)[1]
 
 
 def _rho_part_oracle(x, pairs, q, cross=None, stop=40):
@@ -814,8 +813,8 @@ class TestRhoPartRoutes:
         x, y, z = u * half, v * half, w * half
         p = CondDensityParams(y, rho1, z, rho2, q)
         for build, key in ((_fcn_rows, (y, rho1, q)), (_phi_rows, (p,))):
-            split = build(*key, DEFAULT_POLICY)
-            whole = build(*key, DEFAULT_POLICY, product=True)
+            split = build(*key)
+            whole = build(*key, product=True)
             got, want = _part_products(x, split), _part_products(x, whole)
             if want < 1e-290:
                 continue
@@ -823,26 +822,25 @@ class TestRhoPartRoutes:
             assert abs(got - want) <= 3e-13 * widen * want, (build.__name__, q, x)
 
     def test_route_choice(self):
-        policy = DEFAULT_POLICY
         # the whole product exactly where J + M would not be below K: at q = 0
         # (K = 1) and next to it; at every other base J factors and M terms
         routes = [(0.0, None), (1e-6, None), (0.01, (3, 2)), (0.1, (4, 3)), (0.3, (5, 4)), (0.5, (6, 6))]
         routes += [(-q, jm) for q, jm in routes[1:]] + [(0.7, (8, 8))]
         for q, jm in routes:
-            K = _factors_needed(q, policy, 32.0)
-            terms, head, _, a = _fcn_rows(0.2, 0.5, q, policy)
+            K = _factors_needed(q, 32.0)
+            terms, head, _, a = _fcn_rows(0.2, 0.5, q)
             assert terms == f_CN(0.1, 0.2, 0.5, q).terms, q
             if jm is None:
                 assert terms == head[0] == K and a is None, q
-                assert q == 0 or sum(_split(q, policy, 10**9, 5.0, 0.5)) >= K, q
+                assert q == 0 or sum(_split(q, 10**9, 5.0, 0.5)) >= K, q
             else:
                 assert (head[0], len(a) - 1) == jm and sum(jm) < K, q
-        assert _fcn_rows(0.2, 0.5, 0.0, policy)[0] == 1
+        assert _fcn_rows(0.2, 0.5, 0.0)[0] == 1
         # at high q, J + M well below K
         for q, J, M in ((0.99, 0, 45), (0.9, 11, 16), (-0.9, 11, 16)):
-            terms, head, _, a = _fcn_rows(0.2, 0.5, q, policy)
+            terms, head, _, a = _fcn_rows(0.2, 0.5, q)
             assert (0 if head is None else head[0], len(a) - 1) == (J, M), q
-            assert terms == J + M == f_CN(0.1, 0.2, 0.5, q).terms < _factors_needed(q, policy, 32.0)
+            assert terms == J + M == f_CN(0.1, 0.2, 0.5, q).terms < _factors_needed(q, 32.0)
 
     def test_split_near_q_one_is_refused_at_once(self):
         # J and M each run into the millions here; the split must stop
@@ -856,8 +854,8 @@ class TestRhoPartRoutes:
     def test_cached_entry_holds_no_long_row_at_high_q(self):
         q = 0.99
         entries = [
-            _rows(_fcn_rows, 0.2, 0.9, q, DEFAULT_POLICY),
-            _rows(_phi_rows, CondDensityParams(0.2, 0.9, 0.1, -0.95, q), DEFAULT_POLICY),
+            _rows(_fcn_rows, 0.2, 0.9, q),
+            _rows(_phi_rows, CondDensityParams(0.2, 0.9, 0.1, -0.95, q)),
         ]
         for terms, head, _, a in entries:
             J = 0 if head is None else head[0]
@@ -875,8 +873,8 @@ class TestRhoPartRoutes:
         misses = _rows.cache_info().misses
         assert np.array_equal(cond_ratio_values(xs, y, rho, q), got)
         assert _rows.cache_info().misses == misses
-        whole = _fcn_rows(y, rho, q, DEFAULT_POLICY, product=True)
-        assert got[1] == _part_products(0.5, _rows(_fcn_rows, y, rho, q, DEFAULT_POLICY))
+        whole = _fcn_rows(y, rho, q, product=True)
+        assert got[1] == _part_products(0.5, _rows(_fcn_rows, y, rho, q))
         for i in (0, 2, 3):
             assert got[i] == _part_products(xs[i : i + 1], whole)[0]
 

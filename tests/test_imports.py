@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module, every private
 module-level name is used somewhere in the package, every exported name
 resolves, each parameter rule and size budget is written out in qcore
-only, no module imports mpmath, the q-arithmetic modules call no library sum, and neither
-the CLI nor the series oracle loads the heavy optional modules."""
+only, no module names a truncation policy, no module imports mpmath, the q-arithmetic
+modules call no library sum, and neither the CLI nor the series oracle loads the heavy
+optional modules."""
 
 import ast
 import os
@@ -281,6 +282,16 @@ def test_parameter_rules_live_in_qcore(path):
     assert _rule_copies(path.read_text()) == []
 
 
+def _names_in(source, names):
+    """(line, name) for every node of source that names one of names: a
+    variable, attribute, import, keyword, parameter or definition."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        named = {getattr(node, field, None) for field in ("id", "attr", "arg", "name")}
+        found += [(node.lineno, name) for name in names if name in named]
+    return found
+
+
 _BUDGET_NAMES = ("max_terms", "_TERM_BUDGET", "_TABLE_BUDGET")
 _BUDGET_WORDS = re.compile(r"\b(budget|cap)\b")
 _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
@@ -296,10 +307,8 @@ def _budget_copies(source):
     qcore holds the one term budget, the one table budget and their
     refusals (``_check_order``, ``_check_terms``, ``_check_entries``).
     """
-    found = []
+    found = _names_in(source, _BUDGET_NAMES)
     for node in ast.walk(ast.parse(source)):
-        named = {getattr(node, field, None) for field in ("id", "attr", "arg", "name")}
-        found += [(node.lineno, name) for name in _BUDGET_NAMES if name in named]
         if isinstance(node, ast.Raise) and node.exc is not None:
             call = node.exc if isinstance(node.exc, ast.Call) else None
             if _name_of(call.func if call else node.exc) != "TruncationError":
@@ -367,6 +376,48 @@ def test_budget_scanner_flags_the_old_quadrature_limit():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)
 def test_size_budgets_live_in_qcore(path):
     assert _budget_copies(path.read_text()) == []
+
+
+_POLICY_NAMES = ("policy", "TruncationPolicy", "DEFAULT_POLICY")
+
+
+def _policy_knobs(source):
+    """(line, name) wherever a module names policy, TruncationPolicy or
+    DEFAULT_POLICY.  Every product and series is cut at qcore._REL_TOL, one
+    constant; a tolerance knob threaded through the signatures would let
+    two calls at the same inputs differ."""
+    return sorted(_names_in(source, _POLICY_NAMES))
+
+
+def test_policy_scanner_flags_a_truncation_knob():
+    source = (
+        "from .qcore import DEFAULT_POLICY, TruncationPolicy\n"
+        "def f(x, policy=None):\n"
+        "    tol = policy.rel_tol if policy else DEFAULT_POLICY.rel_tol\n"
+        "    return g(x, policy=TruncationPolicy(tol))\n"
+        "def h(policies, apolicy):\n    return _policy(policies)\n"
+    )
+    assert _policy_knobs(source) == [
+        (1, "DEFAULT_POLICY"), (1, "TruncationPolicy"), (2, "policy"), (3, "DEFAULT_POLICY"),
+        (3, "policy"), (3, "policy"), (4, "TruncationPolicy"), (4, "policy"),
+    ]
+    # the parameter densities.f_N took before the one constant
+    densities = (SRC / "densities.py").read_text()
+    copy = densities.replace(
+        "def f_N(x, q) -> DensityEval:",
+        "def f_N(x, q, policy: TruncationPolicy = DEFAULT_POLICY) -> DensityEval:",
+        1,
+    )
+    line = densities[: densities.index("def f_N(x, q) -> DensityEval:")].count("\n") + 1
+    assert _policy_knobs(densities) == []
+    assert _policy_knobs(copy) == [
+        (line, "DEFAULT_POLICY"), (line, "TruncationPolicy"), (line, "policy")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_a_truncation_policy(path):
+    assert _policy_knobs(path.read_text()) == []
 
 
 def _hand_rolled_pochhammers(source):

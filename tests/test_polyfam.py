@@ -545,7 +545,7 @@ class TestRealPart:
     def test_collapses_an_array_under_the_same_rule(self):
         got = real_part(np.array([2.0 + 1e-15j, -3.0 - 2e-12j]))
         assert got.dtype == np.float64 and got.tolist() == [2.0, -3.0]
-        # one entry above rel_tol * (1 + |value|) fails the whole array
+        # one entry above _IMAG_TOL * (1 + |value|) fails the whole array
         with pytest.raises(DomainError):
             real_part(np.array([2.0 + 1e-15j, 1.0 + 1e-9j]))
         floats = np.array([1.5, -0.5])

@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaw import (
-    DEFAULT_POLICY,
     DomainError,
     QParam,
     TruncationError,
-    TruncationPolicy,
     hermite_h,
     q_binomial,
     q_binomial_row,
@@ -242,13 +240,17 @@ class TestQPochhammerInf:
     def test_zero_factor(self):
         assert q_pochhammer_inf(1, 0.9) == 0
 
-    def test_policy_consistency(self):
-        loose = TruncationPolicy(rel_tol=1e-10)
-        tight = TruncationPolicy(rel_tol=1e-14)
+    def test_matches_a_40_digit_product(self):
+        # cut at the relative tail 1e-14; each error is below 8e-15 against
+        # a decimal product run until its factors are below 1e-30
         for a, q in ((0.5, 0.5), (-0.7, 0.8), (0.3, -0.9)):
-            u = q_pochhammer_inf(a, q, loose)
-            v = q_pochhammer_inf(a, q, tight)
-            assert abs(u - v) <= 1e-9 * abs(v)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 40
+                want, factor = decimal.Decimal(1), decimal.Decimal(a)
+                while abs(factor) > decimal.Decimal("1e-30"):
+                    want, factor = want * (1 - factor), factor * decimal.Decimal(q)
+                rel = abs(decimal.Decimal(q_pochhammer_inf(a, q)) / want - 1)
+            assert rel <= 2e-14, (a, q)
 
     def test_rejects_q_near_one(self):
         # the factor count alone refuses: at q = 0.995 the product runs its
@@ -324,14 +326,6 @@ class TestParamGuards:
     def test_qparam_rejects_large(self):
         with pytest.raises(DomainError):
             QParam(1.5)
-
-    def test_policy_is_frozen(self):
-        with pytest.raises(Exception):
-            DEFAULT_POLICY.rel_tol = 1.0
-
-    def test_policy_validates(self):
-        with pytest.raises(DomainError):
-            TruncationPolicy(rel_tol=0)
 
     def test_sn_series_stops_at_the_term_budget(self):
         # at t = 0.9999 the terms shrink too slowly for any stop rule; the
