@@ -10,8 +10,7 @@ this script evaluates alongside the densities.
 
 import numpy as np
 
-from qaw import CondDensityParams, f_CN, f_N, fcn_ratio_bounds, phi_cond
-from qaw.densities import SupportInterval
+from qaw import CondDensityParams, f_CN, f_N, fcn_ratio_bounds, phi_cond, support_half_width
 
 print("stationary density f_N across the q family")
 print(f"{'x':>6} " + " ".join(f"q={q:<10}" for q in (0.0, 0.5, 0.9, 1.0)))
@@ -23,7 +22,7 @@ terms = [f_N(0.0, q).terms for q in (0.0, 0.5, 0.9, 1.0)]
 print(f"{'terms':>6} " + " ".join(f"{t:<12}" for t in terms))
 
 q = 0.5
-half = SupportInterval.for_q(q).half_width
+half = support_half_width(q)
 print()
 print(f"support at q = {q} is [{-half:.6f}, {half:.6f}]; outside it the density is 0")
 print(f"  f_N({half + 0.1:.3f}) = {f_N(half + 0.1, q).value}")

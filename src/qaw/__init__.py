@@ -10,7 +10,6 @@ verification from the command line.
 from .qcore import (
     DomainError,
     PoleError,
-    QParam,
     TruncationError,
     q_binomial,
     q_binomial_row,
@@ -53,13 +52,13 @@ from .awpoly import (
 )
 from .densities import (
     DensityEval,
-    SupportInterval,
     cond_ratio_values,
     f_CN,
     f_N,
     fcn_ratio_bounds,
     phi_cond,
     phi_cond_via_ratio,
+    support_half_width,
     w_factor,
 )
 from .moments import (

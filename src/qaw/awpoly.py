@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 from .qcore import (
     DomainError,
-    QParam,
+    _check_base,
     _check_below_one,
     _check_entries,
     _check_order,
     _check_pole,
+    _check_real,
     _check_rho,
     q_binomial_row,
     q_pochhammer,
@@ -111,7 +112,7 @@ class CondDensityParams:
     q: float
 
     def __post_init__(self):
-        QParam(self.q)
+        _check_base(self.q)
         _check_rho(self.rho1, self.rho2)
         one_minus_q = 1 - self.q
         for name in ("y", "z"):
@@ -159,7 +160,7 @@ def aw_prefactor(n, rho1, rho2, q):
     representations; equals 1 at n = 0, where no q**-1 is formed.  q = 1 is
     allowed: the Gaussian end's ((1-rho1^2)(1-rho2^2)/(1-rho1^2 rho2^2))**n.
     """
-    QParam(q)
+    _check_base(q)
     r1sq = rho1 * rho1
     r2sq = rho2 * rho2
     den = q_pochhammer(r1sq * r2sq * q ** max(n - 1, 0), q, n)
@@ -181,7 +182,7 @@ def aw_D(n, x, params: AWComplexParams, q):
     as a float array for a float array x.  Requires -1 < q < 1 and, for the
     n + 1 Gaussian-binomial rows, n <= 1412 (the table budget).
     """
-    QParam(q)
+    _check_base(q)
     _check_below_one(q, "the Askey-Wilson representations")
     _check_order(n)
     _check_entries((n + 1) * (n + 2) // 2, f"the Gaussian-binomial rows of order {n}")
@@ -245,11 +246,10 @@ def aw_A_sym_seq(nmax, x, p: CondDensityParams):
         if n == 0:
             out.append(1 + 0 * x)
             continue
-        pref = poch1[n] * poch2[n] / q_pochhammer(r1sq * r2sq * q ** (n - 1), q, n)
         total = 0
         for j in range(n + 1):
             total = total + rows[n][j] * B[n - j] * inner[j]
-        out.append(pref * total)
+        out.append(aw_prefactor(n, p.rho1, p.rho2, q) * total)
     return out
 
 
@@ -400,10 +400,11 @@ def aw_phi43_oracle(n, x, params: AWComplexParams, q):
     Requires a != 0 and -1 < q < 1.
     """
     _check_order(n)
-    if not -1 < q < 1:
-        raise DomainError("the terminating series form requires -1 < q < 1")
+    _check_base(q)
+    _check_below_one(q, "the terminating series form")
     if params.a == 0:
         raise DomainError("the series prefactor divides by a**n; a must be nonzero")
+    _check_real(x)
     if abs(x) > 1 + 1e-12:
         raise DomainError(f"x must lie in [-1, 1], got {x!r}")
     x = min(1.0, max(-1.0, float(x)))

@@ -89,8 +89,8 @@ import numpy as np
 
 from .qcore import (
     DomainError,
-    QParam,
     _REL_TOL,
+    _check_base,
     _check_below_one,
     _check_finite,
     _check_rho,
@@ -100,7 +100,7 @@ from .qcore import (
 from .awpoly import CondDensityParams
 
 __all__ = [
-    "SupportInterval",
+    "support_half_width",
     "DensityEval",
     "w_factor",
     "f_N",
@@ -120,26 +120,10 @@ __all__ = [
 _TWO_PI = 2 * math.pi
 
 
-@dataclass(frozen=True)
-class SupportInterval:
-    lo: float
-    hi: float
-
-    @classmethod
-    def for_q(cls, q):
-        """Orthogonality interval for base q: +-2/sqrt(1-q), all of R at q = 1."""
-        QParam(q)
-        return cls(-_half_width(q), _half_width(q))
-
-    @property
-    def half_width(self):
-        return self.hi
-
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
-    def strictly_contains(self, x):
-        return self.lo < x < self.hi
+def support_half_width(q):
+    """Half-width of the orthogonality interval S(q): 2/sqrt(1-q), inf at q = 1."""
+    _check_base(q)
+    return _half_width(q)
 
 
 def _half_width(q):
@@ -287,7 +271,7 @@ def _check_params(q, *rhos, **points):
     refused: the products are float-only, and _rows hashes the parameters.
     Plain type tests, so a point call does no numpy work here.
     """
-    QParam(q)
+    _check_base(q)
     for v in (q, *rhos, *points.values()):
         if type(v) is not float and (
             isinstance(v, np.ndarray) or isinstance(v, Rational) and not isinstance(v, Integral)
@@ -729,7 +713,7 @@ def phi_cond_via_ratio(x, p: CondDensityParams):
     q = p.q
     _check_params(q, p.rho1, p.rho2, y=p.y, z=p.z)
     x = _point(x)
-    if not SupportInterval.for_q(q).strictly_contains(x):
+    if not abs(x) < _half_width(q):
         return 0.0
     num1 = f_CN(x, p.y, p.rho1, q).value
     num2 = f_CN(p.z, x, p.rho2, q).value

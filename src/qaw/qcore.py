@@ -21,11 +21,12 @@ or series, within the term budget of 10 000) and ``_check_entries`` (a
 table that grows faster than its order holds at most 10**6 entries), all
 checked before anything is allocated, ``_check_finite`` (scalars and numpy
 arrays; a plain float takes a ``math.isfinite`` fast path),
-``_check_real`` (finite and not complex), ``_check_rho`` (|rho| < 1) and
-``_check_below_one`` (q < 1, where q = 1 needs its own closed form).  The
-one pole rule is ``_check_pole``: a denominator raises PoleError only when
-it is exactly 0; ``_check_factorial`` refuses a float [n]_q! out of the
-normal floats.  Past either budget, or out of range, TruncationError.
+``_check_real`` (finite and not complex), ``_check_rho`` (|rho| < 1),
+``_check_base`` (a real base with -1 < q <= 1) and ``_check_below_one``
+(q < 1, where q = 1 needs its own closed form).  The one pole rule is
+``_check_pole``: a denominator raises PoleError only when it is exactly 0;
+``_check_factorial`` refuses a float [n]_q! out of the normal floats.  Past
+either budget, or out of range, TruncationError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from numbers import Rational
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "DomainError",
     "PoleError",
     "TruncationError",
-    "QParam",
     "q_bracket",
     "q_bracket_seq",
     "q_factorial",
@@ -66,25 +65,6 @@ class PoleError(ArithmeticError):
 
 class TruncationError(RuntimeError):
     """A computation needs more terms than its budget, or its floats left their range."""
-
-
-@dataclass(frozen=True)
-class QParam:
-    """Deformation base q, restricted to -1 < q <= 1.
-
-    q = 1 is the Gaussian/Hermite branch; code that needs it dispatches to
-    dedicated closed forms rather than taking limits of the |q| < 1 formulas.
-    """
-
-    q: float
-
-    def __post_init__(self):
-        try:
-            inside = -1 < self.q <= 1
-        except TypeError:  # a complex base has no order
-            inside = False
-        if not inside:
-            raise DomainError(f"base must satisfy -1 < q <= 1, got {self.q!r}")
 
 
 _TERM_BUDGET = 10_000  # the highest order, and the most terms a product or series may take
@@ -170,8 +150,22 @@ def _check_rho(*rhos):
             raise DomainError(f"rho must satisfy |rho| < 1, got {rho!r}")
 
 
+def _check_base(q):
+    """DomainError unless the base q is real with -1 < q <= 1 (so not nan).
+
+    q = 1 is the Gaussian/Hermite branch; code that needs it dispatches to
+    dedicated closed forms rather than taking limits of the |q| < 1 formulas.
+    """
+    try:
+        inside = -1 < q <= 1
+    except TypeError:  # a complex base has no order
+        inside = False
+    if not inside:
+        raise DomainError(f"base must satisfy -1 < q <= 1, got {q!r}")
+
+
 def _check_below_one(q, what):
-    """DomainError at q = 1, where what has no meaning; QParam or a |q| test bounds q above."""
+    """DomainError at q = 1, where what has no meaning; _check_base bounds q above."""
     if q == 1:
         raise DomainError(f"q < 1 is required by {what}")
 

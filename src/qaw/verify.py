@@ -26,10 +26,12 @@ import numpy as np
 
 from .qcore import (
     DomainError,
-    QParam,
+    _check_base,
+    _check_below_one,
     _check_entries,
     _check_finite,
     _check_order,
+    _check_real,
     _sn_series,
     q_binomial_row,
     q_factorial,
@@ -40,7 +42,7 @@ from .qcore import (
 from .polyfam import asc_P_seq, hermite_H_seq
 from .awpoly import CondDensityParams, aw_A_sym_seq, aw_prefactor
 from .densities import (
-    SupportInterval,
+    _half_width,
     cond_ratio_values,
     f_CN,
     f_CN_values,
@@ -48,6 +50,7 @@ from .densities import (
     f_N_values,
     fcn_ratio_bounds,
     phi_cond_values,
+    support_half_width,
 )
 from .moments import c_n_seq, gamma_mk_partial, phi_expansion_partial
 
@@ -139,7 +142,7 @@ def integrate_on_S(f, q, target_tol=1e-10):
     the last level.  DomainError on a non-finite target_tol;
     TruncationError past the last level.
     """
-    QParam(q)
+    _check_base(q)
     _check_finite(target_tol)
     if q == 1:
         lo, width = -_GAUSSIAN_CUTOFF, 2 * _GAUSSIAN_CUTOFF
@@ -148,7 +151,7 @@ def integrate_on_S(f, q, target_tol=1e-10):
             return np.asarray(f(t), dtype=float)
 
     else:
-        half = 2 / math.sqrt(1 - q)
+        half = _half_width(q)
         lo, width = 0.0, math.pi
 
         def g(t):
@@ -272,10 +275,11 @@ def check_sn_series(t, q, tol):
 
     Both read qcore's float s_n series, as expansion_terms_needed does.
     """
+    _check_real(t)
     if not -1 < t < 1:
         raise DomainError(f"the series identities need |t| < 1, got {t!r}")
-    if not -1 < q < 1:
-        raise DomainError(f"the series identities need |q| < 1, got {q!r}")
+    _check_base(q)
+    _check_below_one(q, "the series identities")
     S1 = S2 = 0.0
     for i, (s, weight) in enumerate(_sn_series(float(t), float(q))):
         term1, term2 = s * weight, s * s * weight
@@ -375,7 +379,7 @@ _EXPANSION_TERMS = 40
 def check_ratio_bounds(y, rho, q, tol):
     """The f_CN / f_N ratio stays inside its closed-form bounds on a grid."""
     lower, upper = fcn_ratio_bounds(y, rho, q)
-    half = SupportInterval.for_q(q).half_width
+    half = support_half_width(q)
     xs = np.linspace(-half, half, _RATIO_POINTS + 2)[1:-1]
     ratio = cond_ratio_values(xs, y, rho, q)
     violation = max(
@@ -393,7 +397,7 @@ def check_ratio_bounds(y, rho, q, tol):
 
 def check_poisson_mehler(y, rho, q, tol):
     """Partial sums of the Poisson-Mehler kernel converge to f_CN / f_N."""
-    half = SupportInterval.for_q(q).half_width
+    half = support_half_width(q)
     xs = np.linspace(-0.9 * half, 0.9 * half, 21)
     partial = f_N_values(xs, q) * gamma_mk_partial(0, 0, xs, y, rho, q, _KERNEL_TERMS)
     target = f_CN_values(xs, y, rho, q)
@@ -408,7 +412,7 @@ def check_poisson_mehler(y, rho, q, tol):
 
 def check_density_expansion(p: CondDensityParams, tol):
     """Partial sums of the q-Hermite moment expansion converge to phi_cond."""
-    half = SupportInterval.for_q(p.q).half_width
+    half = support_half_width(p.q)
     xs = np.linspace(-0.9 * half, 0.9 * half, 21)
     partial = phi_expansion_partial(xs, p, _EXPANSION_TERMS)
     target = phi_cond_values(xs, p)
@@ -431,11 +435,14 @@ def _bundles(config, max_abs_q=math.inf):
             yield from config.bundles(q)
 
 
+_RHO_GRID = (0.0, 0.3, 0.6)
+
+
 def _conditioned(config, max_abs_q=math.inf, skip_rho0=True):
-    """(y, rho, q) rows over the conditioning grid."""
+    """(y, rho, q) rows over the conditioning grid and the correlations _RHO_GRID."""
     for q in config.q_grid:
         if not abs(q) > max_abs_q:
-            for rho in config.rho_grid:
+            for rho in _RHO_GRID:
                 if rho != 0 or not skip_rho0:
                     for y in config.cond_points(q):
                         yield y, rho, q
@@ -489,8 +496,9 @@ DEFAULT_TOLERANCES = {name: tol for name, (tol, _) in _SUITE.items()}
 class SuiteConfig:
     """Parameter grids and tolerances for run_suite.
 
-    The default grids keep |q| <= 0.7 and |rho| <= 0.6, where product
-    truncation lengths stay short and the whole suite runs in desk time.
+    The default q grid and the fixed _RHO_GRID keep |q| <= 0.7 and
+    |rho| <= 0.6, where product truncation lengths stay short and the
+    whole suite runs in desk time.
     The series-convergence checks restrict q further to |q| <= 0.5, where
     their a priori term bounds guarantee the documented accuracy within the
     default term budgets.  ``nmax`` is the highest polynomial order of the
@@ -500,7 +508,6 @@ class SuiteConfig:
 
     checks: tuple = CHECK_NAMES
     q_grid: tuple = (-0.5, 0.0, 0.3, 0.7)
-    rho_grid: tuple = (0.0, 0.3, 0.6)
     nmax: int = 8
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 

@@ -40,10 +40,10 @@ from qaw import (
     run_suite,
     s_n,
     SuiteConfig,
+    support_half_width,
 )
 from qaw.cli import main as cli_main
 from qaw.densities import (
-    SupportInterval,
     f_CN_q0,
     f_CN_values,
     f_N_q0,
@@ -159,7 +159,7 @@ def test_representation_cross_check():
         rng = random.Random(11)
         for p in seeded_bundles(20):
             q = p.q
-            half = SupportInterval.for_q(q).half_width
+            half = support_half_width(q)
             x = rng.uniform(-0.9, 0.9) * half
             xa = x * math.sqrt(1 - q) / 2
             params = map_params(p)
@@ -281,7 +281,7 @@ def test_polynomial_and_moment_bounds():
     with scorecard("growth bounds on polynomials and moments"):
         slack = 1 + 1e-12
         for q in Q_GRID:
-            half = SupportInterval.for_q(q).half_width
+            half = support_half_width(q)
             xs = np.linspace(-half, half, 201)
             H = hermite_H_seq(8, xs, q)
             for n in range(9):

@@ -149,6 +149,22 @@ class TestRepresentations:
         assert aw_A_mixed(0, 0.3, BUNDLE) == 1
         assert aw_phi43_oracle(0, 0.3, prm, BUNDLE.q) == 1.0
 
+    def test_degree_zero_is_one_at_the_origin(self):
+        # every order-0 form is the constant 1, x = 0 and arrays holding 0 included
+        p = CondDensityParams(0.4, 0.5, -0.6, 0.7, 0.0)
+        prm = map_params(p)
+        forms = (
+            lambda x: aw_A_free(0, x, p),
+            lambda x: aw_A_mixed(0, x, p),
+            lambda x: aw_A_sym(0, x, p),
+            lambda x: aw_D_free(0, x, prm.a, prm.b, prm.c, prm.d),
+            lambda x: aw_D(0, x, prm, p.q),
+        )
+        for form in forms:
+            assert form(0.0) == 1
+            values = form(np.array([-1.0, 0.0, 0.5]))
+            assert values.shape == (3,) and np.all(values == 1)
+
     def test_sym_equals_mixed_pinned_grid(self):
         p = CondDensityParams(-0.5, 0.4, 0.7, 0.6, 0.5)
         for n in range(1, 7):
@@ -380,6 +396,16 @@ class TestSeriesOracle:
         prm = map_params(BUNDLE)
         with pytest.raises(DomainError):
             aw_phi43_oracle(2, 1.5, prm, 0.5)
+
+    def test_rejects_non_finite_or_complex_arguments(self):
+        # a nan x once passed the range test and was clamped to x = -1
+        prm = map_params(CondDensityParams(0.3, 0.5, -0.2, 0.4, 0.5))
+        for x in (math.nan, math.inf, -math.inf, 0.3 + 0.1j):
+            with pytest.raises(DomainError):
+                aw_phi43_oracle(2, x, prm, 0.5)
+        for q in (0.5j, 0.5 + 0j, math.nan, 1):
+            with pytest.raises(DomainError):
+                aw_phi43_oracle(2, 0.3, prm, q)
 
     def test_clamps_roundoff_boundary(self):
         prm = map_params(BUNDLE)

@@ -17,13 +17,13 @@ from qaw import (
     CondDensityParams,
     DensityEval,
     DomainError,
-    SupportInterval,
     cond_ratio_values,
     f_CN,
     f_N,
     fcn_ratio_bounds,
     phi_cond,
     phi_cond_via_ratio,
+    support_half_width,
     TruncationError,
     q_pochhammer_inf,
     w_factor,
@@ -77,21 +77,29 @@ class TestWFactor:
             assert np.all(values > 0)
 
 
-class TestSupportInterval:
+class TestSupportHalfWidth:
     def test_free_case(self):
-        s = SupportInterval.for_q(0)
-        assert (s.lo, s.hi) == (-2.0, 2.0)
+        assert support_half_width(0) == 2.0
+        assert support_half_width(0.5) == 2 / math.sqrt(0.5)
+        with pytest.raises(DomainError, match="base must satisfy"):
+            support_half_width(1.5)
 
     def test_gaussian_case_unbounded(self):
-        s = SupportInterval.for_q(1)
-        assert math.isinf(s.lo) and math.isinf(s.hi)
-        assert s.contains(1e9)
+        assert support_half_width(1) == math.inf
 
     def test_membership(self):
-        s = SupportInterval.for_q(0.5)
-        assert s.contains(s.hi)
-        assert not s.strictly_contains(s.hi)
-        assert not s.contains(s.hi + 1e-9)
+        # the open support: the edge itself has density 0, a point just inside does not
+        q = 0.5
+        half = support_half_width(q)
+        inside = float(np.nextafter(half, 0))
+        p = CondDensityParams(0.5, 0.3, -0.5, 0.6, q)
+        for edge in (half, -half):
+            assert f_N(edge, q).value == 0.0
+            assert phi_cond(edge, p).value == 0.0
+            assert phi_cond_via_ratio(edge, p) == 0.0
+        assert f_N(inside, q).value > 0.0
+        assert phi_cond(inside, p).value > 0.0
+        assert phi_cond_via_ratio(inside, p) > 0.0
 
 
 class TestFN:

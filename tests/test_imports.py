@@ -234,9 +234,9 @@ def _rule_copies(source):
     """(line, rule) for every parameter rule a module writes out itself.
 
     A rule is written out when a raised DomainError carries a string with
-    "|rho| < 1" or a one-sided "q < 1" (a "-1 < q < 1" range test is a
-    different rule), when the module raises PoleError (the pole rule), or
-    when it calls np.isfinite.  qcore holds the one copy of each.
+    "|rho| < 1", a one-sided "q < 1", or "-1 < q" or "|q| < 1" (the base
+    rule), when the module raises PoleError (the pole rule), or when it
+    calls np.isfinite.  qcore holds the one copy of each.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -253,6 +253,7 @@ def _rule_copies(source):
             ]
             found += [(node.lineno, "|rho| < 1") for t in texts if "|rho| < 1" in t]
             found += [(node.lineno, "q < 1") for t in texts if _ONE_SIDED_Q.search(t)]
+            found += [(node.lineno, "base") for t in texts if "-1 < q" in t or "|q| < 1" in t]
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if node.func.attr == "isfinite" and _name_of(node.func.value) in ("np", "numpy"):
                 found.append((node.lineno, "np.isfinite"))
@@ -271,10 +272,12 @@ def test_rule_scanner_flags_a_copied_rule():
         "    return np.isfinite(x)\n"
     )
     assert _rule_copies(source) == [
-        (4, "q < 1"), (6, "|rho| < 1"), (10, "pole"), (12, "pole"), (13, "np.isfinite")
+        (4, "q < 1"), (6, "|rho| < 1"), (8, "base"), (10, "pole"), (12, "pole"),
+        (13, "np.isfinite"),
     ]
+    assert _rule_copies("raise DomainError(f'need |q| < 1, got {q!r}')") == [(1, "base")]
     rules = {rule for _, rule in _rule_copies((SRC / "qcore.py").read_text())}
-    assert rules == {"q < 1", "|rho| < 1", "pole", "np.isfinite"}
+    assert rules == {"q < 1", "|rho| < 1", "base", "pole", "np.isfinite"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qcore.py"], ids=lambda p: p.name)

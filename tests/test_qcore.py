@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qaw import (
     DomainError,
-    QParam,
     TruncationError,
     hermite_h,
     q_binomial,
@@ -24,7 +23,7 @@ from qaw import (
     q_pochhammer_seq,
     s_n,
 )
-from qaw.qcore import _sn_series
+from qaw.qcore import _check_base, _sn_series
 from helpers import RATIONAL_QS
 
 small_fractions = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=16)
@@ -317,15 +316,18 @@ class TestSn:
 
 class TestParamGuards:
     def test_qparam_accepts_boundary(self):
-        assert QParam(1).q == 1
+        for q in (1, 1.0, -0.999, 0, Fraction(1, 2)):
+            assert _check_base(q) is None
 
     def test_qparam_rejects_minus_one(self):
-        with pytest.raises(DomainError):
-            QParam(-1)
+        with pytest.raises(DomainError, match="base must satisfy -1 < q <= 1"):
+            _check_base(-1)
 
     def test_qparam_rejects_large(self):
-        with pytest.raises(DomainError):
-            QParam(1.5)
+        # nan fails every comparison, and a complex base has no order
+        for q in (1.5, math.inf, math.nan, 0.5j):
+            with pytest.raises(DomainError, match="base must satisfy -1 < q <= 1"):
+                _check_base(q)
 
     def test_sn_series_stops_at_the_term_budget(self):
         # at t = 0.9999 the terms shrink too slowly for any stop rule; the

@@ -238,6 +238,10 @@ class TestIndividualChecks:
             check_sn_series(1.0, 0.5, 1e-10)
         with pytest.raises(DomainError):
             check_sn_series(0.3, 1, 1e-10)
+        # a complex or nan argument has no order; DomainError, not TypeError
+        for t, q in ((0.3j, 0.5), (0.3 + 0j, 0.5), (math.nan, 0.5), (0.3, 0.5j), (0.3, math.nan)):
+            with pytest.raises(DomainError):
+                check_sn_series(t, q, 1e-10)
 
     def test_ratio_bounds(self):
         assert check_ratio_bounds(0.5, 0.6, 0.4, 1e-12).passed
@@ -258,7 +262,6 @@ class TestIndividualChecks:
 FAST_CONFIG = SuiteConfig(
     checks=("sn_series", "ratio_bounds"),
     q_grid=(0.0, 0.3),
-    rho_grid=(0.0, 0.5),
 )
 
 
