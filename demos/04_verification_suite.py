@@ -1,8 +1,8 @@
 """Driving the verification suite from Python.
 
 The suite that backs `qaw verify` is a plain function over a configuration
-dataclass: pick checks, shrink grids, or tighten tolerances and run it
-in-process.  Each check row records its residual next to the tolerance it
+dataclass: pick checks, shrink grids, or hold every selected check to one
+tolerance, and run it in-process.  Each check row records its residual next to the tolerance it
 was held to.
 """
 

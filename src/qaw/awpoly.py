@@ -163,10 +163,13 @@ def aw_prefactor(n, rho1, rho2, q):
     _check_base(q)
     r1sq = rho1 * rho1
     r2sq = rho2 * rho2
-    den = q_pochhammer(r1sq * r2sq * q ** max(n - 1, 0), q, n)
-    return q_pochhammer(r1sq, q, n) * q_pochhammer(r2sq, q, n) / _check_pole(
-        den, "(rho1^2 rho2^2 q**(n-1); q)_n"
-    )
+    return _prefactor(n, q_pochhammer(r1sq, q, n), q_pochhammer(r2sq, q, n), r1sq * r2sq, q)
+
+
+def _prefactor(n, poch1_n, poch2_n, R, q):
+    # aw_prefactor from its numerators (rho1^2; q)_n, (rho2^2; q)_n and R = rho1^2 rho2^2
+    den = q_pochhammer(R * q ** max(n - 1, 0), q, n)
+    return poch1_n * poch2_n / _check_pole(den, "(rho1^2 rho2^2 q**(n-1); q)_n")
 
 
 def aw_D(n, x, params: AWComplexParams, q):
@@ -249,7 +252,7 @@ def aw_A_sym_seq(nmax, x, p: CondDensityParams):
         total = 0
         for j in range(n + 1):
             total = total + rows[n][j] * B[n - j] * inner[j]
-        out.append(aw_prefactor(n, p.rho1, p.rho2, q) * total)
+        out.append(_prefactor(n, poch1[n], poch2[n], r1sq * r2sq, q) * total)
     return out
 
 

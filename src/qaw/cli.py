@@ -27,7 +27,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .qcore import DomainError, PoleError, TruncationError
+from .qcore import DomainError, PoleError, TruncationError, _check_base
 from .polyfam import (
     asc_P,
     asc_Q,
@@ -61,8 +61,10 @@ def _finite(text):
 def _base(text):
     """argparse type: a finite base q with -1 < q <= 1."""
     value = _finite(text)
-    if not -1 < value <= 1:
-        raise argparse.ArgumentTypeError(f"base must satisfy -1 < q <= 1, got {text!r}")
+    try:
+        _check_base(value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -85,7 +87,7 @@ def _build_parser():
     group.add_argument("--check", default=None, metavar="NAME", help="run one check")
     vf.add_argument("--q", type=_base, default=None,
                     help="restrict the q grid to this single value")
-    vf.add_argument("--nmax", type=int, default=None,
+    vf.add_argument("--nmax", type=int, default=SuiteConfig.nmax,
                     help="cap the polynomial orders used by the checks")
     vf.add_argument("--tol", type=_finite, default=None,
                     help="override the tolerance of the selected checks")
@@ -201,18 +203,12 @@ def _cmd_eval(args, out):
 
 
 def _cmd_verify(args, out):
-    config = SuiteConfig()
-    if args.q is not None:
-        config.q_grid = (args.q,)
-    if args.nmax is not None:
-        if args.nmax < 0:
-            raise DomainError(f"--nmax must be nonnegative, got {args.nmax}")
-        config.nmax = args.nmax
-    if not args.all:
-        config.checks = (args.check,)
-    if args.tol is not None:
-        for name in config.checks:
-            config.tolerances[name] = args.tol
+    config = SuiteConfig(
+        checks=SuiteConfig.checks if args.all else (args.check,),
+        q_grid=SuiteConfig.q_grid if args.q is None else (args.q,),
+        nmax=args.nmax,
+        tol=args.tol,
+    )
     reports = run_suite(config)
     if args.format == "json":
         out.write(report_to_json(reports))

@@ -381,6 +381,7 @@ def expansion_terms_needed(p: CondDensityParams, rel_tol=1e-8):
     a bound that needs more terms than the series' term budget raises
     TruncationError.
     """
+    _check_real(rel_tol)
     if not 0 < rel_tol < 1:
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     _check_below_one(p.q, _GENERAL_Q)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .qcore import (
     _check_base,
     _check_below_one,
     _check_entries,
-    _check_finite,
     _check_order,
     _check_real,
     _sn_series,
@@ -72,7 +71,6 @@ __all__ = [
     "check_density_expansion",
     "SuiteConfig",
     "CHECK_NAMES",
-    "DEFAULT_TOLERANCES",
     "run_suite",
     "report_to_json",
     "report_to_text",
@@ -139,11 +137,11 @@ def integrate_on_S(f, q, target_tol=1e-10):
     differ by at most target_tol or by a roundoff floor growing like
     sqrt(N); target_tol <= 0 asks for the floor.  Each later level's new
     points are held to the table budget before f runs, so N = 2**20 is
-    the last level.  DomainError on a non-finite target_tol;
+    the last level.  DomainError on a non-finite or complex target_tol;
     TruncationError past the last level.
     """
     _check_base(q)
-    _check_finite(target_tol)
+    _check_real(target_tol)
     if q == 1:
         lo, width = -_GAUSSIAN_CUTOFF, 2 * _GAUSSIAN_CUTOFF
 
@@ -428,24 +426,35 @@ def check_density_expansion(p: CondDensityParams, tol):
 # --- suite --------------------------------------------------------------------
 
 
+def _scaled_point(q):
+    # 0.6 half-widths of S(q), 1.2 at q = 1; 0.6 * _half_width(q) is an ulp off at q = 0.9
+    return 1.2 / math.sqrt(1 - q) if q != 1 else 1.2
+
+
+def _bases(config, max_abs_q):
+    return (q for q in config.q_grid if abs(q) <= max_abs_q)
+
+
 def _bundles(config, max_abs_q=math.inf):
     """Every bundle of the grid whose base satisfies |q| <= max_abs_q."""
-    for q in config.q_grid:
-        if not abs(q) > max_abs_q:  # a nan base still reaches the check and raises
-            yield from config.bundles(q)
+    for q in _bases(config, max_abs_q):
+        scaled = _scaled_point(q)
+        for rho1, rho2 in ((0.3, 0.6), (0.6, 0.6)):
+            for y, z in ((0.0, 0.0), (0.5, -0.5), (scaled, -scaled)):
+                yield CondDensityParams(y, rho1, z, rho2, q)
 
 
 _RHO_GRID = (0.0, 0.3, 0.6)
 
 
 def _conditioned(config, max_abs_q=math.inf, skip_rho0=True):
-    """(y, rho, q) rows over the conditioning grid and the correlations _RHO_GRID."""
-    for q in config.q_grid:
-        if not abs(q) > max_abs_q:
-            for rho in _RHO_GRID:
-                if rho != 0 or not skip_rho0:
-                    for y in config.cond_points(q):
-                        yield y, rho, q
+    """(y, rho, q) rows: strictly interior conditioning values, one fixed and
+    one q-scaled, over the correlations _RHO_GRID."""
+    for q in _bases(config, max_abs_q):
+        for rho in _RHO_GRID:
+            if rho != 0 or not skip_rho0:
+                for y in (0.5, _scaled_point(q)):
+                    yield y, rho, q
 
 
 def _chapman_kolmogorov_grid(config):
@@ -489,12 +498,10 @@ _SUITE = {
 
 CHECK_NAMES = tuple(_SUITE)
 
-DEFAULT_TOLERANCES = {name: tol for name, (tol, _) in _SUITE.items()}
 
-
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
-    """Parameter grids and tolerances for run_suite.
+    """The checks run_suite runs, their q grid, their highest order and one tolerance.
 
     The default q grid and the fixed _RHO_GRID keep |q| <= 0.7 and
     |rho| <= 0.6, where product truncation lengths stay short and the
@@ -503,42 +510,33 @@ class SuiteConfig:
     their a priori term bounds guarantee the documented accuracy within the
     default term budgets.  ``nmax`` is the highest polynomial order of the
     orthogonality and moment checks; the Askey-Wilson pairs stop at
-    min(nmax, 6).
+    min(nmax, 6).  ``tol`` None holds each check to its default tolerance;
+    a number replaces the tolerance of every selected check.
     """
 
     checks: tuple = CHECK_NAMES
     q_grid: tuple = (-0.5, 0.0, 0.3, 0.7)
     nmax: int = 8
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-    def yz_pairs(self, q):
-        scaled = 1.2 / math.sqrt(1 - q) if q != 1 else 1.2
-        return ((0.0, 0.0), (0.5, -0.5), (scaled, -scaled))
-
-    def cond_points(self, q):
-        # strictly interior conditioning values, one fixed and one q-scaled
-        scaled = 1.2 / math.sqrt(1 - q) if q != 1 else 1.2
-        return (0.5, scaled)
-
-    def bundles(self, q):
-        out = []
-        for rho1, rho2 in ((0.3, 0.6), (0.6, 0.6)):
-            for y, z in self.yz_pairs(q):
-                out.append(CondDensityParams(y, rho1, z, rho2, q))
-        return out
+    tol: float = None
 
 
-def run_suite(config: SuiteConfig = None):
-    """Run the configured checks over their deterministic grids, in order."""
-    if config is None:
-        config = SuiteConfig()
-    reports = []
+def run_suite(config: SuiteConfig = SuiteConfig()):
+    """Run the configured checks over their deterministic grids, in order.
+
+    DomainError before any check runs on an unknown check name, a base q outside
+    (-1, 1], a negative or non-integer nmax, or a nan, infinite or complex tol."""
     for name in config.checks:
         if name not in _SUITE:
             raise DomainError(f"unknown check name {name!r}; known: {', '.join(CHECK_NAMES)}")
+    for q in config.q_grid:
+        _check_base(q)
+    _check_order(config.nmax)
+    if config.tol is not None:
+        _check_real(config.tol)
+    reports = []
+    for name in config.checks:
         default_tol, grid = _SUITE[name]
-        tol = config.tolerances.get(name, default_tol)
-        _check_finite(tol)
+        tol = default_tol if config.tol is None else config.tol
         check = globals()[f"check_{name}"]
         for args in grid(config):
             rows = check(*args, tol)

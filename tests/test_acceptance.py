@@ -3,7 +3,7 @@
 Nine guarantees, one test each, every test printing a single scorecard line
 (run with ``pytest -rP tests/test_acceptance.py`` to see the lines for
 passing tests too).  Exact identities run in rational arithmetic with zero
-tolerance; numeric ones pin the tolerances they are advertised at.
+tolerance; numeric ones pin the tolerance each is advertised at.
 """
 
 import io

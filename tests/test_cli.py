@@ -21,7 +21,7 @@ from qaw.densities import phi_q0
 DENSITY_EVAL_MD5 = "6adba01f5f04184edf746af98312e72b"
 
 # md5 of (argv, exit code, stdout, stderr) over TestCliSurface's invocations
-CLI_SURFACE_MD5 = "130f491abf9d17a19a28e5c8304d5431"
+CLI_SURFACE_MD5 = "466bfae552b1068237904c2ce993db8c"
 
 
 def run(*argv):
@@ -243,6 +243,12 @@ class TestVerifyCommand:
             code, text = run("verify", "--check", "sn_series", *extra)
             assert code == 2, extra
             assert text == ""
+
+    def test_negative_nmax_is_refused_by_the_suite(self, capsys):
+        # sn_series reads no order, and the suite still refuses the config
+        code, text = run("verify", "--check", "sn_series", "--nmax", "-1")
+        assert (code, text) == (2, "")
+        assert "order must be a nonnegative integer, got -1" in capsys.readouterr().err
 
     def test_nmax_caps_polynomial_orders(self):
         code, blob = run("verify", "--check", "aw_orthogonality", "--nmax", "9", "--q", "0.3",

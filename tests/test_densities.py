@@ -440,6 +440,24 @@ class TestMemoryBound:
         assert retained < 1_500_000, retained
 
 
+def _lower_bound_oracle(y, rho, q, stop=20):
+    """(rho**2; q)_inf / prod_k ((1 + rho**2 q**(2k)) + sqrt(1-q) |rho q**k y|)**2
+    in 50-digit decimal arithmetic, the product stopping where |q**k| < 10**-stop."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        y, rho, q = D(y), D(rho), D(q)
+        root = (1 - q).sqrt()
+        num = den = qk = D(1)
+        tiny = D(10) ** -stop
+        while abs(qk) > tiny:
+            r = rho * qk
+            num *= 1 - rho * r
+            den *= ((1 + r * r) + root * abs(r * y)) ** 2
+            qk *= q
+        return num / den
+
+
 class TestRatioBounds:
     def test_rho_zero_degenerate(self):
         assert fcn_ratio_bounds(0.4, 0.0, 0.5) == (1.0, 1.0)
@@ -453,6 +471,18 @@ class TestRatioBounds:
         ratio = cond_ratio_values(xs, y, rho, q)
         assert np.all(ratio >= lo - 1e-12)
         assert np.all(ratio <= hi + 1e-12)
+
+    # The bound reads at most 1.4e-14 for |q| <= 0.9 and 2.7e-14 at q = 0.99.
+    # Scaling its product's length by 0.01 (_BOUND_SCALE 16 -> 0.16) reads
+    # 1.8e-13 to 2.0e-13 at rho = 0.9, and by 1e-6 from 1.1e-10.
+    @pytest.mark.parametrize("q", [0.5, 0.9, -0.9, 0.99])
+    def test_lower_bound_against_a_50_digit_product(self, q):
+        half = 2 / math.sqrt(1 - q)
+        for frac, rho in ((0.4, 0.6), (0.9, 0.9), (-0.2, -0.3)):
+            y = frac * half
+            lo, _ = fcn_ratio_bounds(y, rho, q)
+            rel = abs(decimal.Decimal(lo) / _lower_bound_oracle(y, rho, q) - 1)
+            assert rel <= (1e-13 if q == 0.99 else 5e-14), (q, frac, rho, float(rel))
 
     def test_upper_bound_value(self):
         _, hi = fcn_ratio_bounds(0.0, 0.5, 0.5)

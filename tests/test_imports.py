@@ -233,10 +233,11 @@ _ONE_SIDED_Q = re.compile(r"(?<!-1 < )q < 1")
 def _rule_copies(source):
     """(line, rule) for every parameter rule a module writes out itself.
 
-    A rule is written out when a raised DomainError carries a string with
-    "|rho| < 1", a one-sided "q < 1", or "-1 < q" or "|q| < 1" (the base
-    rule), when the module raises PoleError (the pole rule), or when it
-    calls np.isfinite.  qcore holds the one copy of each.
+    A rule is written out when a raised DomainError, or argparse's
+    ArgumentTypeError, carries a string with "|rho| < 1", a one-sided
+    "q < 1", or "-1 < q" or "|q| < 1" (the base rule), when the module
+    raises PoleError (the pole rule), or when it calls np.isfinite.  qcore
+    holds the one copy of each.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -245,7 +246,7 @@ def _rule_copies(source):
             raised = _name_of(call.func if call else node.exc)
             if raised == "PoleError":
                 found.append((node.lineno, "pole"))
-            if raised != "DomainError" or call is None:
+            if raised not in ("DomainError", "ArgumentTypeError") or call is None:
                 continue
             texts = [
                 c.value for c in ast.walk(call)
@@ -276,6 +277,8 @@ def test_rule_scanner_flags_a_copied_rule():
         (13, "np.isfinite"),
     ]
     assert _rule_copies("raise DomainError(f'need |q| < 1, got {q!r}')") == [(1, "base")]
+    argparse_copy = "raise argparse.ArgumentTypeError(f'base must satisfy -1 < q <= 1, got {t!r}')"
+    assert _rule_copies(argparse_copy) == [(1, "base")]
     rules = {rule for _, rule in _rule_copies((SRC / "qcore.py").read_text())}
     assert rules == {"q < 1", "|rho| < 1", "base", "pole", "np.isfinite"}
 

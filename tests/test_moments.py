@@ -685,6 +685,11 @@ class TestTermBudget:
             with pytest.raises(DomainError):
                 expansion_terms_needed(p, rel_tol=rel_tol)
 
+    def test_rejects_complex_tolerance(self):
+        p = CondDensityParams(0.4, 0.5, -0.6, 0.5, 0.5)
+        with pytest.raises(DomainError, match="must be real"):
+            expansion_terms_needed(p, 0.5j)
+
     def test_budget_near_q_one_is_reached(self):
         # the product-form s_n overflowed from order 618 at q = 0.9, so the
         # bound never dropped and the loop ran into the term budget

@@ -1,5 +1,6 @@
 """Quadrature engine and check-suite plumbing."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from qaw import verify
 from qaw import (
     CondDensityParams,
     DomainError,
@@ -24,7 +26,6 @@ from qaw import (
 from qaw.densities import f_CN_values, f_N_values
 from qaw.verify import (
     CHECK_NAMES,
-    DEFAULT_TOLERANCES,
     CheckReport,
     check_aw_orthogonality,
     check_chapman_kolmogorov,
@@ -159,9 +160,13 @@ class TestIntegrateOnS:
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 integrate_on_S(f, 0.3, target_tol=bad)
-        # zero and negative tolerances ask for the roundoff floor
+        # a zero or negative tolerance asks for the roundoff floor
         for floor in (0.0, -1.0):
             assert integrate_on_S(f, 0.3, target_tol=floor).value == pytest.approx(1.0, abs=1e-14)
+
+    def test_rejects_complex_tolerance(self):
+        with pytest.raises(DomainError, match="must be real"):
+            integrate_on_S(lambda x: f_N_values(x, 0.5), 0.5, 1e-3j)
 
     @pytest.mark.parametrize("q", [0.3, 0.7, 0.9, 0.99, -0.9])
     def test_geometric_convergence_against_exact_targets(self, q):
@@ -286,23 +291,47 @@ class TestSuite:
         assert first == second
 
     def test_tolerance_override_is_honest(self):
-        config = SuiteConfig(
-            checks=("sn_series",),
-            q_grid=(0.3,),
-            tolerances={"sn_series": 1e-30},
-        )
+        config = SuiteConfig(checks=("sn_series",), q_grid=(0.3,), tol=1e-30)
         reports = run_suite(config)
         assert reports and all(not r.passed for r in reports)
+        assert {r.tolerance for r in reports} == {1e-30}
 
-    def test_rejects_non_finite_tolerances(self):
+    def test_rejects_non_finite_tol(self):
         # nan would fail every row and inf pass every row
         for name, tol in (("sn_series", math.nan), ("ratio_bounds", math.inf)):
-            config = SuiteConfig(checks=(name,), q_grid=(0.3,), tolerances={name: tol})
+            config = SuiteConfig(checks=(name,), q_grid=(0.3,), tol=tol)
             with pytest.raises(DomainError):
                 run_suite(config)
 
-    def test_default_tolerances_cover_all_checks(self):
-        assert set(DEFAULT_TOLERANCES) == set(CHECK_NAMES)
+    def test_config_has_four_frozen_fields(self):
+        assert [f.name for f in dataclasses.fields(SuiteConfig)] == ["checks", "q_grid", "nmax", "tol"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SuiteConfig().tol = 1e-3
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"checks": ("sn_series", "nosuch")},
+            {"q_grid": (0.3, 1.5)},
+            {"q_grid": (0.5j,)},
+            {"nmax": -1},
+            {"nmax": 2.0},
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"tol": 1e-3j},
+        ],
+        ids=[
+            "unknown-after-valid", "base-after-valid", "complex-base",
+            "negative-nmax", "float-nmax", "nan-tol", "inf-tol", "complex-tol",
+        ],
+    )
+    def test_refuses_the_whole_config_before_any_check(self, fields, monkeypatch):
+        calls = []
+        for name in CHECK_NAMES:
+            monkeypatch.setattr(verify, f"check_{name}", lambda *args: calls.append(args))
+        with pytest.raises(DomainError):
+            run_suite(SuiteConfig(**{"checks": ("sn_series",), **fields}))
+        assert calls == []
 
     def test_default_grid_row_counts(self):
         counts = {}
