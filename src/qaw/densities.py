@@ -48,23 +48,29 @@ and M = 16 at q = 0.9; J = 6 and M = 6 at q = 0.5), where K would be 4011,
 below K, at q = 0 and at some |q| below about 1e-5.  The series runs at
 every 0 < q < 1 (372 terms for phi_cond at q = 0.999999), but its weights
 reach 1 / (1 - q), so its rounding grows like eps / (1 - q): 3.8e-13 for
-f_CN / f_N at q = 0.999 against a 50-digit product.  Head rows are built
-in Python floats, and the series' weights come from a cache of 32 rows
-per (q, J, M) (``_series_weights``).  f_N's product and the ratio bounds
-read their row q**k from one cache of 32 read-only rows (``_powers``),
-``_theta`` caches f_N's route for 32 bases (the series' M decay rates, or
-the product's (1 + q**k)**2 row), and ``_rows`` the routes of the last
-four rho-parts, their head rows and series coefficients: a few kilobytes
-each.
+f_CN / f_N at q = 0.999 against a 50-digit product.  Head columns are
+built in Python floats, and the series' weights come from a cache of 32
+rows per (q, J, M) (``_series_weights``).  f_N's product and the ratio
+bounds read their row q**k from one cache of 32 read-only rows
+(``_powers``), ``_theta`` caches f_N's route for 32 bases (the series' M
+decay rates, or the product's (1 + q**k)**2 column), and ``_rows`` the
+routes of the last four rho-parts, their head columns, the same head
+floats as one tuple per k, and series coefficients: a few kilobytes each.
 
 A point call hands the evaluator a float: a Python comparison tests the
-support, f_N's series runs its ufuncs on numpy scalars, a rho-part's head
-factors reduce one (1, J) row, its Clenshaw sum runs in Python floats and
-np.exp takes the tail.  An array is masked once, gathered and scattered
-only if a point is off the support, and its products run over blocks of
-at most 16384 elements: memory is O(points) whatever K is.  Terms add
-and factors multiply in order either way, so for q < 1 a grid value
-equals the point call bit for bit (f_N's q = 1 call uses math.exp).
+support, f_N's series runs its ufuncs on numpy scalars (math.sqrt for the
+square root), a rho-part's head factors are multiplied in Python floats
+from the per-k tuples, its Clenshaw sum runs in Python floats and np.exp
+takes the tail; only f_N's product reduces one (K, 1) column.  An array
+is masked once, gathered and scattered only if a point is off the
+support, and its products run factor-major, (K, points) blocks of at most
+32768 factors from (K, 1) coefficient columns: row-major, so numpy's
+loops run over the points, unless K is the longer (f_N's product near
+q = -1), where each point's K factors stay one contiguous run.  Memory is
+O(points) whatever K is.  Each factor is the same +, -, * and / in the
+same order, and factors multiply and terms add in order either way, so
+for q < 1 a grid value equals the point call bit for bit (f_N's q = 1
+call uses math.exp).
 
 Scalar entry points return a ``DensityEval``, whose ``terms`` counts the
 terms or factors of the last series or product run (the rho-part's J + M
@@ -204,12 +210,17 @@ def _theta_series(q):
 
 
 def _theta_product(q):
-    """(coef, K, qk, head) of f_N's product: its constant, K, q**k and (1 + q**k)**2 for 0 < k < K."""
+    """(coef, K, qk, head) of f_N's product: its constant, K, q**k and (1 + q**k)**2 for 0 < k < K.
+
+    qk and head are (K - 1, 1) columns, as _point_products' factors are
+    (K - 1, points) blocks.
+    """
     coef = math.sqrt(1 - q) * q_pochhammer_inf(q, q) / _TWO_PI
     K, qk = _powers(q, _FN_SCALE)
-    head = (1 + qk[1:]) ** 2
+    qk = qk[1:, None]
+    head = (1 + qk) ** 2
     head.flags.writeable = False
-    return coef, K, qk[1:], head
+    return coef, K, qk, head
 
 
 @lru_cache(maxsize=32)
@@ -228,39 +239,57 @@ def _theta(q):
     return _theta_product(q)
 
 
-# Elements per (points, K) buffer, 128 KB of float64: the fastest, or tied
-# for fastest, of 2**13 .. 2**16 on the density_grid benchmark mix.
-_BLOCK_ELEMENTS = 16384
+# Elements per block of factors, 256 KB of float64: the fastest of 2**13 ..
+# 2**16 on the density_grid benchmark mix with the longer axis contiguous.
+_BLOCK_ELEMENTS = 32768
+
+
+def _blocks(nbuf, K, n):
+    """nbuf scratch (K, n) blocks of factors, their longer axis the contiguous one.
+
+    (K, n) memory when n >= K, so each ufunc runs inner loops of n points
+    and the reduce multiplies whole rows, rather than one K-long loop per
+    point; a (K, n) view of (n, K) memory where K is the longer, as for
+    f_N's product at q near -1 (K = 3873 against 8 points per block), so
+    each point's factors stay one contiguous run.
+    """
+    if n >= K:
+        return np.empty((nbuf, K, n))
+    return np.empty((nbuf, n, K)).transpose(0, 2, 1)
 
 
 def _point_products(block_factors, xs, K, nbuf):
     """For every point of xs, the product over k of its K factors.
 
-    block_factors(t, *bufs) writes the (points, K) factors of a (points, 1)
-    column t into the first of nbuf buffers of that shape, using the others
-    as scratch, and returns it.  Points go through in blocks of
-    _BLOCK_ELEMENTS // K (at least one), so memory does not grow with K
-    times the point count.  Every block reuses the same buffers: fresh
-    block-sized temporaries made malloc hand heap pages back and fault them
-    in again, at a rate that varied with the heap layout.  The
-    multiply-reduce runs along k in order, as on one (K, points) array, so
-    every product keeps its bits.  The result has the shape of xs; a float
-    xs is its own t, makes one (1, K) row and gives a numpy scalar.
+    block_factors(t, *bufs) writes the (K, points) factors of a (1, points)
+    row t, from (K, 1) coefficient columns, into the first of nbuf buffers
+    of that shape, using the others as scratch, and returns it.  Points go
+    through in blocks of _BLOCK_ELEMENTS // K (at least one), so memory
+    does not grow with K times the point count, and _blocks lays each block
+    out with its longer axis contiguous.  Every block reuses the same
+    buffers: fresh block-sized temporaries made malloc hand heap pages back
+    and fault them in again, at a rate that varied with the heap layout.
+    Each factor is one IEEE operation after another whatever the layout,
+    and the multiply-reduce runs along k in order for every point, so every
+    product keeps its bits.  The result has the shape of xs; a float xs
+    (f_N's product at a point) is its own t, makes one (K, 1) column and
+    gives a numpy scalar.
     """
     if isinstance(xs, float):
-        return np.multiply.reduce(block_factors(xs, *np.empty((nbuf, 1, K))), axis=1)[0]
-    col = xs.reshape(-1, 1)
+        return np.multiply.reduce(block_factors(xs, *np.empty((nbuf, K, 1))), axis=0)[0]
+    row = xs.reshape(1, -1)
     n = xs.size
     step = max(1, _BLOCK_ELEMENTS // K)
     if n <= step:
-        factors = block_factors(col, *np.empty((nbuf, n, K)))
-        return np.multiply.reduce(factors, axis=1).reshape(xs.shape)
-    bufs = np.empty((nbuf, step, K))
+        factors = block_factors(row, *_blocks(nbuf, K, n))
+        return np.multiply.reduce(factors, axis=0).reshape(xs.shape)
+    bufs = _blocks(nbuf, K, step)
     out = np.empty(n)
     for start in range(0, n, step):
-        t = col[start : start + step]
-        factors = block_factors(t, *bufs[:, : len(t)])
-        np.multiply.reduce(factors, axis=1, out=out[start : start + len(t)])
+        t = row[:, start : start + step]
+        m = t.shape[1]
+        factors = block_factors(t, *bufs[:, :, :m])
+        np.multiply.reduce(factors, axis=0, out=out[start : start + m])
     return out.reshape(xs.shape)
 
 
@@ -375,36 +404,41 @@ def _split(q, K, scale, r, product=False):
     return J, M
 
 
-def _head(q, J, pairs, cross):
-    """The x-free coefficients of a rho-part's factors k < J, as read-only rows.
+def _head(q, J, pairs, cross, points=True):
+    """The x-free coefficients of a rho-part's factors k < J, as read-only columns and per-k tuples.
 
     A neighbor's factor w_k(x, y) is written (c x - B) x + A, with r = rho
     q**k, c = (1-q) r**2, B = (1-q) r (1 + r**2) y and A = (1 - r**2)**2 +
     c y**2.  pairs holds (y, rho) per neighbor, each putting 1 - rho**2
     q**k into the numerator; cross, phi_cond's rho1 rho2 or None, puts
     w_k(y, z) at cross there too and gives den = 1 - cross**2 q**k.
-    Returns (J, num, den or None, (A, B, c) per neighbor), built in Python
-    floats and copied into one array: up to |q| = 0.9 the series route has
-    J <= 18, where that costs no more than numpy's dozen or more calls.
+    Returns (J, num, den or None, (A, B, c) per neighbor, ks), built in
+    Python floats: (J, 1) columns of one array for grids, and ks, per k the
+    tuple (num, [den,] A, B, c per neighbor) of the same floats, for a
+    point.  Up to |q| = 0.9 the series route has J <= 18, where building
+    the lists so costs no more than numpy's dozen or more calls.  ks is
+    None unless points: cond_ratio_values' off-support product is taken by
+    arrays alone, and its K tuples of floats would hold 0.8 MB at q = 0.99.
     """
     p = 1 - q
     qk = [q**k for k in range(J)]
     (y, r1), *rest = pairs
-    cols = [1 - r1 * r1 * t for t in qk]  # num, then den, then A, B, c per neighbor
+    num = [1 - r1 * r1 * t for t in qk]
+    cols = [num]  # num, then den, then A, B, c per neighbor
     if cross is not None:
         ((z, r2),) = rest
         s2 = r2 * r2
         A, B, C = _w_coeffs(qk, p, cross, y)
-        cols = [n * ((1 - s2 * t) * ((c * z - b) * z + a)) for n, t, a, b, c in zip(cols, qk, A, B, C)]
-        cols += [1 - (r1 * r1) * s2 * t for t in qk]
+        num = [n * ((1 - s2 * t) * ((c * z - b) * z + a)) for n, t, a, b, c in zip(num, qk, A, B, C)]
+        cols = [num, [1 - (r1 * r1) * s2 * t for t in qk]]
     for y, rho in pairs:
-        for col in _w_coeffs(qk, p, rho, y):
-            cols += col
-    rows = np.array(cols).reshape(-1, J)
+        cols += _w_coeffs(qk, p, rho, y)
+    rows = np.array(cols)[:, :, None]
     rows.flags.writeable = False
     i = 1 if cross is None else 2
     coeffs = tuple((rows[j], rows[j + 1], rows[j + 2]) for j in range(i, len(rows), 3))
-    return J, rows[0], None if cross is None else rows[1], coeffs
+    ks = tuple(zip(*cols)) if points else None
+    return J, rows[0], None if cross is None else rows[1], coeffs, ks
 
 
 def _w_coeffs(qk, p, rho, y):
@@ -453,10 +487,22 @@ def _log_series(q, J, M, v1, r1, v2=0.0, r2=0.0, cross=0.0):
 def _head_products(xs, head):
     """The product over k < J of num / (w(x, y1) den w(x, y2)) at xs, a float or an array.
 
-    head is _head's tuple; _point_products reduces the factors, so a point
-    and a grid agree bit for bit.
+    head is _head's tuple.  A grid's factors go through _point_products; a
+    point's are Python floats from head's per-k tuples, made by the same
+    statements in the same order, (c x - B) x + A, times den, times the
+    second neighbor's, then num over that, and multiplied in order from
+    k = 0 as the reduce does, so a point and a grid agree bit for bit.  A
+    route built without the tuples (the ratio's off-support product) takes
+    a point through _point_products' one (J, 1) column.
     """
-    J, num, den, (w1, *rest) = head
+    J, num, den, (w1, *rest), ks = head
+    if ks is not None and isinstance(xs, float):
+        x = xs
+        if den is None:
+            return math.prod([n / ((c * x - b) * x + a) for n, a, b, c in ks])
+        return math.prod(
+            [n / (((c * x - b) * x + a) * d * ((g * x - f) * x + e)) for n, d, a, b, c, e, f, g in ks]
+        )
 
     def w_block(t, w, out):
         A, B, c = w
@@ -521,12 +567,13 @@ def _series_sum(xs, q, s, L, rates):
     them.  Within an ulp of the edge 4 - (1-q) x**2 can round below 0, by
     about its own size; abs keeps w real there.  A float runs the same
     ufuncs on numpy scalars as an array does on its points, with no out=
-    (which costs a scalar call more than the ufunc itself), and terms are
-    added in order, so a point and a grid agree bit for bit.  Temporaries
-    are point-sized.
+    (which costs a scalar call more than the ufunc itself), but for the
+    correctly rounded square root, math.sqrt; terms are added in order, so
+    a point and a grid agree bit for bit.  Temporaries are point-sized.
     """
     u = abs(xs) * s
-    w = np.sqrt(abs(4 - (1 - q) * xs * xs)) / 2
+    root = math.sqrt if isinstance(xs, float) else np.sqrt
+    w = root(abs(4 - (1 - q) * xs * xs)) / 2
     phi, theta = np.arctan2(u, w), np.arctan2(w, u)
     total = 0.0
     for n, rate in enumerate(rates.tolist()):
@@ -616,7 +663,7 @@ def _fcn_rows(y, rho, q, product=False):
     K = _factors_needed(q, _FCN_SCALE)
     J, M = _split(q, K, _FCN_TAIL, abs(rho), product)
     s = math.sqrt(1 - q) / 2
-    head = _head(q, J, ((y, rho),), None) if J else None
+    head = _head(q, J, ((y, rho),), None, not product) if J else None
     return J + M, head, s, _log_series(q, J, M, s * y, rho) if M else None
 
 
@@ -671,7 +718,7 @@ def _phi_rows(p, product=False):
     K = _factors_needed(q, _PHI_SCALE)
     J, M = _split(q, K, _PHI_TAIL, max(abs(r1), abs(r2)), product)
     s = math.sqrt(1 - q) / 2
-    head = _head(q, J, ((p.y, r1), (p.z, r2)), r1 * r2) if J else None
+    head = _head(q, J, ((p.y, r1), (p.z, r2)), r1 * r2, not product) if J else None
     a = _log_series(q, J, M, s * p.y, r1, s * p.z, r2, r1 * r2) if M else None
     return J + M, head, s, a
 

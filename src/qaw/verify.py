@@ -39,7 +39,7 @@ from .qcore import (
     q_pochhammer_seq,
 )
 from .polyfam import asc_P_seq, hermite_H_seq
-from .awpoly import CondDensityParams, aw_A_sym_seq, aw_prefactor
+from .awpoly import CondDensityParams, _prefactor, aw_A_sym_seq
 from .densities import (
     _half_width,
     cond_ratio_values,
@@ -332,10 +332,10 @@ def check_vnm(n, m, x, z, rho1, rho2, q, tol):
     top = max(n, m)
     r1sq = rho1 * rho1
     r2sq = rho2 * rho2
-    pref = aw_prefactor(n, rho1, rho2, q)
     Pxz = asc_P_seq(n, x, z, rho2, q)
     poch1 = q_pochhammer_seq(r1sq, q, n)
     poch2 = q_pochhammer_seq(r2sq, q, n)
+    pref = _prefactor(n, poch1[n], poch2[n], r1sq * r2sq, q)
     row = q_binomial_row(n, q)
     coeff = [
         (-1) ** j

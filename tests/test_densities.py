@@ -29,6 +29,7 @@ from qaw import (
     w_factor,
 )
 from qaw.densities import (
+    _BLOCK_ELEMENTS,
     _f_N_inside,
     _factors_needed,
     _fcn_rows,
@@ -405,7 +406,7 @@ class TestBlockedProducts:
 class TestMemoryBound:
     """Peak memory of a grid evaluation does not grow with K times the point count."""
 
-    @pytest.mark.parametrize("q, npts", [(0.99, 2000), (0.9, 20000)])
+    @pytest.mark.parametrize("q, npts", [(0.99, 2000), (0.9, 20000), (-0.99, 2000)])
     def test_tracemalloc_peak_below_4_mb(self, q, npts):
         xs = _grid(q, npts)
         for name, fn in _grid_densities(q).items():
@@ -499,6 +500,21 @@ class TestRatioBounds:
 # md5 of _golden_feed over q = 0.5, 0.9, 0.99
 GOLDEN_DENSITY_MD5 = "83d0d826674fe2757ae00d2d9f05c844"
 
+# The work a density does, pinned as counts beside the md5s: (J, M), head
+# factors and log-series terms, of the rho-parts of f_CN and phi_cond at
+# |rho| = 0.65 on the benchmark's bases, and K, f_N's product length, at
+# q < 0.  A change that moves one on purpose says so and updates it.
+COST_PINS = {
+    ("f_CN", 0.5): (6, 6),
+    ("phi_cond", 0.5): (6, 7),
+    ("f_CN", 0.9): (14, 16),
+    ("phi_cond", 0.9): (14, 17),
+    ("f_CN", 0.99): (15, 54),
+    ("phi_cond", 0.99): (16, 55),
+    ("f_N", -0.5): 51,
+    ("f_N", -0.99): 3873,
+}
+
 
 def _golden_feed(digest, q):
     """Grid values of the four *_values products and (value, terms) of the point calls."""
@@ -560,17 +576,33 @@ class TestProductRows:
         p1 = CondDensityParams(y, 0.5, z, -0.3, 1)
         assert (f_N(0.1, 1).terms, f_CN(0.1, y, 0.6, 1).terms, phi_cond(0.1, p1).terms) == (0, 0, 0)
 
+    def test_cost_pins(self):
+        rho = 0.65
+        for (name, q), pin in COST_PINS.items():
+            p = CondDensityParams(0.2, rho, -0.1, -rho, q)
+            if name == "f_N":
+                assert _theta(q)[1] == f_N(0.1, q).terms == pin, q
+                continue
+            if name == "f_CN":
+                ev, (terms, head, _, a) = f_CN(0.1, 0.2, rho, q), _rows(_fcn_rows, 0.2, rho, q)
+            else:
+                ev, (terms, head, _, a) = phi_cond(0.1, p), _rows(_phi_rows, p)
+            assert (head[0], len(a) - 1) == pin and ev.terms == terms == sum(pin), (name, q)
+
     def test_cached_row_rejects_writes(self):
         K, row = _powers(0.5, 8.0)
         assert len(row) == K == 51
         # the q**k row, the decay rates of f_N's series and every cached rho-part row
         p = CondDensityParams(0.2, 0.5, 0.1, 0.3, 0.5)
         rows = [row, _theta(0.5)[3]]
-        for _, (_, num, den, coeffs), _, _ in (
+        for _, (J, num, den, coeffs, ks), _, _ in (
             _rows(_fcn_rows, 0.2, 0.5, 0.5),
             _rows(_phi_rows, p),
         ):
             rows += [num] + ([] if den is None else [den]) + [c for w in coeffs for c in w]
+            # a point's per-k floats are tuples, so they cannot be written either
+            assert type(ks) is tuple and len(ks) == J
+            assert all(type(k) is tuple for k in ks)
         assert len(rows) == 2 + 4 + 8
         for row in rows:
             with pytest.raises(ValueError):
@@ -653,6 +685,54 @@ class TestPointCallProperty:
                 warm = point(x).value
                 assert cold.hex() == warm.hex() == grid(np.array([x]))[0].hex(), (name, x)
             assert point(near).value > 0, (name, near)
+
+
+class TestPointCallPastTheStrategy:
+    """Point calls against grid values, bit for bit, where float_bundles does not reach."""
+
+    def test_long_heads_near_q_one(self):
+        q, rho = 0.999, 0.99
+        half = 2 / math.sqrt(1 - q)
+        y, z = 0.1 * half, -0.05 * half
+        p = CondDensityParams(y, rho, z, rho, q)
+        assert (_rows(_fcn_rows, y, rho, q)[1][0], _rows(_phi_rows, p)[1][0]) == (174, 177)
+        pairs = {
+            "f_CN": (lambda x: f_CN(x, y, rho, q), lambda xs: f_CN_values(xs, y, rho, q)),
+            "phi_cond": (lambda x: phi_cond(x, p), lambda xs: phi_cond_values(xs, p)),
+        }
+        for name, (point, grid) in pairs.items():
+            # around y, where both laws have their mass
+            for x in (y - 1.0, y - 0.1, y, y + 0.3):
+                ev = point(x)
+                assert ev.value > 0 and ev.terms > 174, (name, x)
+                assert ev.value.hex() == grid(np.array([x]))[0].hex(), (name, x)
+
+    def test_f_N_product_near_q_minus_one(self):
+        q = -0.99
+        assert _theta(q)[1] == 3873
+        half = 2 / math.sqrt(1 - q)
+        for x in (-0.97 * half, -0.3, 0.0, 0.01, 0.5 * half, 0.999 * half):
+            ev = f_N(x, q)
+            assert ev.value > 0 and ev.terms == 3873, x
+            assert ev.value.hex() == f_N_values(np.array([x]), q)[0].hex(), x
+
+    @pytest.mark.parametrize("name, q", [("f_CN", 0.9), ("phi_cond", 0.9), ("f_N", -0.5)])
+    def test_every_point_of_a_grid_past_two_block_edges(self, name, q):
+        # f_CN and phi_cond's heads at rho = 0.65 and q = 0.9 have J = 14
+        # factors, f_N's product at q = -0.5 K - 1 = 50; the grid fills two
+        # blocks of _BLOCK_ELEMENTS // J points and one point more
+        rho = 0.65
+        p = CondDensityParams(0.4, rho, -0.6, -rho, q)
+        pairs = {
+            "f_CN": (lambda x: f_CN(x, 0.4, rho, q), lambda xs: f_CN_values(xs, 0.4, rho, q)),
+            "phi_cond": (lambda x: phi_cond(x, p), lambda xs: phi_cond_values(xs, p)),
+            "f_N": (lambda x: f_N(x, q), lambda xs: f_N_values(xs, q)),
+        }
+        factors = {"f_CN": 14, "phi_cond": 14, "f_N": 50}[name]
+        point, grid = pairs[name]
+        xs = _grid(q, 2 * (_BLOCK_ELEMENTS // factors) + 1)
+        values = grid(xs)
+        assert [i for i, x in enumerate(xs.tolist()) if point(x).value.hex() != values[i].hex()] == []
 
 
 def _f_N_oracle(x, q, stop=62):
@@ -899,6 +979,7 @@ class TestRhoPartRoutes:
             J = 0 if head is None else head[0]
             assert terms == J + len(a) - 1 < 200
             arrays = [] if head is None else [head[1], head[2], *(c for w in head[3] for c in w)]
+            arrays += [] if head is None else [head[4]]  # a point's per-k tuples
             assert all(len(row) <= terms for row in arrays if row is not None)
 
     def test_ratio_off_the_support_takes_the_product(self):
@@ -912,6 +993,8 @@ class TestRhoPartRoutes:
         assert np.array_equal(cond_ratio_values(xs, y, rho, q), got)
         assert _rows.cache_info().misses == misses
         whole = _fcn_rows(y, rho, q, product=True)
+        # arrays alone take the product, so it holds no per-k floats for a point
+        assert whole[1][4] is None
         assert got[1] == _part_products(0.5, _rows(_fcn_rows, y, rho, q))
         for i in (0, 2, 3):
             assert got[i] == _part_products(xs[i : i + 1], whole)[0]
